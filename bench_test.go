@@ -353,3 +353,34 @@ func BenchmarkSparseLU(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSolvePanel compares eight single-vector solves with one panel
+// solve over the ckt1 pencil's LU factor: the Krylov phase's unit of work
+// before and after panelling. ns/op is per eight right-hand sides.
+func BenchmarkSolvePanel(b *testing.B) {
+	sys := buildBench(b, "ckt1", 1)
+	lu, err := sparse.FactorLU(sys.Pencil(core.DefaultS0), sparse.LUOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := lu.N()
+	rhs := make([]float64, n*sparse.PanelWidth)
+	for i := range rhs {
+		rhs[i] = float64(i%7) - 3
+	}
+	x := make([]float64, len(rhs))
+	w := make([]float64, len(rhs))
+	b.Run("solvebuf-x8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < sparse.PanelWidth; k++ {
+				lu.SolveBuf(x[k*n:(k+1)*n], rhs[k*n:(k+1)*n], w[:n])
+			}
+		}
+	})
+	b.Run("panel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(x, rhs)
+			lu.SolvePanel(x, w)
+		}
+	})
+}

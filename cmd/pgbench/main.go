@@ -15,7 +15,8 @@
 //	                                 paths (writes BENCH_obs.json)
 //	pgbench -exp batch               fused multi-tenant evaluation vs
 //	                                 per-request dispatch (writes
-//	                                 BENCH_batch.json)
+//	                                 BENCH_batch.json; exits 1 unless both
+//	                                 fused paths beat their baselines)
 //	pgbench -exp fleet               router-tier throughput scaling and
 //	                                 flapping-replica tail latency (writes
 //	                                 BENCH_fleet.json)
@@ -218,7 +219,7 @@ func main() {
 				}
 				fmt.Printf("wrote %s\n", jsonPath)
 			}
-			return nil
+			return res.CheckSpeedups()
 		})
 	}
 	if want("fleet") {

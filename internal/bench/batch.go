@@ -280,6 +280,21 @@ func (r *BatchResult) Render(w io.Writer) {
 		r.SingleDirectNs, r.SingleCoalescedNs, r.SingleOverheadPct, r.KernelAllocsPerOp)
 }
 
+// CheckSpeedups fails unless fused group advance beats independent
+// per-session advance and coalesced sweeps beat direct per-request sweeps.
+// It is a timing threshold, so it gates the record-scale bench run
+// (pgbench -exp batch), not go test, where a small shared host can measure
+// either ratio just under 1×.
+func (r *BatchResult) CheckSpeedups() error {
+	if r.GroupSpeedup <= 1 {
+		return fmt.Errorf("fused group advance %.2f× independent, want >1×", r.GroupSpeedup)
+	}
+	if r.SweepSpeedup <= 1 {
+		return fmt.Errorf("coalesced sweeps %.2f× direct, want >1×", r.SweepSpeedup)
+	}
+	return nil
+}
+
 // WriteJSON writes the machine-readable record (BENCH_batch.json).
 func (r *BatchResult) WriteJSON(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")

@@ -9,10 +9,10 @@ import (
 )
 
 // TestBatchRecord runs the fused-evaluation benchmark harness at a small
-// scale and checks the record carries the acceptance signals: fused group
-// advance beats independent per-session advance, coalesced sweeps beat
-// direct per-request sweeps, and the single-request path stays allocation
-// free.
+// scale and checks the record's structure: both comparisons measured, the
+// speedup ratios written and round-tripped, and the single-request path
+// allocation free. The >1× speedup thresholds are timing claims and live in
+// BatchResult.CheckSpeedups, which pgbench -exp batch enforces.
 func TestBatchRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs micro-benchmarks")
@@ -29,14 +29,8 @@ func TestBatchRecord(t *testing.T) {
 	if res.IndependentStepsPerSec <= 0 || res.FusedStepsPerSec <= 0 {
 		t.Fatalf("empty group-advance measurement: %+v", res)
 	}
-	if res.GroupSpeedup <= 1 {
-		t.Errorf("fused group advance %.2f× independent, want >1×", res.GroupSpeedup)
-	}
 	if res.DirectSweepsPerSec <= 0 || res.CoalescedSweepsPerSec <= 0 {
 		t.Fatalf("empty sweep measurement: %+v", res)
-	}
-	if res.SweepSpeedup <= 1 {
-		t.Errorf("coalesced sweeps %.2f× direct, want >1×", res.SweepSpeedup)
 	}
 	if res.KernelAllocsPerOp != 0 {
 		t.Errorf("warm sweep kernel allocates %d/op, want 0", res.KernelAllocsPerOp)
@@ -54,8 +48,11 @@ func TestBatchRecord(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("record is not valid JSON: %v", err)
 	}
-	if back.GroupSpeedup != res.GroupSpeedup {
-		t.Fatal("record round-trip lost the group speedup")
+	if back.GroupSpeedup != res.GroupSpeedup || back.SweepSpeedup != res.SweepSpeedup {
+		t.Fatal("record round-trip lost a speedup ratio")
+	}
+	if res.GroupSpeedup <= 0 || res.SweepSpeedup <= 0 {
+		t.Fatalf("speedup ratios not recorded: group %g, sweep %g", res.GroupSpeedup, res.SweepSpeedup)
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)

@@ -120,8 +120,8 @@ type Stats struct {
 	Ortho dense.OrthoStats
 	// PencilSolves counts sparse pencil solves.
 	PencilSolves int
-	// FactorNNZ is the total LU fill over all expansion points (0 for the
-	// iterative backend).
+	// FactorNNZ is the total fill of the pencil factors (LU or Cholesky)
+	// over all expansion points (0 for the iterative backend).
 	FactorNNZ int
 	// FactorTime is the time spent factoring pencils.
 	FactorTime time.Duration
@@ -130,8 +130,9 @@ type Stats struct {
 	// BasisColumns is the total number of accepted basis vectors Σᵢ lᵢ.
 	BasisColumns int
 	// PeakBasisBytes estimates the peak memory held in Krylov bases:
-	// BDSM streams one splitted system per worker, so the peak is
-	// workers·n·l·8 bytes — independent of the port count m.
+	// BDSM streams one panel of sparse.PanelWidth splitted systems per
+	// worker, so the peak is workers·PanelWidth·n·l·|points|·8 bytes —
+	// independent of the port count m.
 	PeakBasisBytes int64
 	// Ward reports the pre-reduction stage's shape and cost. Zero-valued
 	// when Options.WardReduce is off.
@@ -198,14 +199,10 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*lti.BlockDiagSystem, error) {
 
 	// Steps 3–5: per splitted system, build the thin basis V⁽ⁱ⁾ and project.
 	// Each splitted system is independent — BDSM's cluster-and-
-	// orthonormalize flow (Fig. 2) — so they are sharded across workers.
+	// orthonormalize flow (Fig. 2) — so they are sharded across workers in
+	// panels of up to sparse.PanelWidth consecutive systems, which share
+	// each pass over the factor but nothing else.
 	tReduce := time.Now()
-	type result struct {
-		block lti.Block
-		cols  int
-		skip  bool
-		err   error
-	}
 	results := make([]result, m)
 	statsPerWorker := make([]dense.OrthoStats, opts.Workers)
 
@@ -215,19 +212,16 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*lti.BlockDiagSystem, error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			wks := make([]*krylov.Worker, len(ops))
-			for k := range ops {
-				wks[k] = ops[k].Worker()
-			}
-			st := &statsPerWorker[worker]
-			for i := range next {
-				blk, cols, skip, err := reduceColumn(sys, wks, i, opts.Moments, opts.TruncTol, st)
-				results[i] = result{block: blk, cols: cols, skip: skip, err: err}
+			pw := newPanelWorker(sys, ops, opts.Moments, opts.TruncTol, &statsPerWorker[worker])
+			for first := range next {
+				if err := pw.reduce(first, results[first:min(first+sparse.PanelWidth, m)]); err != nil {
+					results[first].err = err
+				}
 			}
 		}(w)
 	}
-	for i := 0; i < m; i++ {
-		next <- i
+	for first := 0; first < m; first += sparse.PanelWidth {
+		next <- first
 	}
 	close(next)
 	wg.Wait()
@@ -265,51 +259,107 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*lti.BlockDiagSystem, error) {
 		st.FactorTime += factorTime
 		st.ReduceTime += reduceTime
 		st.BasisColumns += basisCols
-		st.PeakBasisBytes = int64(opts.Workers) * int64(n) *
+		st.PeakBasisBytes = int64(opts.Workers) * sparse.PanelWidth * int64(n) *
 			int64(opts.Moments*len(points)) * 8
 	}
 	return bd, nil
 }
 
-// reduceColumn builds the Krylov basis of splitted system Σᵢ across all
-// expansion points and projects it into a diagonal block. It streams: the
-// basis is dropped as soon as the block is formed, so peak memory is one
-// n×l panel per worker regardless of the port count.
-func reduceColumn(sys *lti.SparseSystem, wks []*krylov.Worker, i, l int,
-	truncTol float64, st *dense.OrthoStats) (blk lti.Block, cols int, skip bool, err error) {
+// result is one splitted system's reduction: its diagonal block and basis
+// size, or skip for a zero input column.
+type result struct {
+	block lti.Block
+	cols  int
+	skip  bool
+	err   error
+}
 
-	chainTol := dense.DeflationTol
-	if truncTol > chainTol {
-		chainTol = truncTol
-	}
+// panelWorker reduces panels of consecutive splitted systems. Its lane
+// buffers and the Krylov workers' panel scratch are allocated once and
+// reused for every panel the worker takes.
+type panelWorker struct {
+	sys      *lti.SparseSystem
+	wks      []*krylov.Worker // one per expansion point
+	l        int
+	chainTol float64
+	st       *dense.OrthoStats
+	lanes    [][]float64 // candidate vector per lane
+	src      [][]float64 // last accepted vector per live chain, nil once retired
+}
+
+func newPanelWorker(sys *lti.SparseSystem, ops []*krylov.Operator, l int,
+	truncTol float64, st *dense.OrthoStats) *panelWorker {
+
 	n, _, _ := sys.Dims()
-	basis := dense.NewBasis[float64](n, st)
-	w := make([]float64, n)
-	for _, wk := range wks {
+	pw := &panelWorker{sys: sys, l: l, chainTol: max(truncTol, dense.DeflationTol), st: st,
+		wks: make([]*krylov.Worker, len(ops)), src: make([][]float64, sparse.PanelWidth)}
+	for k, op := range ops {
+		pw.wks[k] = op.Worker()
+	}
+	pw.lanes = make([][]float64, sparse.PanelWidth)
+	for k := range pw.lanes {
+		pw.lanes[k] = make([]float64, n)
+	}
+	return pw
+}
+
+// reduce builds the Krylov bases of the splitted systems first..first+
+// len(res)-1 across all expansion points and projects each into a diagonal
+// block. The chains advance level by level, one panel solve per level;
+// each system keeps its own basis, Gram–Schmidt and congruence. It streams:
+// the bases are dropped as soon as the blocks are formed, so peak memory is
+// one panel of PanelWidth n×l bases per worker regardless of the port
+// count.
+func (pw *panelWorker) reduce(first int, res []result) error {
+	n, _, _ := pw.sys.Dims()
+	bases := make([]*dense.Basis[float64], len(res))
+	for k := range bases {
+		bases[k] = dense.NewBasis[float64](n, pw.st)
+	}
+	lanes, src := pw.lanes[:len(res)], pw.src[:len(res)]
+	// accept appends lane k's candidate to its basis with tolerance tol and
+	// keeps the chain live only if the candidate was accepted.
+	accept := func(tol float64) (live bool) {
+		for k, b := range bases {
+			if src[k] == nil {
+				continue
+			}
+			src[k] = nil
+			if b.AppendTol(lanes[k], tol) {
+				src[k] = b.Col(b.Len() - 1)
+				live = true
+			}
+		}
+		return live
+	}
+	for _, wk := range pw.wks {
 		// r = (s0C - G)⁻¹ bᵢ; a zero bᵢ yields a zero start vector which
 		// deflates immediately.
-		r, err := wk.StartColumn(i)
-		if err != nil {
-			return lti.Block{}, 0, false, err
+		if err := wk.StartPanel(lanes, first); err != nil {
+			return err
 		}
 		// Arnoldi-style chain: iterate A on the last accepted orthonormal
 		// vector. Algorithm 1 iterates the raw vectors A^j r; both span the
 		// same Krylov subspace in exact arithmetic, and the orthonormalized
 		// recurrence is the numerically robust realization of it. The start
 		// vector always uses the exact-deflation threshold; chain vectors
-		// honor the adaptive truncation tolerance.
-		accepted := basis.Append(r)
-		last := basis.Len() - 1
-		for j := 1; j < l && accepted; j++ {
-			if err := wk.Apply(w, basis.Col(last)); err != nil {
-				return lti.Block{}, 0, false, err
+		// honor the adaptive truncation tolerance. A deflated or truncated
+		// chain leaves the panel as a zero lane.
+		copy(src, lanes) // every chain starts live on its start vector
+		live := accept(dense.DeflationTol)
+		for j := 1; j < pw.l && live; j++ {
+			if err := wk.ApplyPanel(lanes, src); err != nil {
+				return err
 			}
-			accepted = basis.AppendTol(w, chainTol)
-			last = basis.Len() - 1
+			live = accept(pw.chainTol)
 		}
 	}
-	if basis.Len() == 0 {
-		return lti.Block{}, 0, true, nil
+	for k, b := range bases {
+		if b.Len() == 0 {
+			res[k] = result{skip: true}
+			continue
+		}
+		res[k] = result{block: krylov.CongruenceBlock(pw.sys, b, first+k), cols: b.Len()}
 	}
-	return krylov.CongruenceBlock(sys, basis, i), basis.Len(), false, nil
+	return nil
 }

@@ -177,6 +177,7 @@ func (op *Operator) Worker() *Worker {
 type Worker struct {
 	op     *Operator
 	buf, w []float64
+	panel  []float64 // interleaved panel and its scratch, 2·n·PanelWidth
 }
 
 // SolvePencil computes dst = (s0·C - G)⁻¹ b. dst and b may alias.
@@ -208,15 +209,86 @@ func (wk *Worker) StartColumn(j int) ([]float64, error) {
 	return r, nil
 }
 
+// StartPanel sets dst[k] = (s0·C - G)⁻¹ b_{first+k} for the len(dst) ≤
+// sparse.PanelWidth consecutive input columns starting at first: the start
+// vectors of that many splitted systems, solved in one pass over the
+// factor. A zero bⱼ yields a zero vector.
+func (wk *Worker) StartPanel(dst [][]float64, first int) error {
+	b := wk.op.sys.B
+	for k, d := range dst {
+		clear(d)
+		j := first + k
+		for p := b.ColPtr[j]; p < b.ColPtr[j+1]; p++ {
+			d[b.RowIdx[p]] = b.Val[p]
+		}
+	}
+	if err := wk.solvePanel(dst); err != nil {
+		return fmt.Errorf("krylov: start columns %d..%d: %w", first, first+len(dst)-1, err)
+	}
+	return nil
+}
+
+// ApplyPanel sets dst[k] = (s0·C - G)⁻¹ C src[k] for every lane k whose
+// src[k] is non-nil, in one pass over the factor; lanes with a nil source
+// are left untouched and cost no solve. dst and src must not alias.
+func (wk *Worker) ApplyPanel(dst, src [][]float64) error {
+	var live [sparse.PanelWidth][]float64
+	for k, x := range src {
+		if x != nil {
+			wk.op.sys.C.MatVec(dst[k], x)
+			live[k] = dst[k]
+		}
+	}
+	return wk.solvePanel(live[:len(src)])
+}
+
+// solvePanel overwrites each non-nil lane with its pencil solve, counting
+// one solve per lane. The direct backends share one panel pass over the
+// factor; the iterative backend solves lane by lane.
+func (wk *Worker) solvePanel(lanes [][]float64) error {
+	if wk.op.lu == nil && wk.op.chol == nil {
+		for _, x := range lanes {
+			if x != nil {
+				if err := wk.SolvePencil(x, x); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	for _, x := range lanes {
+		if x != nil {
+			wk.op.solves.Add(1)
+		}
+	}
+	size := wk.op.N() * sparse.PanelWidth
+	if wk.panel == nil {
+		wk.panel = make([]float64, 2*size)
+	}
+	x, scratch := wk.panel[:size], wk.panel[size:]
+	sparse.PackPanel(x, lanes)
+	if wk.op.lu != nil {
+		wk.op.lu.SolvePanel(x, scratch)
+	} else {
+		wk.op.chol.SolvePanel(x, scratch)
+	}
+	sparse.UnpackPanel(lanes, x)
+	return nil
+}
+
 // StartBlock returns R = (s0·C - G)⁻¹ B as dense columns — the first block
-// of every Krylov recurrence (eq. 4/10 of the paper).
+// of every Krylov recurrence (eq. 4/10 of the paper) — solved
+// sparse.PanelWidth columns per pass over the factor.
 func (op *Operator) StartBlock() ([][]float64, error) {
-	_, m, _ := op.sys.Dims()
+	n, m, _ := op.sys.Dims()
+	wk := op.Worker()
 	r := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		r[j] = op.sys.BColumn(j)
-		if err := op.SolvePencil(r[j], r[j]); err != nil {
-			return nil, fmt.Errorf("krylov: start block column %d: %w", j, err)
+	for j := range r {
+		r[j] = make([]float64, n)
+	}
+	for j := 0; j < m; j += sparse.PanelWidth {
+		if err := wk.StartPanel(r[j:min(j+sparse.PanelWidth, m)], j); err != nil {
+			return nil, fmt.Errorf("krylov: start block: %w", err)
 		}
 	}
 	return r, nil

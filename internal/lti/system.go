@@ -203,7 +203,6 @@ func (s *SparseSystem) Moments(s0 float64, count int) ([]*dense.Mat[float64], er
 	}
 	moments := make([]*dense.Mat[float64], 0, count)
 	tmp := make([]float64, n)
-	w := make([]float64, n)
 	for k := 0; k < count; k++ {
 		mk := dense.NewMat[float64](p, m)
 		for j := 0; j < m; j++ {
@@ -213,9 +212,12 @@ func (s *SparseSystem) Moments(s0 float64, count int) ([]*dense.Mat[float64], er
 		if k == count-1 {
 			break
 		}
-		for j := 0; j < m; j++ {
+		for j := range r {
 			s.C.MatVec(tmp, r[j])
-			lu.SolveBuf(r[j], tmp, w)
+			r[j], tmp = tmp, r[j]
+		}
+		if err := lu.SolveMany(r); err != nil {
+			return nil, err
 		}
 	}
 	return moments, nil

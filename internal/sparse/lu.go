@@ -273,15 +273,21 @@ func (lu *LU[T]) SolveBuf(dst, b, w []T) {
 	}
 }
 
-// SolveMany solves A X = B column-by-column in place: each element of x is
-// overwritten with the corresponding solution.
+// SolveMany solves A X = B in place, PanelWidth columns per pass over the
+// factor: each element of x is overwritten with the corresponding solution.
 func (lu *LU[T]) SolveMany(x [][]T) error {
-	w := make([]T, lu.n)
 	for c := range x {
 		if len(x[c]) != lu.n {
 			return fmt.Errorf("sparse: LU SolveMany column %d length mismatch", c)
 		}
-		lu.SolveBuf(x[c], x[c], w)
+	}
+	panel := make([]T, 2*lu.n*PanelWidth)
+	p, w := panel[:lu.n*PanelWidth], panel[lu.n*PanelWidth:]
+	for c := 0; c < len(x); c += PanelWidth {
+		cols := x[c:min(c+PanelWidth, len(x))]
+		PackPanel(p, cols)
+		lu.SolvePanel(p, w)
+		UnpackPanel(cols, p)
 	}
 	return nil
 }

@@ -1,0 +1,184 @@
+package sparse
+
+// PanelWidth is the number of right-hand sides one panel solve carries. A
+// panel stores them interleaved row-major: lane k of row i lives at
+// x[i*PanelWidth+k]. Each nonzero of a factor is then loaded once and
+// applied to all lanes, which share one cache line, so a panel costs about
+// one pass over the factor instead of PanelWidth.
+const PanelWidth = 8
+
+// PackPanel interleaves cols into the panel x of length n·PanelWidth, where
+// n is the column length. A nil column, and every lane past len(cols), is a
+// zero lane.
+func PackPanel[T Scalar](x []T, cols [][]T) {
+	const w = PanelWidth
+	if len(cols) > w {
+		panic("sparse: PackPanel given more than PanelWidth columns")
+	}
+	clear(x)
+	for k, c := range cols {
+		for i, v := range c {
+			x[i*w+k] = v
+		}
+	}
+}
+
+// UnpackPanel copies lane k of the panel x into cols[k] for every non-nil
+// cols[k].
+func UnpackPanel[T Scalar](cols [][]T, x []T) {
+	const w = PanelWidth
+	if len(cols) > w {
+		panic("sparse: UnpackPanel given more than PanelWidth columns")
+	}
+	for k, c := range cols {
+		for i := range c {
+			c[i] = x[i*w+k]
+		}
+	}
+}
+
+// lanesZero reports whether every lane of one panel row is exactly zero.
+func lanesZero[T Scalar](z *[PanelWidth]T) bool {
+	var zero T
+	return z[0] == zero && z[1] == zero && z[2] == zero && z[3] == zero &&
+		z[4] == zero && z[5] == zero && z[6] == zero && z[7] == zero
+}
+
+// SolvePanel solves A X = B in place for the PanelWidth right-hand sides
+// interleaved in the panel x (see PanelWidth); w is scratch of the same
+// length N·PanelWidth. Every lane runs SolveBuf's operations in SolveBuf's
+// order, so each lane of the result equals SolveBuf on that column under
+// ==. A row whose lanes are all zero is skipped, as SolveBuf skips a zero
+// entry; a lane that is zero while others are not takes exact-zero updates,
+// which can differ from SolveBuf only in the sign of a zero.
+//
+//pgmor:noalloc
+func (lu *LU[T]) SolvePanel(x, w []T) {
+	const pw = PanelWidth
+	n := lu.n
+	// w = Pr · b(q), lane by lane.
+	for i := 0; i < n; i++ {
+		copy(w[lu.pinv[i]*pw:][:pw], x[lu.q[i]*pw:][:pw])
+	}
+	// Forward solve L z = w (unit diagonal first per column).
+	l := lu.l
+	for j := 0; j < n; j++ {
+		z := (*[pw]T)(w[j*pw:])
+		if lanesZero(z) {
+			continue
+		}
+		z0, z1, z2, z3, z4, z5, z6, z7 := z[0], z[1], z[2], z[3], z[4], z[5], z[6], z[7]
+		rows := l.RowIdx[l.ColPtr[j]+1 : l.ColPtr[j+1]]
+		vals := l.Val[l.ColPtr[j]+1 : l.ColPtr[j+1]]
+		vals = vals[:len(rows)]
+		for p, i := range rows {
+			v := vals[p]
+			r := w[i*pw : i*pw+pw : i*pw+pw]
+			r[0] -= v * z0
+			r[1] -= v * z1
+			r[2] -= v * z2
+			r[3] -= v * z3
+			r[4] -= v * z4
+			r[5] -= v * z5
+			r[6] -= v * z6
+			r[7] -= v * z7
+		}
+	}
+	// Back solve U y = z (diagonal last per column).
+	u := lu.u
+	for j := n - 1; j >= 0; j-- {
+		dp := u.ColPtr[j+1] - 1
+		d := u.Val[dp]
+		y := (*[pw]T)(w[j*pw:])
+		y0, y1, y2, y3, y4, y5, y6, y7 := y[0]/d, y[1]/d, y[2]/d, y[3]/d, y[4]/d, y[5]/d, y[6]/d, y[7]/d
+		y[0], y[1], y[2], y[3], y[4], y[5], y[6], y[7] = y0, y1, y2, y3, y4, y5, y6, y7
+		if lanesZero(y) {
+			continue
+		}
+		rows := u.RowIdx[u.ColPtr[j]:dp]
+		vals := u.Val[u.ColPtr[j]:dp]
+		vals = vals[:len(rows)]
+		for p, i := range rows {
+			v := vals[p]
+			r := w[i*pw : i*pw+pw : i*pw+pw]
+			r[0] -= v * y0
+			r[1] -= v * y1
+			r[2] -= v * y2
+			r[3] -= v * y3
+			r[4] -= v * y4
+			r[5] -= v * y5
+			r[6] -= v * y6
+			r[7] -= v * y7
+		}
+	}
+	// Undo the symmetric pre-ordering: x[q[i]] = y[i].
+	for i := 0; i < n; i++ {
+		copy(x[lu.q[i]*pw:][:pw], w[i*pw:][:pw])
+	}
+}
+
+// SolvePanel solves A X = B in place for the PanelWidth right-hand sides
+// interleaved in the panel x; w is scratch of the same length. Each lane
+// equals SolveBuf on that column under ==, as for LU.SolvePanel.
+//
+//pgmor:noalloc
+func (c *Cholesky) SolvePanel(x, w []float64) {
+	const pw = PanelWidth
+	n := c.n
+	for i := 0; i < n; i++ {
+		copy(w[i*pw:][:pw], x[c.q[i]*pw:][:pw])
+	}
+	l := c.l
+	// Forward solve L z = w.
+	for j := 0; j < n; j++ {
+		dp := l.ColPtr[j]
+		d := l.Val[dp]
+		z := (*[pw]float64)(w[j*pw:])
+		z0, z1, z2, z3, z4, z5, z6, z7 := z[0]/d, z[1]/d, z[2]/d, z[3]/d, z[4]/d, z[5]/d, z[6]/d, z[7]/d
+		z[0], z[1], z[2], z[3], z[4], z[5], z[6], z[7] = z0, z1, z2, z3, z4, z5, z6, z7
+		if lanesZero(z) {
+			continue
+		}
+		rows := l.RowIdx[dp+1 : l.ColPtr[j+1]]
+		vals := l.Val[dp+1 : l.ColPtr[j+1]]
+		vals = vals[:len(rows)]
+		for p, i := range rows {
+			v := vals[p]
+			r := w[i*pw : i*pw+pw : i*pw+pw]
+			r[0] -= v * z0
+			r[1] -= v * z1
+			r[2] -= v * z2
+			r[3] -= v * z3
+			r[4] -= v * z4
+			r[5] -= v * z5
+			r[6] -= v * z6
+			r[7] -= v * z7
+		}
+	}
+	// Back solve Lᵀ y = z.
+	for j := n - 1; j >= 0; j-- {
+		dp := l.ColPtr[j]
+		s := (*[pw]float64)(w[j*pw:])
+		s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		rows := l.RowIdx[dp+1 : l.ColPtr[j+1]]
+		vals := l.Val[dp+1 : l.ColPtr[j+1]]
+		vals = vals[:len(rows)]
+		for p, i := range rows {
+			v := vals[p]
+			r := w[i*pw : i*pw+pw : i*pw+pw]
+			s0 -= v * r[0]
+			s1 -= v * r[1]
+			s2 -= v * r[2]
+			s3 -= v * r[3]
+			s4 -= v * r[4]
+			s5 -= v * r[5]
+			s6 -= v * r[6]
+			s7 -= v * r[7]
+		}
+		d := l.Val[dp]
+		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0/d, s1/d, s2/d, s3/d, s4/d, s5/d, s6/d, s7/d
+	}
+	for i := 0; i < n; i++ {
+		copy(x[c.q[i]*pw:][:pw], w[i*pw:][:pw])
+	}
+}
