@@ -2,8 +2,8 @@
 // pgserve replicas sharing one store directory.
 //
 // Every model routes to a primary replica by consistent hashing on its id, so
-// each replica's ROM repository and factorization cache stay hot for its
-// share of the fleet's models. An active prober watches each replica's
+// each replica's ROM repository stays hot for its share of the fleet's
+// models. An active prober watches each replica's
 // /healthz and feeds a per-replica circuit breaker; requests that fail on a
 // transport error, a 502/503/504, or a truncated body retry on the next
 // replica in the ring with capped exponential backoff and jitter. Responses

@@ -63,11 +63,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "evaluation worker pool size (0 = NumCPU)")
-	cacheMB := flag.Int64("cache-mb", 0, "factorization cache budget in MiB (0 = default 256)")
 	maxModels := flag.Int("max-models", 0, "model repository bound (0 = default)")
 	storeDir := flag.String("store-dir", "", "persistent ROM store directory (empty = in-memory only; reductions are written through and warm restarts skip reducing)")
 	preload := flag.String("preload", "", "comma-separated models to reduce at startup, each name@scale (e.g. ckt1@0.25)")
-	noModal := flag.Bool("no-modal", false, "disable the modal fast path; every evaluation goes through the factorization cache")
 	noWard := flag.Bool("no-ward", false, "disable the exact Ward/Schur pre-reduction stage on model builds")
 	interp := flag.Bool("interp", true, "serve unstored Scales by interpolating between stored modal ROM anchors (POST /interp, benchmark+scale on /eval and /sweep); disabled = always reduce")
 	interpTol := flag.Float64("interp-tol", 0, fmt.Sprintf("Δ-scale error budget: leave-one-out check error above which interpolation falls back to a real reduction (0 = default %g)", serve.DefaultInterpTol))
@@ -95,8 +93,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := serve.Config{Workers: *workers, CacheBytes: *cacheMB << 20, MaxModels: *maxModels,
-		DisableModal: *noModal, DisableWard: *noWard, DisableInterp: !*interp, InterpTol: *interpTol,
+	cfg := serve.Config{Workers: *workers, MaxModels: *maxModels,
+		DisableWard: *noWard, DisableInterp: !*interp, InterpTol: *interpTol,
 		MaxSessions: *maxSessions, SessionTTL: *sessionTTL, SessionIdle: *sessionIdle,
 		MaxBodyBytes: *maxBodyBytes, Logger: logger, SlowRequest: *slowRequest,
 		SnapshotEvery: *snapshotEvery}
@@ -139,12 +137,8 @@ func main() {
 	srv.SetNotReady("store preload in progress")
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	cacheMiB := *cacheMB
-	if cacheMiB <= 0 {
-		cacheMiB = serve.DefaultCacheBytes >> 20
-	}
 	logger.Info("pgserve listening", "addr", *addr, "workers", *workers,
-		"cache_mib", cacheMiB, "store", *storeDir)
+		"store", *storeDir)
 
 	go func() {
 		if cfg.Store != nil {

@@ -1,8 +1,7 @@
 // Example serving demonstrates the pgserve workflow end to end, including
 // the persistent ROM store: it starts the ROM service in-process with a
-// store directory, reduces a benchmark once via POST /reduce (which also
-// pre-factors the standard sweep grid), fires many concurrent AC-sweep
-// requests at it, then simulates a process restart — a second server on the
+// store directory, reduces a benchmark once via POST /reduce, fires many
+// concurrent AC-sweep requests at it, then simulates a process restart — a second server on the
 // same store directory preloads the ROM from disk and serves immediately,
 // with zero reductions performed. That is the paper's reduce-once /
 // evaluate-many reusability argument operationalized across process
@@ -41,9 +40,8 @@ func main() {
 	fmt.Printf("reduced %d-node, %d-port grid -> order-%d ROM (%d blocks) in %v [source=%s]\n",
 		info.Nodes, info.Ports, info.Order, info.Blocks, time.Since(t0).Round(time.Millisecond), info.Source)
 
-	// Concurrent sweeps on the default grid: /reduce pre-factored exactly
-	// these frequencies while the engine was idle, so even the first wave
-	// is pure cache hits.
+	// Concurrent sweeps on the default grid: the model was diagonalized at
+	// reduction, so every wave is factorization-free residue passes.
 	runWaves(base1, info)
 	printHealth(base1)
 	stop1()
@@ -133,34 +131,21 @@ func printHealth(base string) {
 	var health struct {
 		Stats struct {
 			Cache struct {
-				Entries     int   `json:"entries"`
-				Hits        int64 `json:"hits"`
-				Misses      int64 `json:"misses"`
-				Evictions   int64 `json:"evictions"`
-				BudgetBytes int64 `json:"budget_bytes"`
-				Bytes       int64 `json:"bytes"`
-				DiskHits    int64 `json:"disk_hits"`
-				ModalEvals  int64 `json:"modal_evals"`
-				Factored    int64 `json:"factored_evals"`
+				DiskHits   int64 `json:"disk_hits"`
+				DiskMisses int64 `json:"disk_misses"`
+				ModalEvals int64 `json:"modal_evals"`
+				Canceled   int64 `json:"canceled_evals"`
 			} `json:"cache"`
 			Repo struct {
-				Builds   int64 `json:"builds"`
-				DiskHits int64 `json:"disk_hits"`
+				Builds int64 `json:"builds"`
 			} `json:"repo"`
 			Workers int `json:"workers"`
 		} `json:"stats"`
 	}
 	get(base+"/healthz", &health)
 	c := health.Stats.Cache
-	hitRate := 0.0
-	if c.Hits+c.Misses > 0 {
-		hitRate = 100 * float64(c.Hits) / float64(c.Hits+c.Misses)
-	}
-	fmt.Printf("evals: %d modal / %d factored; cache: %d entries (%.1f/%d MiB), %d hits / %d misses (%.0f%% hit rate); repo: %d reductions, %d disk hits\n",
-		c.ModalEvals, c.Factored,
-		c.Entries, float64(c.Bytes)/(1<<20), c.BudgetBytes>>20,
-		c.Hits, c.Misses, hitRate,
-		health.Stats.Repo.Builds, health.Stats.Repo.DiskHits)
+	fmt.Printf("evals: %d modal, %d canceled; store: %d hits / %d misses; repo: %d reductions\n",
+		c.ModalEvals, c.Canceled, c.DiskHits, c.DiskMisses, health.Stats.Repo.Builds)
 }
 
 func post(url string, body, out any) {

@@ -179,7 +179,7 @@ func Batch(cfg Config) (*BatchResult, error) {
 	}
 	eng := serve.NewEngine(cfg.Workers)
 	defer eng.Close()
-	ev := serve.NewEvaluator(eng, serve.NewFactorCache(0), true)
+	ev := serve.NewEvaluator(eng, nil, true)
 	coal := serve.NewSweepCoalescer(ev)
 	ctx := context.Background()
 

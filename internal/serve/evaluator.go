@@ -3,11 +3,9 @@ package serve
 import (
 	"context"
 	"math/cmplx"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dense"
-	"repro/internal/lti"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -33,29 +31,23 @@ type EntrySweep struct {
 	Points []SweepPoint `json:"points"`
 }
 
-// Evaluator routes evaluation requests onto the fastest applicable path and
-// accounts which path served them. Models whose every block carries a modal
-// (pole–residue) form evaluate factorization-free in O(q) per entry — no
-// cache lookups, no locks, no allocations on the hot loop; everything else
-// goes through the factorization cache exactly as before. Per-request
-// scratch for the factored path is pooled so steady-state column evaluations
-// allocate nothing either.
+// Evaluator runs evaluation requests on the engine pool through each
+// model's modal (pole–residue) form. Fully modal models evaluate
+// factorization-free in O(q) per entry — no locks, no allocations on the hot
+// loop. Blocks that failed to diagonalize are evaluated inline by the same
+// lti kernels: a per-frequency LU in sweeps and evals, the implicit rule in
+// transients.
 type Evaluator struct {
-	eng      *Engine
-	cache    *FactorCache
-	useModal bool
+	eng *Engine
 
-	modalEvals    atomic.Int64
-	factoredEvals atomic.Int64
-	canceled      atomic.Int64
+	modalEvals atomic.Int64
+	canceled   atomic.Int64
 
 	// batchKernelCalls counts multi-entry sweeps served by one fused
 	// ModalPacked pass; batchEntriesObs, when instrumented, records how
 	// many entries each such call carried.
 	batchKernelCalls atomic.Int64
 	batchEntriesObs  *obs.Histogram
-
-	scratch sync.Pool // *evalScratch
 }
 
 // InstrumentBatch attaches the batched-kernel entry-count histogram.
@@ -64,35 +56,23 @@ func (ev *Evaluator) InstrumentBatch(entries *obs.Histogram) { ev.batchEntriesOb
 // BatchKernelCalls reports how many fused multi-entry kernel calls ran.
 func (ev *Evaluator) BatchKernelCalls() int64 { return ev.batchKernelCalls.Load() }
 
-// evalScratch is the reusable per-task buffer set of the factored path:
-// col holds one output column (p), x one block solve (max block order).
-type evalScratch struct {
-	col []complex128
-	x   []complex128
+// FactorCache is an empty placeholder type; see NewEvaluator.
+type FactorCache struct{}
+
+// NewFactorCache returns nil; see NewEvaluator.
+func NewFactorCache(int64) *FactorCache { return nil }
+
+// NewEvaluator wires an evaluator over the shared engine. The ignored
+// *FactorCache and bool parameters exist only so the benchmark harness
+// (perfbench/ladder.go), which still passes them, keeps compiling; the next
+// change to the benchmark drops them.
+func NewEvaluator(eng *Engine, _ *FactorCache, _ bool) *Evaluator {
+	return &Evaluator{eng: eng}
 }
 
-// NewEvaluator wires an evaluator over the shared engine and cache.
-// useModal=false pins every model to the factored path (the operational
-// escape hatch and the benchmark baseline).
-func NewEvaluator(eng *Engine, cache *FactorCache, useModal bool) *Evaluator {
-	return &Evaluator{eng: eng, cache: cache, useModal: useModal}
-}
-
-// modalFor returns the model's modal system when the modal fast path fully
-// covers it — every block diagonalized. Partially covered models stay on the
-// factored path: their fallback blocks would otherwise pay an uncached LU
-// per frequency, which the cache serves cheaper.
-func (ev *Evaluator) modalFor(m *Model) *lti.ModalSystem {
-	if !ev.useModal || m.Modal == nil || m.ModalBlocks != m.Blocks {
-		return nil
-	}
-	return m.Modal
-}
-
-// PathStats reports how many entry evaluations each path has served.
-func (ev *Evaluator) PathStats() (modal, factored int64) {
-	return ev.modalEvals.Load(), ev.factoredEvals.Load()
-}
+// ModalEvals reports how many evaluations the evaluator has served: one per
+// sweep or eval point (per input column for evals), one per transient run.
+func (ev *Evaluator) ModalEvals() int64 { return ev.modalEvals.Load() }
 
 // CanceledEvals reports how many requests were aborted mid-evaluation by
 // context cancellation (client disconnects, deadlines).
@@ -108,31 +88,9 @@ func (ev *Evaluator) finish(ctx context.Context, err error) error {
 	return err
 }
 
-// getScratch hands out a buffer set sized for model m.
-func (ev *Evaluator) getScratch(m *Model) *evalScratch {
-	sc, _ := ev.scratch.Get().(*evalScratch)
-	if sc == nil {
-		sc = &evalScratch{}
-	}
-	if cap(sc.col) < m.Outputs {
-		sc.col = make([]complex128, m.Outputs)
-	}
-	return sc
-}
-
-// sizeSolveBuf grows the solve buffer to the factorization's need.
-func (sc *evalScratch) sizeSolveBuf(f *lti.BlockDiagFactors) []complex128 {
-	if n := f.ScratchLen(); cap(sc.x) < n {
-		sc.x = make([]complex128, n)
-	}
-	return sc.x[:cap(sc.x)]
-}
-
 // Sweep evaluates H[row][col](jω) of the model's ROM over a logarithmic
-// grid. On the modal path the whole sweep is a single vectorized residue
-// pass; on the factored path every point goes through the factorization
-// cache, so sweeps from concurrent requests on the same grid share pencil
-// factors. Cancelling ctx aborts between per-frequency tasks.
+// grid as a single residue pass. Cancelling ctx aborts before the pass
+// starts.
 func (ev *Evaluator) Sweep(ctx context.Context, m *Model, row, col int, wMin, wMax float64, points int) ([]SweepPoint, error) {
 	sweeps, err := ev.SweepEntries(ctx, m, []Entry{{Row: row, Col: col}}, wMin, wMax, points)
 	if err != nil {
@@ -142,10 +100,8 @@ func (ev *Evaluator) Sweep(ctx context.Context, m *Model, row, col int, wMin, wM
 }
 
 // SweepEntries evaluates several transfer-matrix entries over one shared
-// frequency grid in a single pass: the modal path replays its residue data
-// per entry with zero factorizations, and the factored path factors each
-// (frequency, column) pencil once no matter how many entries read it.
-// Cancelling ctx skips the tasks not yet started.
+// frequency grid as a single engine task. Cancelling ctx skips the task if
+// it has not started.
 func (ev *Evaluator) SweepEntries(ctx context.Context, m *Model, entries []Entry, wMin, wMax float64, points int) ([]EntrySweep, error) {
 	if len(entries) == 0 {
 		return nil, badRequest("no entries requested")
@@ -159,133 +115,62 @@ func (ev *Evaluator) SweepEntries(ctx context.Context, m *Model, entries []Entry
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	out := make([]EntrySweep, len(entries))
-	for i, e := range entries {
-		out[i] = EntrySweep{Row: e.Row, Col: e.Col, Points: make([]SweepPoint, points)}
-	}
-
-	if ms := ev.modalFor(m); ms != nil {
-		if len(entries) > 1 && m.Packed != nil {
-			// Fused path: every entry in one pole-major kernel pass, as a
-			// single engine task. The per-pole reciprocal grid — the
-			// expensive part of a residue sweep — is computed once and
-			// shared by all entries on the same input column.
-			ents := make([][2]int, len(entries))
-			for i, e := range entries {
-				ents[i] = [2]int{e.Row, e.Col}
-			}
-			dst := make([]complex128, len(entries)*points)
-			err := ev.eng.MapCtx(ctx, 1, func(int) error {
-				return m.Packed.SweepEntriesInto(dst, ents, grid)
-			})
-			if err != nil {
-				return nil, ev.finish(ctx, err)
-			}
+	dst := make([]complex128, len(entries)*points)
+	if len(entries) > 1 {
+		// Fused path: every entry in one pole-major kernel pass. The
+		// per-pole reciprocal grid — the expensive part of a residue sweep —
+		// is computed once and shared by all entries on the same input
+		// column.
+		ents := make([][2]int, len(entries))
+		for i, e := range entries {
+			ents[i] = [2]int{e.Row, e.Col}
+		}
+		err = ev.eng.MapCtx(ctx, 1, func(int) error {
+			return m.Packed.SweepEntriesInto(dst, ents, grid)
+		})
+		if err == nil {
 			ev.batchKernelCalls.Add(1)
 			if ev.batchEntriesObs != nil {
 				ev.batchEntriesObs.Observe(float64(len(entries)))
 			}
-			for i := range entries {
-				for k, h := range dst[i*points : (i+1)*points] {
-					out[i].Points[k] = SweepPoint{Omega: grid[k], Re: real(h), Im: imag(h), Mag: cmplx.Abs(h)}
-				}
-			}
-			ev.modalEvals.Add(int64(len(entries) * points))
-			return out, nil
 		}
+	} else {
 		// Single entry: the scalar per-entry sweep divides directly instead
 		// of multiplying by a shared reciprocal — measurably faster when
 		// nothing shares the pass, so lone sweeps stay on it.
-		err := ev.eng.MapCtx(ctx, len(entries), func(i int) error {
-			dst := make([]complex128, points)
-			if err := ms.SweepEntryInto(dst, entries[i].Row, entries[i].Col, grid); err != nil {
-				return err
-			}
-			for k, h := range dst {
-				out[i].Points[k] = SweepPoint{Omega: grid[k], Re: real(h), Im: imag(h), Mag: cmplx.Abs(h)}
-			}
-			return nil
+		err = ev.eng.MapCtx(ctx, 1, func(int) error {
+			return m.Modal.SweepEntryInto(dst, entries[0].Row, entries[0].Col, grid)
 		})
-		if err != nil {
-			return nil, ev.finish(ctx, err)
-		}
-		ev.modalEvals.Add(int64(len(entries) * points))
-		return out, nil
 	}
-
-	// Factored path: one task per frequency; each needed column is factored
-	// (through the cache) and evaluated once, then every entry reading that
-	// column picks its row out of the shared buffer.
-	byCol := make(map[int][]int, len(entries)) // column → indices into entries
-	for i, e := range entries {
-		byCol[e.Col] = append(byCol[e.Col], i)
-	}
-	err = ev.eng.MapCtx(ctx, points, func(k int) error {
-		sc := ev.getScratch(m)
-		defer ev.scratch.Put(sc)
-		s := complex(0, grid[k])
-		for col, idxs := range byCol {
-			f, _, err := ev.cache.GetOrFactorColumn(m.ID, m.ROM, s, col)
-			if err != nil {
-				return err
-			}
-			colBuf := sc.col[:m.Outputs]
-			if err := f.EvalColumnInto(colBuf, sc.sizeSolveBuf(f), col); err != nil {
-				return err
-			}
-			for _, i := range idxs {
-				h := colBuf[entries[i].Row]
-				out[i].Points[k] = SweepPoint{Omega: grid[k], Re: real(h), Im: imag(h), Mag: cmplx.Abs(h)}
-			}
-		}
-		return nil
-	})
 	if err != nil {
 		return nil, ev.finish(ctx, err)
 	}
-	ev.factoredEvals.Add(int64(len(entries) * points))
+	out := make([]EntrySweep, len(entries))
+	for i, e := range entries {
+		pts := make([]SweepPoint, points)
+		for k, h := range dst[i*points : (i+1)*points] {
+			pts[k] = SweepPoint{Omega: grid[k], Re: real(h), Im: imag(h), Mag: cmplx.Abs(h)}
+		}
+		out[i] = EntrySweep{Row: e.Row, Col: e.Col, Points: pts}
+	}
+	ev.modalEvals.Add(int64(len(entries) * points))
 	return out, nil
 }
 
 // EvalBatch computes the full p×m transfer matrix at each requested angular
-// frequency, one engine task per frequency — modal when available, through
-// the factorization cache otherwise. Cancelling ctx skips the frequencies
-// not yet started.
+// frequency, one engine task per frequency. Cancelling ctx skips the
+// frequencies not yet started.
 func (ev *Evaluator) EvalBatch(ctx context.Context, m *Model, omegas []float64) ([]*dense.Mat[complex128], error) {
 	out := make([]*dense.Mat[complex128], len(omegas))
-	ms := ev.modalFor(m)
 	err := ev.eng.MapCtx(ctx, len(omegas), func(k int) error {
-		s := complex(0, omegas[k])
-		if ms != nil {
-			h, err := ms.Eval(s)
-			if err != nil {
-				return err
-			}
-			out[k] = h
-			return nil
-		}
-		f, _, err := ev.cache.GetOrFactor(m.ID, m.ROM, s)
-		if err != nil {
-			return err
-		}
-		sc := ev.getScratch(m)
-		defer ev.scratch.Put(sc)
-		h := dense.NewMat[complex128](m.Outputs, m.Ports)
-		if err := f.EvalInto(h, sc.sizeSolveBuf(f)); err != nil {
-			return err
-		}
+		h, err := m.Modal.Eval(complex(0, omegas[k]))
 		out[k] = h
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, ev.finish(ctx, err)
 	}
-	n := int64(len(omegas) * m.Ports)
-	if ms != nil {
-		ev.modalEvals.Add(n)
-	} else {
-		ev.factoredEvals.Add(n)
-	}
+	ev.modalEvals.Add(int64(len(omegas) * m.Ports))
 	return out, nil
 }
 
@@ -294,21 +179,18 @@ func (ev *Evaluator) EvalBatch(ctx context.Context, m *Model, omegas []float64) 
 // pool slot within one chunk, large enough that the check is noise.
 const transientChunkSteps = 256
 
-// Stepper builds a resumable integrator for the model, routed exactly like
-// Transient: modal when the fast path fully covers the model, implicit
-// otherwise. Sessions call this once and then Advance incrementally.
+// Stepper builds a resumable integrator over the model's modal form: modal
+// blocks advance by exact per-mode exponentials, the rest by the implicit
+// rule of method. Sessions call this once and then Advance incrementally.
 func (ev *Evaluator) Stepper(m *Model, method sim.Method, dt float64) (*sim.Stepper, error) {
-	if ms := ev.modalFor(m); ms != nil {
-		return sim.NewStepper(ms, sim.StepperOptions{Method: method, Dt: dt})
-	}
-	return sim.NewImplicitStepper(m.ROM, sim.StepperOptions{Method: method, Dt: dt})
+	return sim.NewStepper(m.Modal, sim.StepperOptions{Method: method, Dt: dt})
 }
 
 // Transient runs a transient on the model's ROM as a single engine task, so
 // the pool's worker count bounds total evaluation concurrency across sweeps,
-// evals, and transients alike. Fully modal models integrate each mode
-// exactly (per-mode exponentials, no implicit solves); the rest run the
-// fixed-step implicit integrator. The block work inside the occupied slot
+// evals, and transients alike. Modal blocks integrate each mode exactly
+// (per-mode exponentials, no implicit solves); blocks without a modal form
+// run the fixed-step implicit rule. The block work inside the occupied slot
 // runs serially, advancing in chunks so a canceled ctx (client disconnect)
 // releases the slot within transientChunkSteps steps instead of integrating
 // to completion.
@@ -316,7 +198,6 @@ func (ev *Evaluator) Transient(ctx context.Context, m *Model, opts sim.Transient
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	ms := ev.modalFor(m)
 	var res *sim.Result
 	err := ev.eng.MapCtx(ctx, 1, func(int) error {
 		st, err := ev.Stepper(m, opts.Method, opts.Dt)
@@ -353,10 +234,6 @@ func (ev *Evaluator) Transient(ctx context.Context, m *Model, opts sim.Transient
 	if err != nil {
 		return nil, ev.finish(ctx, err)
 	}
-	if ms != nil {
-		ev.modalEvals.Add(1)
-	} else {
-		ev.factoredEvals.Add(1)
-	}
+	ev.modalEvals.Add(1)
 	return res, nil
 }

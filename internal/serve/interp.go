@@ -182,9 +182,6 @@ func (r *Repository) GetInterpolated(key ModelKey, tol float64) (*Model, Outcome
 	}
 
 	// Interpolate between stored anchors; any failure reduces for real.
-	if r.noModal {
-		return r.interpFallback(key) // modal forms are disabled process-wide
-	}
 	scales := r.ScalePoints(key)
 	lo, hi, ok := bracket(scales, key.Scale)
 	if !ok {

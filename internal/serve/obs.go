@@ -14,7 +14,7 @@ import (
 // mechanisms, chosen by cost:
 //
 //   - Everything the subsystems already count with atomics (RepoStats,
-//     CacheStats, SessionStats, evaluator path counters) is exported through
+//     CacheStats, SessionStats, evaluator counters) is exported through
 //     func-backed metrics read at scrape time — zero hot-path changes, zero
 //     double counting.
 //   - Latency distributions (HTTP requests, engine task wait/run, model
@@ -158,30 +158,10 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			"Per-phase reduction timing: grid_build, partition, schur, factor, krylov, modalize.",
 			buildBuckets, "phase"))
 
-	// Factorization cache: func-backed over its own atomics; byte totals
-	// take the shard locks, which is fine at scrape cadence.
-	cache := s.cache
-	reg.CounterFunc("pgserve_faccache_hits_total", "Factorization cache hits.",
-		cache.hits.Load)
-	reg.CounterFunc("pgserve_faccache_misses_total", "Factorization cache misses.",
-		cache.misses.Load)
-	reg.CounterFunc("pgserve_faccache_evictions_total", "Factorizations evicted over budget.",
-		cache.evictions.Load)
-	reg.CounterFunc("pgserve_faccache_rejects_total",
-		"Factorizations too large to retain.", cache.rejects.Load)
-	reg.GaugeFunc("pgserve_faccache_bytes", "Bytes of retained factorizations.",
-		func() float64 { return float64(cache.Stats().Bytes) })
-	reg.GaugeFunc("pgserve_faccache_budget_bytes", "Factorization cache retention budget.",
-		func() float64 { return float64(cache.Stats().BudgetBytes) })
-
-	// Evaluator path counters.
+	// Evaluator counters.
 	ev := s.ev
 	reg.CounterFunc("pgserve_evals_modal_total",
-		"Point evaluations served by the modal fast path.",
-		func() int64 { mod, _ := ev.PathStats(); return mod })
-	reg.CounterFunc("pgserve_evals_factored_total",
-		"Point evaluations served through pencil factorization.",
-		func() int64 { _, fac := ev.PathStats(); return fac })
+		"Point evaluations served through the modal form.", ev.ModalEvals)
 	reg.CounterFunc("pgserve_evals_canceled_total",
 		"Evaluations aborted by client disconnect.", ev.CanceledEvals)
 	reg.CounterFunc("pgserve_batch_kernel_calls_total",

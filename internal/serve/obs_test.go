@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -49,9 +50,16 @@ func TestMetricsCoverAllSubsystems(t *testing.T) {
 	}).Body.Close()
 	sess := decode[sessionInfo](t, postJSON(t, ts.URL+"/session",
 		map[string]any{"model": info.ID, "dt": 1e-12}))
-	postJSON(t, ts.URL+"/session/"+sess.Session+"/advance", map[string]any{
+	// The advance streams NDJSON after its headers; read it to the end so
+	// the handler, and the request metrics recorded when it returns, have
+	// finished before the scrape.
+	adv := postJSON(t, ts.URL+"/session/"+sess.Session+"/advance", map[string]any{
 		"steps": 8, "input": map[string]any{"kind": "step", "amplitude": 1.0},
-	}).Body.Close()
+	})
+	if _, err := io.Copy(io.Discard, adv.Body); err != nil {
+		t.Fatal(err)
+	}
+	adv.Body.Close()
 
 	sc := scrape(t, ts)
 
@@ -83,13 +91,12 @@ func TestMetricsCoverAllSubsystems(t *testing.T) {
 	}
 
 	// Series that must exist (zero is fine), covering every subsystem the
-	// acceptance criteria list: repository, factor cache, engine, evaluator,
-	// session, interp, and HTTP.
+	// acceptance criteria list: repository, engine, evaluator, session,
+	// interp, and HTTP.
 	present := []string{
 		"pgserve_repo_models", "pgserve_repo_mem_hits_total", "pgserve_repo_disk_hits_total",
-		"pgserve_faccache_hits_total", "pgserve_faccache_misses_total", "pgserve_faccache_bytes",
 		"pgserve_engine_queue_depth", "pgserve_engine_workers", "pgserve_engine_tasks_skipped_total",
-		"pgserve_evals_factored_total", "pgserve_evals_canceled_total",
+		"pgserve_evals_canceled_total",
 		"pgserve_sessions_active", "pgserve_sessions_expired_total",
 		"pgserve_interp_served_total", "pgserve_interp_fallbacks_total",
 		"pgserve_http_in_flight", "pgserve_uptime_seconds",

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/lti"
 	"repro/internal/store"
 )
 
@@ -264,6 +265,16 @@ func TestServerWarmRestart(t *testing.T) {
 	if !again.Cached || again.Source != "memory" {
 		t.Fatalf("warm /reduce = source %q cached %v, want memory hit", again.Source, again.Cached)
 	}
+	// The store load keeps every block's modal form, so the sweep below
+	// needs no pencil factorization.
+	m, err := srv2.Repo().Lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ModalBlocks != m.Blocks {
+		t.Fatalf("preloaded model lost modal coverage: %d/%d blocks", m.ModalBlocks, m.Blocks)
+	}
+	factorizations := lti.Counters().Factorizations
 	sweepResp := postJSON(t, ts2.URL+"/sweep", sweepRequest{Model: info.ID, Row: 0, Col: 0, WMin: 1e6, WMax: 1e12, Points: 10})
 	sweepResp.Body.Close()
 	if sweepResp.StatusCode != 200 {
@@ -272,67 +283,17 @@ func TestServerWarmRestart(t *testing.T) {
 	if st := srv2.Repo().Stats(); st.Builds != 0 {
 		t.Fatalf("serving after preload performed %d builds, want 0", st.Builds)
 	}
-
-	// Merged cache stats expose the disk traffic and which path served the
-	// sweep: the preloaded model is fully modal, so the sweep rode the
-	// factorization-free path and the factor cache stayed empty.
-	cs := srv2.CacheStats()
-	if cs.BudgetBytes <= 0 {
-		t.Fatalf("cache stats missing byte budget: %+v", cs)
+	if n := lti.Counters().Factorizations - factorizations; n != 0 {
+		t.Fatalf("sweep of the preloaded model performed %d pencil factorizations", n)
 	}
+
+	// Merged cache stats expose the disk traffic and the served sweep.
+	cs := srv2.CacheStats()
 	if cs.DiskHits < 1 {
 		t.Fatalf("cache stats missing disk hits: %+v", cs)
 	}
 	if cs.ModalEvals < 10 {
 		t.Fatalf("preloaded model did not serve modally: %+v", cs)
-	}
-	if cs.FactoredEvals != 0 || cs.Misses != 0 {
-		t.Fatalf("modal-covered model touched the factored path: %+v", cs)
-	}
-}
-
-// TestSweepWarmedByReduce is the cache-admission acceptance test for the
-// factored path (modal disabled — a modal-covered model never factors, so
-// there would be nothing to warm): /reduce pre-factors the standard LogGrid
-// frequencies, so the first default-grid /sweep afterward performs zero
-// factorizations — every point is a hit.
-func TestSweepWarmedByReduce(t *testing.T) {
-	srv := New(Config{Workers: 4, DisableModal: true})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	info := reduceTestModel(t, ts) // warms the standard grid on return
-
-	before := srv.CacheStats()
-	if before.Misses == 0 {
-		t.Fatal("warming performed no factorizations")
-	}
-
-	// Default grid: wmin/wmax/points omitted.
-	resp := postJSON(t, ts.URL+"/sweep", sweepRequest{Model: info.ID, Row: 0, Col: 0})
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/sweep status = %d", resp.StatusCode)
-	}
-	var out struct {
-		Points []SweepPoint `json:"points"`
-	}
-	out = decode[struct {
-		Points []SweepPoint `json:"points"`
-	}](t, resp)
-	if len(out.Points) != DefaultSweepPoints {
-		t.Fatalf("default sweep returned %d points, want %d", len(out.Points), DefaultSweepPoints)
-	}
-
-	after := srv.CacheStats()
-	if after.Misses != before.Misses {
-		t.Fatalf("first default sweep factored %d points that warming should have covered",
-			after.Misses-before.Misses)
-	}
-	if after.Hits-before.Hits < int64(DefaultSweepPoints) {
-		t.Fatalf("sweep produced %d cache hits, want ≥ %d", after.Hits-before.Hits, DefaultSweepPoints)
 	}
 }
 

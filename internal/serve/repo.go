@@ -147,12 +147,12 @@ type Model struct {
 
 	// ROM is the block-diagonal reduced model (immutable).
 	ROM *lti.BlockDiagSystem `json:"-"`
-	// Modal is the diagonalize-once fast path of ROM; nil only if
-	// modalization failed outright (evaluation then stays on the factored
-	// path).
+	// Modal is the diagonalize-once form of ROM that every evaluation runs
+	// through; never nil. Blocks that failed to diagonalize keep Modal ==
+	// false and are evaluated inline from ROM.
 	Modal *lti.ModalSystem `json:"-"`
 	// Packed is the structure-of-arrays form of Modal, built once alongside
-	// it and used by the batched sweep kernel; nil whenever Modal is.
+	// it and used by the batched sweep kernel; never nil.
 	Packed *lti.ModalPacked `json:"-"`
 	// GridKey fingerprints the generated grid configuration.
 	GridKey string `json:"-"`
@@ -235,11 +235,6 @@ type Repository struct {
 	maxModels int
 	buildSem  chan struct{}
 	store     *store.Store
-	// noModal skips block diagonalization entirely (builds and legacy disk
-	// loads) — the full extent of the -no-modal escape hatch, guarding
-	// against the diagonalization code itself, not just its use at serve
-	// time.
-	noModal bool
 	// noWard disables the Ward/Schur pre-reduction stage in builds — the
 	// -no-ward escape hatch. The stage is exact and on by default.
 	noWard bool
@@ -284,11 +279,6 @@ type repoEntry struct {
 func NewRepository(maxModels int) *Repository {
 	return NewRepositoryWithStore(maxModels, nil)
 }
-
-// DisableModal makes the repository skip block diagonalization for every
-// model it builds or loads. Must be called before the repository serves
-// requests.
-func (r *Repository) DisableModal() { r.noModal = true }
 
 // DisableWard makes the repository skip the Ward/Schur pre-reduction stage
 // for every model it builds. Must be called before the repository serves
@@ -393,7 +383,7 @@ func (r *Repository) get(key ModelKey, allowBuild bool) (*Model, Outcome, error)
 		} else {
 			outcome = OutcomeBuilt
 			var elapsed time.Duration
-			e.model, elapsed, e.err = safeBuild(key, r.buildSem, r.noModal, r.noWard, r.phaseFunc())
+			e.model, elapsed, e.err = safeBuild(key, r.buildSem, r.noWard, r.phaseFunc())
 			if e.err == nil {
 				// elapsed is measured inside the build slot, so the histogram
 				// records build cost, not semaphore queueing.
@@ -465,14 +455,17 @@ func (r *Repository) loadFromStore(key ModelKey) *Model {
 		r.diskMisses.Add(1)
 		return nil
 	}
-	r.diskHits.Add(1)
-	rediagonalized := false
-	if modal == nil && !r.noModal {
-		// Stored before modal persistence (or stripped): diagonalize now so
-		// this process still serves through the fast path.
-		modal = modalize(rom)
-		rediagonalized = modal != nil
+	rediagonalized := modal == nil
+	if rediagonalized {
+		// Stored before modal persistence (or stripped): diagonalize now.
+		// The store validated the ROM, so this cannot fail short of a bug;
+		// if it does, the entry is treated as unreadable and rebuilt.
+		if modal, err = rom.Modalize(); err != nil {
+			r.storeErrors.Add(1)
+			return nil
+		}
 	}
+	r.diskHits.Add(1)
 	m := &Model{
 		ID:         key.ID(),
 		Key:        key,
@@ -487,28 +480,16 @@ func (r *Repository) loadFromStore(key ModelKey) *Model {
 		FromStore:  true,
 		ROM:        rom,
 		Modal:      modal,
+		Packed:     modal.Pack(),
 		GridKey:    gridKey,
 	}
-	if modal != nil {
-		m.ModalBlocks, _ = modal.ModalCount()
-		m.Packed = modal.Pack()
-	}
+	m.ModalBlocks, _ = modal.ModalCount()
 	if rediagonalized {
 		// Upgrade the stored file in place so the diagonalization is paid
 		// once, not on every restart.
 		r.writeThrough(key, m)
 	}
 	return m
-}
-
-// modalize wraps Modalize with a nil-on-failure policy: a model without a
-// modal form is merely slower, never broken.
-func modalize(rom *lti.BlockDiagSystem) *lti.ModalSystem {
-	ms, err := rom.Modalize()
-	if err != nil {
-		return nil
-	}
-	return ms
 }
 
 // writeThrough persists a freshly reduced model. Failures are counted, not
@@ -707,7 +688,7 @@ func (r *Repository) Models() []*Model {
 // on a ready channel that never closes. The returned duration is measured
 // after the semaphore is acquired, so it reflects build cost alone, not the
 // time spent queued behind other builds.
-func safeBuild(key ModelKey, sem chan struct{}, noModal, noWard bool, phase func(string, time.Duration)) (m *Model, elapsed time.Duration, err error) {
+func safeBuild(key ModelKey, sem chan struct{}, noWard bool, phase func(string, time.Duration)) (m *Model, elapsed time.Duration, err error) {
 	sem <- struct{}{}
 	defer func() { <-sem }()
 	t0 := time.Now()
@@ -717,7 +698,7 @@ func safeBuild(key ModelKey, sem chan struct{}, noModal, noWard bool, phase func
 			m, err = nil, fmt.Errorf("serve: building %s panicked: %v", key.ID(), r)
 		}
 	}()
-	m, err = buildModel(key, noModal, noWard, phase)
+	m, err = buildModel(key, noWard, phase)
 	return m, 0, err // elapsed is stamped by the deferred closure
 }
 
@@ -727,7 +708,7 @@ func safeBuild(key ModelKey, sem chan struct{}, noModal, noWard bool, phase func
 // wall-clock timings (grid_build, partition, schur, factor, krylov,
 // modalize) so slow reductions are decomposable; every label is reported
 // exactly once per build, as zero when its stage is skipped.
-func buildModel(key ModelKey, noModal, noWard bool, phase func(string, time.Duration)) (*Model, error) {
+func buildModel(key ModelKey, noWard bool, phase func(string, time.Duration)) (*Model, error) {
 	cfg, err := grid.Benchmark(key.Benchmark, key.Scale)
 	if err != nil {
 		return nil, err
@@ -764,18 +745,14 @@ func buildModel(key ModelKey, noModal, noWard bool, phase func(string, time.Dura
 	reduceTime := time.Since(tReduce)
 
 	// Diagonalize each block once, right after the reduction — every
-	// subsequent evaluation of this model rides the modal fast path. A
-	// skipped stage still reports its phase, as zero, per the OnPhase
-	// contract.
-	var modal *lti.ModalSystem
-	if !noModal {
-		tModal := time.Now()
-		modal = modalize(rom)
-		if phase != nil {
-			phase("modalize", time.Since(tModal))
-		}
-	} else if phase != nil {
-		phase("modalize", 0)
+	// subsequent evaluation of this model runs through the modal form.
+	tModal := time.Now()
+	modal, err := rom.Modalize()
+	if err != nil {
+		return nil, fmt.Errorf("serve: diagonalizing %s: %w", key.ID(), err)
+	}
+	if phase != nil {
+		phase("modalize", time.Since(tModal))
 	}
 
 	n, m, p := sys.Dims()
@@ -794,11 +771,9 @@ func buildModel(key ModelKey, noModal, noWard bool, phase func(string, time.Dura
 		WardEliminated: stats.Ward.External,
 		ROM:            rom,
 		Modal:          modal,
+		Packed:         modal.Pack(),
 		GridKey:        cfg.Key(),
 	}
-	if modal != nil {
-		mdl.ModalBlocks, _ = modal.ModalCount()
-		mdl.Packed = modal.Pack()
-	}
+	mdl.ModalBlocks, _ = modal.ModalCount()
 	return mdl, nil
 }

@@ -1,16 +1,17 @@
 // Package serve is the ROM-serving subsystem: a long-running service layer
-// that amortizes BDSM reduction and pencil factorization across many
+// that amortizes BDSM reduction and block diagonalization across many
 // concurrent requests.
 //
 // The paper's central advantage over input-dependent schemes (EKS/TBS) is
 // that the block-diagonal ROM is reusable — reduce once, evaluate under any
 // excitation. This package operationalizes that: a Repository builds each
 // (benchmark, scale, options) model exactly once and hands out immutable
-// handles; a FactorCache keeps per-frequency block pencil LU factors behind
-// a sharded LRU so repeated evaluations at common frequencies skip the
-// O(l³) refactorization; and an Engine fans batched AC sweeps and
-// transfer-matrix evaluations across a fixed worker pool. Server exposes the
-// whole thing over HTTP with JSON/NDJSON responses.
+// handles, each carrying its blocks diagonalized once into a modal
+// (pole–residue) form; an Evaluator serves every sweep, eval, transient and
+// session through that form, so evaluation needs no pencil factorization
+// except for the rare block that failed to diagonalize; and an Engine fans
+// batched AC sweeps and transfer-matrix evaluations across a fixed worker
+// pool. Server exposes the whole thing over HTTP with JSON/NDJSON responses.
 package serve
 
 import (
@@ -33,9 +34,7 @@ import (
 )
 
 // The standard sweep grid: the logarithmic frequency range every sweep
-// defaults to when a request leaves wmin/wmax/points unset. Keeping one
-// canonical grid maximizes factorization reuse — independent requests (and
-// the post-reduction cache warmer) land on bit-identical frequencies.
+// defaults to when a request leaves wmin/wmax/points unset.
 const (
 	DefaultWMin        = 1e5
 	DefaultWMax        = 1e15
@@ -46,9 +45,6 @@ const (
 type Config struct {
 	// Workers is the evaluation pool size; 0 means runtime.NumCPU().
 	Workers int
-	// CacheBytes budgets the factorization cache in bytes of retained
-	// factors; 0 selects DefaultCacheBytes.
-	CacheBytes int64
 	// MaxModels bounds the model repository; 0 selects DefaultMaxModels.
 	MaxModels int
 	// MaxSweepPoints caps the per-request sweep/eval batch size; 0 means
@@ -62,17 +58,6 @@ type Config struct {
 	// Store, when non-nil, is the persistent ROM store the repository reads
 	// through on miss and writes through on build, enabling warm restarts.
 	Store *store.Store
-	// WarmPoints sizes the post-reduction cache warm-up: when a model is
-	// built or loaded from disk, its per-column pencil factorizations over
-	// the standard sweep grid are computed while the engine is idle, so the
-	// first default sweep is all cache hits. 0 selects DefaultSweepPoints;
-	// negative disables warming. Models fully covered by the modal fast
-	// path skip warming entirely — they never factor on the serving path.
-	WarmPoints int
-	// DisableModal pins every model to the factored (LU + cache) path even
-	// when a modal form is available — the operational escape hatch and the
-	// benchmarking baseline.
-	DisableModal bool
 	// DisableWard turns off the Ward/Schur pre-reduction stage on builds.
 	// The stage is exact and on by default; the flag exists to measure its
 	// effect and as an operational escape hatch.
@@ -140,11 +125,10 @@ const (
 // breakpoints) fits comfortably in 1 MiB.
 const DefaultMaxBodyBytes int64 = 1 << 20
 
-// Server wires the repository, factorization cache, and evaluation engine
-// behind an http.Handler.
+// Server wires the repository and evaluation engine behind an
+// http.Handler.
 type Server struct {
 	repo     *Repository
-	cache    *FactorCache
 	eng      *Engine
 	ev       *Evaluator
 	sweeps   *SweepCoalescer
@@ -183,7 +167,6 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		repo:     NewRepositoryWithStore(cfg.MaxModels, cfg.Store),
-		cache:    NewFactorCache(cfg.CacheBytes),
 		eng:      NewEngine(cfg.Workers),
 		sessions: NewSessionManager(cfg.MaxSessions, cfg.SessionTTL, cfg.SessionIdle),
 		cfg:      cfg,
@@ -193,17 +176,12 @@ func New(cfg Config) *Server {
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
 	}
-	s.ev = NewEvaluator(s.eng, s.cache, !cfg.DisableModal)
+	s.ev = &Evaluator{eng: s.eng}
 	s.sweeps = NewSweepCoalescer(s.ev)
 	s.advances = newAdvanceCoalescer(s.eng)
 	if !cfg.DisableMetrics {
 		s.reg = obs.NewRegistry()
 		s.metrics = newServerMetrics(s.reg, s)
-	}
-	if cfg.DisableModal {
-		// The escape hatch disables the diagonalization code end to end:
-		// no Modalize on builds or legacy disk loads, no modal routing.
-		s.repo.DisableModal()
 	}
 	if cfg.DisableWard {
 		s.repo.DisableWard()
@@ -247,61 +225,34 @@ func (s *Server) SetNotReadyFor(reason string, retryAfter time.Duration) {
 func (s *Server) SetReady() { s.notReady.Store(nil) }
 
 // PreloadStore registers every valid ROM from the persistent store without
-// reducing, then pre-factors the standard sweep grid for each — the full
-// warm-restart path for a starting daemon. The anchor library is merged
-// from the same store scan, so Δ-scale interpolation sees every stored
-// Scale point immediately. Returns the number of models registered.
-func (s *Server) PreloadStore() (int, error) {
-	n, err := s.repo.Preload()
-	if err != nil {
-		return 0, err
-	}
-	for _, m := range s.repo.Models() {
-		s.warmModel(m)
-	}
-	return n, nil
+// reducing — the warm-restart path for a starting daemon. The anchor library
+// is merged from the same store scan, so Δ-scale interpolation sees every
+// stored Scale point immediately. Returns the number of models registered.
+func (s *Server) PreloadStore() (int, error) { return s.repo.Preload() }
+
+// CacheStats is the /healthz "cache" object: the persistent store's
+// read-through hits and misses plus the evaluator's counters.
+type CacheStats struct {
+	DiskHits   int64 `json:"disk_hits"`
+	DiskMisses int64 `json:"disk_misses"`
+	// ModalEvals counts point evaluations served through the modal form.
+	ModalEvals int64 `json:"modal_evals"`
+	// CanceledEvals counts requests aborted mid-evaluation because their
+	// context was canceled (client disconnect, deadline) — pool time handed
+	// back instead of burned.
+	CanceledEvals int64 `json:"canceled_evals"`
 }
 
-// warmModel pre-factors the per-column block pencils of m over the standard
-// sweep grid through the factorization cache. It runs right after a model is
-// reduced or loaded — the moment the engine is idle — so the first default
-// sweep against the model skips every O(l³) factorization. Models the modal
-// fast path fully covers never factor on the serving path, so there is
-// nothing to warm. Best-effort: factorization failures surface on the
-// serving path with proper errors.
-func (s *Server) warmModel(m *Model) {
-	pts := s.cfg.WarmPoints
-	if pts < 0 {
-		return
-	}
-	if s.ev.modalFor(m) != nil {
-		return
-	}
-	if pts == 0 {
-		pts = DefaultSweepPoints
-	}
-	freqs, err := sim.LogGrid(DefaultWMin, DefaultWMax, pts)
-	if err != nil {
-		return
-	}
-	s.eng.Map(len(freqs), func(k int) error {
-		for col := 0; col < m.Ports; col++ {
-			s.cache.GetOrFactorColumn(m.ID, m.ROM, complex(0, freqs[k]), col)
-		}
-		return nil
-	})
-}
-
-// CacheStats merges the factorization cache's counters with the
-// repository's persistent-store counters into one cache-effectiveness view.
+// CacheStats merges the repository's persistent-store counters with the
+// evaluator's counters.
 func (s *Server) CacheStats() CacheStats {
-	st := s.cache.Stats()
 	rs := s.repo.Stats()
-	st.DiskHits = rs.DiskHits
-	st.DiskMisses = rs.DiskMisses
-	st.ModalEvals, st.FactoredEvals = s.ev.PathStats()
-	st.CanceledEvals = s.ev.CanceledEvals()
-	return st
+	return CacheStats{
+		DiskHits:      rs.DiskHits,
+		DiskMisses:    rs.DiskMisses,
+		ModalEvals:    s.ev.ModalEvals(),
+		CanceledEvals: s.ev.CanceledEvals(),
+	}
 }
 
 // Handler returns the HTTP API:
@@ -531,14 +482,6 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	noteModel(r, m)
-	if outcome != OutcomeMemHit {
-		// The model just became resident (reduced or read from disk):
-		// pre-factor the standard sweep grid so the first sweeps are pure
-		// cache hits. Deliberately synchronous — warming is small next to
-		// the reduction this request already paid (or skipped via disk), and
-		// a /reduce response then means "ready to sweep at full speed".
-		s.warmModel(m)
-	}
 	writeJSON(w, modelInfo(m, outcome))
 }
 
@@ -578,8 +521,7 @@ func (s *Server) handleInterp(w http.ResponseWriter, r *http.Request) {
 // benchmark+scale pair — into a servable model. The id wins when both are
 // given; a benchmark+scale at an unstored Scale goes through Δ-scale
 // interpolation (under the given error budget; 0 = server default) unless
-// interpolation is disabled. Models that arrive via a reduction or a disk
-// load are cache-warmed exactly like /reduce.
+// interpolation is disabled.
 func (s *Server) resolveModel(id string, key ModelKey, tol float64) (*Model, Outcome, error) {
 	if id != "" {
 		m, err := s.lookupModel(id)
@@ -609,9 +551,6 @@ func (s *Server) resolveModel(id string, key ModelKey, tol float64) (*Model, Out
 		return nil, outcome, overloaded(RetryAfterRepoFull, err)
 	case err != nil:
 		return nil, outcome, err
-	}
-	if outcome == OutcomeBuilt || outcome == OutcomeDiskHit {
-		s.warmModel(m)
 	}
 	return m, outcome, nil
 }
@@ -719,8 +658,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	noteModel(r, m)
-	// Zero range/points select the standard grid — the one the cache warmer
-	// pre-factored, so defaulted sweeps skip every factorization.
+	// Zero range/points select the standard grid.
 	if req.WMin == 0 {
 		req.WMin = DefaultWMin
 	}

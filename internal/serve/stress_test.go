@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"math/cmplx"
 	"sync"
 	"testing"
 )
@@ -75,75 +74,5 @@ func TestRepositoryBound(t *testing.T) {
 	}
 	if _, outcome, err := repo.Get(ModelKey{Benchmark: "ckt1", Scale: 0.1}); err != nil || outcome != OutcomeMemHit {
 		t.Fatalf("resident model after full: outcome=%v err=%v", outcome, err)
-	}
-}
-
-// TestFactorCacheStress drives the cache from many goroutines over a small
-// frequency set, twice: once with room for every entry (pure hit path) and
-// once with a cache far smaller than the working set, forcing continuous
-// eviction and refactorization. Results must match the single-threaded
-// reference bit for bit either way. Run with -race.
-func TestFactorCacheStress(t *testing.T) {
-	m := testModel(t, 0.1)
-	freqs := make([]complex128, 8)
-	refs := make([][]complex128, 8)
-	var entryBytes int64
-	for k := range freqs {
-		freqs[k] = complex(0, 1e6*float64(k+1))
-		f, err := m.ROM.Factorize(freqs[k])
-		if err != nil {
-			t.Fatalf("reference factorization %d: %v", k, err)
-		}
-		entryBytes = f.MemBytes()
-		if refs[k], err = f.EvalColumn(0); err != nil {
-			t.Fatalf("reference eval %d: %v", k, err)
-		}
-	}
-
-	for _, tc := range []struct {
-		name   string
-		budget int64
-	}{
-		{"roomy", 0}, // default budget: room for every entry
-		// One full entry per shard: colliding keys evict continuously.
-		{"thrashing", entryBytes * facShards},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cache := NewFactorCache(tc.budget)
-			const goroutines, iters = 16, 60
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						k := (g + i) % len(freqs)
-						f, _, err := cache.GetOrFactor(m.ID, m.ROM, freqs[k])
-						if err != nil {
-							t.Errorf("goroutine %d iter %d: %v", g, i, err)
-							return
-						}
-						col, err := f.EvalColumn(0)
-						if err != nil {
-							t.Errorf("goroutine %d iter %d: eval: %v", g, i, err)
-							return
-						}
-						for r := range col {
-							if cmplx.Abs(col[r]-refs[k][r]) != 0 {
-								t.Errorf("goroutine %d iter %d: row %d: got %v want %v",
-									g, i, r, col[r], refs[k][r])
-								return
-							}
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			st := cache.Stats()
-			if st.Hits+st.Misses < goroutines*iters {
-				t.Fatalf("stats lost accesses: %+v", st)
-			}
-		})
 	}
 }

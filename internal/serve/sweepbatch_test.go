@@ -9,22 +9,28 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"repro/internal/lti"
 )
 
 // TestSweepEntriesMatchesSingle pins the batched multi-entry sweep against
-// per-entry single sweeps, on both evaluation paths.
+// per-entry single sweeps and the LU reference (ROM.Eval), on a fully modal
+// model and on one with two blocks demoted to the inline fallback.
 func TestSweepEntriesMatchesSingle(t *testing.T) {
-	for _, disableModal := range []bool{false, true} {
+	for _, partial := range []bool{false, true} {
 		name := "modal"
-		if disableModal {
-			name = "factored"
+		if partial {
+			name = "partially_modal"
 		}
 		t.Run(name, func(t *testing.T) {
-			srv := New(Config{Workers: 4, DisableModal: disableModal})
+			srv := New(Config{Workers: 4})
 			defer srv.Close()
 			m, _, err := srv.Repo().Get(ModelKey{Benchmark: "ckt1", Scale: 0.1})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if partial {
+				demoteBlocks(t, m, 0, 2)
 			}
 			entries := []Entry{{0, 0}, {1, 0}, {0, 2}, {2, 2}, {1, 1}}
 			sweeps, err := srv.ev.SweepEntries(context.Background(), m, entries, 1e6, 1e12, 25)
@@ -48,14 +54,21 @@ func TestSweepEntriesMatchesSingle(t *testing.T) {
 					if d := cmplx.Abs(a - b); d > 1e-12*(1+cmplx.Abs(b)) {
 						t.Fatalf("entry (%d,%d) point %d: batched %v vs single %v", e.Row, e.Col, k, a, b)
 					}
+					h, err := m.ROM.Eval(complex(0, single[k].Omega))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref := h.At(e.Row, e.Col); cmplx.Abs(a-ref) > 1e-9*(1+cmplx.Abs(ref)) {
+						t.Fatalf("entry (%d,%d) point %d: served %v vs ROM.Eval %v", e.Row, e.Col, k, a, ref)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestSweepEntriesAgreeAcrossPaths: the two evaluation paths must produce
-// the same numbers for the same batched request.
+// TestSweepEntriesAgreeAcrossPaths: a served batched sweep must match the LU
+// reference (ROM.Eval) at every point.
 func TestSweepEntriesAgreeAcrossPaths(t *testing.T) {
 	srv := New(Config{Workers: 2})
 	defer srv.Close()
@@ -64,20 +77,20 @@ func TestSweepEntriesAgreeAcrossPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := []Entry{{0, 0}, {1, 1}, {0, 1}}
-	modal, err := NewEvaluator(srv.eng, srv.cache, true).SweepEntries(context.Background(), m, entries, 1e5, 1e15, 40)
+	modal, err := srv.ev.SweepEntries(context.Background(), m, entries, 1e5, 1e15, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factored, err := NewEvaluator(srv.eng, NewFactorCache(0), false).SweepEntries(context.Background(), m, entries, 1e5, 1e15, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range entries {
-		for k := range modal[i].Points {
+	for k := range modal[0].Points {
+		h, err := m.ROM.Eval(complex(0, modal[0].Points[k].Omega))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range entries {
 			a := complex(modal[i].Points[k].Re, modal[i].Points[k].Im)
-			b := complex(factored[i].Points[k].Re, factored[i].Points[k].Im)
+			b := h.At(e.Row, e.Col)
 			if d := cmplx.Abs(a - b); d > 1e-9*(1+cmplx.Abs(b)) {
-				t.Fatalf("entry %d point %d: modal %v vs factored %v", i, k, a, b)
+				t.Fatalf("entry %d point %d: modal %v vs ROM.Eval %v", i, k, a, b)
 			}
 		}
 	}
@@ -168,7 +181,7 @@ func TestSweepEntriesBudget(t *testing.T) {
 // TestModalServeStress hammers one fully modal model with concurrent mixed
 // traffic — single sweeps, batched sweeps, full-matrix evals — and checks
 // under -race that the lock-free modal path is in fact data-race-free and
-// that every evaluation was served modally.
+// that no evaluation factored a pencil.
 func TestModalServeStress(t *testing.T) {
 	srv := New(Config{Workers: 4})
 	defer srv.Close()
@@ -176,9 +189,10 @@ func TestModalServeStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.ev.modalFor(m) == nil {
-		t.Fatal("test model not modal-covered")
+	if m.ModalBlocks != m.Blocks {
+		t.Fatalf("test model not fully modal (%d/%d blocks)", m.ModalBlocks, m.Blocks)
 	}
+	factorizations := lti.Counters().Factorizations
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*3)
@@ -213,11 +227,10 @@ func TestModalServeStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	modalN, factoredN := srv.ev.PathStats()
-	if modalN == 0 || factoredN != 0 {
-		t.Fatalf("PathStats = (%d modal, %d factored), want all modal", modalN, factoredN)
+	if srv.ev.ModalEvals() == 0 {
+		t.Fatal("stress served no evaluations")
 	}
-	if st := srv.cache.Stats(); st.Misses != 0 {
-		t.Fatalf("modal stress touched the factor cache: %+v", st)
+	if n := lti.Counters().Factorizations - factorizations; n != 0 {
+		t.Fatalf("fully modal stress performed %d pencil factorizations", n)
 	}
 }
