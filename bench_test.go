@@ -286,6 +286,46 @@ func BenchmarkAblationAMD(b *testing.B) {
 	}
 }
 
+// BenchmarkAMD times the fill-reducing ordering alone on the pencils the
+// Krylov operator factors in the two reduce workloads: full-scale ckt1 and
+// the 50k-node multiscale grid, each after Ward pre-reduction. fill-nnz is
+// the fill of the factor the operator builds under that ordering.
+func BenchmarkAMD(b *testing.B) {
+	ms, err := MultiscaleBenchmark(50000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gm, err := ms.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	multiscale, err := lti.NewSparseSystem(gm.C, gm.G, gm.B, gm.L)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		sys  *lti.SparseSystem
+	}{{"ckt1", buildBench(b, "ckt1", 1)}, {"multiscale50000", multiscale}} {
+		wres, err := ReduceWard(c.sys, WardOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pencil := wres.Sys.Pencil(core.DefaultS0)
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				sparse.AMD(pencil)
+			}
+			op, err := krylov.NewOperator(wres.Sys, core.DefaultS0, krylov.OperatorOptions{
+				Backend: krylov.BackendAuto, LU: sparse.LUOptions{Ordering: sparse.OrderAMD}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(op.FactorNNZ), "fill-nnz")
+		})
+	}
+}
+
 // BenchmarkAblationBackend compares direct-LU and iterative (streaming)
 // pencil backends inside BDSM — the paper's skip-the-factorization mode.
 func BenchmarkAblationBackend(b *testing.B) {

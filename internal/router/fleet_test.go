@@ -194,6 +194,12 @@ func TestFleetChaos(t *testing.T) {
 	}
 
 	// --- single-flight proof: a thundering herd reduces exactly once ---
+	// The replicas answer slowly while the herd runs, so every member
+	// reaches the router while the one build is still in flight, however
+	// fast the reduction itself is or however late a goroutine starts.
+	for _, rep := range fleet {
+		rep.proxy.SetFallback(chaos.Rule{Delay: 500 * time.Millisecond})
+	}
 	before := reduceCount(t, fleet)
 	const herd = 10
 	var wg sync.WaitGroup
@@ -220,6 +226,9 @@ func TestFleetChaos(t *testing.T) {
 	close(start)
 	wg.Wait()
 	close(errs)
+	for _, rep := range fleet {
+		rep.proxy.SetFallback(chaos.Rule{})
+	}
 	for err := range errs {
 		t.Fatal(err)
 	}

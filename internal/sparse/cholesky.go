@@ -48,10 +48,11 @@ func IsSymmetric(a *CSR[float64], tol float64) bool {
 }
 
 // FactorCholesky computes the up-looking sparse Cholesky factorization of
-// the SPD matrix a with the selected fill-reducing ordering (OrderAMD is a
-// good default). Returns ErrNotSPD for indefinite or unsymmetric-beyond-
-// roundoff inputs (only the lower triangle of the permuted matrix is read,
-// so structural symmetry is the caller's responsibility; use IsSymmetric).
+// the SPD matrix a with the selected fill-reducing ordering (the zero
+// LUOptions orders by AMD). Returns ErrNotSPD for indefinite or
+// unsymmetric-beyond-roundoff inputs (only the lower triangle of the
+// permuted matrix is read, so structural symmetry is the caller's
+// responsibility; use IsSymmetric).
 func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 	opts.defaults()
 	n, m := a.Dims()
@@ -71,38 +72,23 @@ func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 	}
 
 	// Elimination tree and an ereach-based up-looking factorization
-	// (Davis, "Direct Methods for Sparse Linear Systems", ch. 4).
+	// (Davis, "Direct Methods for Sparse Linear Systems", ch. 4). The reach
+	// of row k in the tree is the pattern of row k of L, so a symbolic pass
+	// over the reaches counts every column and L is allocated once.
 	parent := etree(aq)
-	lp := make([]int, n+1)
-	li := make([]int, 0, 4*aq.NNZ())
-	lx := make([]float64, 0, 4*aq.NNZ())
-	// Column pattern lists are built row by row: colEntries[j] accumulates
-	// (row, value) pairs below the diagonal of column j.
-	diag := make([]float64, n)
-	colRows := make([][]int32, n)
-	colVals := make([][]float64, n)
-
-	x := make([]float64, n)    // dense scratch for row k
 	pattern := make([]int, n)  // ereach stack
 	marked := make([]int32, n) // epoch marks
 	epoch := int32(0)
-
-	for k := 0; k < n; k++ {
-		// Scatter row k of the lower triangle of A (= column k of upper).
+	// reach collects the pattern of row k of L into pattern[top:], in
+	// topological order, and returns top.
+	reach := func(k int) int {
 		epoch++
 		top := n
-		akk := 0.0
 		for p := aq.ColPtr[k]; p < aq.ColPtr[k+1]; p++ {
 			i := aq.RowIdx[p]
-			if i > k {
-				continue // lower part handled when its row is reached
+			if i >= k {
+				continue // the lower part is handled when its row is reached
 			}
-			if i == k {
-				akk = aq.Val[p]
-				continue
-			}
-			x[i] = aq.Val[p]
-			// Walk up the elimination tree to collect the reach.
 			len0 := 0
 			for t := i; t != -1 && t < k && marked[t] != epoch; t = parent[t] {
 				pattern[len0] = t
@@ -115,43 +101,55 @@ func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 				pattern[top] = pattern[len0]
 			}
 		}
+		return top
+	}
+	lp := make([]int, n+1) // column j: diagonal at lp[j], then rows in order
+	for k := 0; k < n; k++ {
+		for _, j := range pattern[reach(k):] {
+			lp[j+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		lp[j+1] += lp[j] + 1
+	}
+	li := make([]int, lp[n])
+	lx := make([]float64, lp[n])
+	next := make([]int, n) // next free slot of each column
+	for j := range next {
+		li[lp[j]] = j
+		next[j] = lp[j] + 1
+	}
+
+	x := make([]float64, n) // dense scratch for row k
+	for k := 0; k < n; k++ {
+		// Scatter row k of the lower triangle of A (= column k of upper).
+		akk := 0.0
+		for p := aq.ColPtr[k]; p < aq.ColPtr[k+1]; p++ {
+			switch i := aq.RowIdx[p]; {
+			case i < k:
+				x[i] = aq.Val[p]
+			case i == k:
+				akk = aq.Val[p]
+			}
+		}
 		// Up-looking triangular solve across the reach in topological order.
 		d := akk
-		for t := top; t < n; t++ {
-			j := pattern[t]
-			lkj := x[j] / diag[j]
+		for _, j := range pattern[reach(k):] {
+			lkj := x[j] / lx[lp[j]]
 			x[j] = 0
-			// x -= L(:,j)·lkj for rows in (j, k).
-			rows := colRows[j]
-			vals := colVals[j]
-			for idx, r := range rows {
-				if int(r) < k {
-					x[r] -= vals[idx] * lkj
-				}
+			// x -= L(:,j)·lkj over the rows of column j so far, all < k.
+			for p := lp[j] + 1; p < next[j]; p++ {
+				x[li[p]] -= lx[p] * lkj
 			}
 			d -= lkj * lkj
 			// Record L[k][j].
-			colRows[j] = append(colRows[j], int32(k))
-			colVals[j] = append(colVals[j], lkj)
+			li[next[j]], lx[next[j]] = k, lkj
+			next[j]++
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, fmt.Errorf("%w: pivot %g at column %d", ErrNotSPD, d, k)
 		}
-		diag[k] = math.Sqrt(d)
-	}
-	// Assemble CSC L with the diagonal first in each column.
-	for j := 0; j < n; j++ {
-		lp[j+1] = lp[j] + 1 + len(colRows[j])
-	}
-	li = li[:0]
-	lx = lx[:0]
-	for j := 0; j < n; j++ {
-		li = append(li, j)
-		lx = append(lx, diag[j])
-		for idx, r := range colRows[j] {
-			li = append(li, int(r))
-			lx = append(lx, colVals[j][idx])
-		}
+		lx[lp[k]] = math.Sqrt(d)
 	}
 	return &Cholesky{
 		n: n,

@@ -89,7 +89,8 @@ func TestCholeskyRandomSPDProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
-		// SPD via AᵀA + shift on a random sparse A, symmetrized exactly.
+		// Symmetric with a random sparse pattern, and SPD by strict diagonal
+		// dominance: each off-diagonal pair also adds |v| to both diagonals.
 		c := NewCOO[float64](n, n)
 		for i := 0; i < n; i++ {
 			c.Add(i, i, float64(n))
@@ -102,6 +103,8 @@ func TestCholeskyRandomSPDProperty(t *testing.T) {
 			v := rng.NormFloat64() * 0.5
 			c.Add(i, j, v)
 			c.Add(j, i, v)
+			c.Add(i, i, math.Abs(v))
+			c.Add(j, j, math.Abs(v))
 		}
 		a := c.ToCSC()
 		ch, err := FactorCholesky(a, LUOptions{Ordering: OrderAMD})

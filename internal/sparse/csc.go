@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // CSC is a compressed sparse column matrix. Column j occupies the half-open
 // range [ColPtr[j], ColPtr[j+1]) of RowIdx/Val; row indices within a column
@@ -71,7 +74,11 @@ func (a *CSC[T]) MatVec(dst, x []T) {
 
 // PermuteSym returns P A Pᵀ where the permutation p maps new index to old
 // index: (P A Pᵀ)[i][j] = A[p[i]][p[j]]. A must be square and p a valid
-// permutation of its dimension.
+// permutation of its dimension. Explicit zeros are dropped.
+//
+// New column i is old column p[i] with its rows renumbered, so the result is
+// built in one pass over A: column counts, a scatter, and a sort of each
+// (short) column by its new row indices.
 func (a *CSC[T]) PermuteSym(p Perm) *CSC[T] {
 	if a.rows != a.cols {
 		panic("sparse: PermuteSym requires a square matrix")
@@ -79,15 +86,64 @@ func (a *CSC[T]) PermuteSym(p Perm) *CSC[T] {
 	if len(p) != a.cols {
 		panic("sparse: PermuteSym permutation length mismatch")
 	}
+	n := a.cols
 	inv := p.Inverse()
-	coo := NewCOO[T](a.rows, a.cols)
-	for j := 0; j < a.cols; j++ {
-		nj := inv[j]
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			coo.Add(inv[a.RowIdx[k]], nj, a.Val[k])
+	colPtr := make([]int, n+1)
+	for j := 0; j < n; j++ {
+		c := 0
+		for _, v := range a.Val[a.ColPtr[j]:a.ColPtr[j+1]] {
+			if !IsZero(v) {
+				c++
+			}
 		}
+		colPtr[inv[j]+1] = c
 	}
-	return coo.ToCSC()
+	for j := 0; j < n; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	rowIdx := make([]int, colPtr[n])
+	val := make([]T, colPtr[n])
+	for j, old := range p {
+		dst := colPtr[j]
+		for k := a.ColPtr[old]; k < a.ColPtr[old+1]; k++ {
+			if v := a.Val[k]; !IsZero(v) {
+				rowIdx[dst], val[dst] = inv[a.RowIdx[k]], v
+				dst++
+			}
+		}
+		sortColumn(rowIdx[colPtr[j]:dst], val[colPtr[j]:dst])
+	}
+	return &CSC[T]{rows: n, cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
+}
+
+// sortColumn sorts one column's entries by row index: insertion sort for
+// the few entries of a typical column, sort.Sort for a dense one.
+func sortColumn[T Scalar](idx []int, val []T) {
+	if len(idx) > 32 {
+		sort.Sort(columnEntries[T]{idx, val})
+		return
+	}
+	for i := 1; i < len(idx); i++ {
+		r, v := idx[i], val[i]
+		k := i
+		for ; k > 0 && idx[k-1] > r; k-- {
+			idx[k], val[k] = idx[k-1], val[k-1]
+		}
+		idx[k], val[k] = r, v
+	}
+}
+
+// columnEntries sorts a column's (row, value) pairs by row.
+type columnEntries[T Scalar] struct {
+	idx []int
+	val []T
+}
+
+func (c columnEntries[T]) Len() int           { return len(c.idx) }
+func (c columnEntries[T]) Less(i, j int) bool { return c.idx[i] < c.idx[j] }
+func (c columnEntries[T]) Swap(i, j int) {
+	c.idx[i], c.idx[j] = c.idx[j], c.idx[i]
+	c.val[i], c.val[j] = c.val[j], c.val[i]
 }
 
 // ColNNZ returns the number of stored entries in column j.

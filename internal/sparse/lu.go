@@ -13,7 +13,8 @@ var ErrSingular = errors.New("sparse: matrix is numerically singular")
 // LUOptions configures sparse LU factorization.
 type LUOptions struct {
 	// Ordering selects the fill-reducing pre-ordering applied symmetrically
-	// to rows and columns before factorization. Default: OrderAMD.
+	// to rows and columns before factorization. The zero value is OrderAMD,
+	// so every factorization is ordered unless it asks for OrderNatural.
 	Ordering Ordering
 	// PivotTol is the threshold-partial-pivoting relative tolerance in
 	// (0, 1]: the diagonal entry is kept as pivot whenever its magnitude is

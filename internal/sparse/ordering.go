@@ -2,20 +2,21 @@ package sparse
 
 import "sort"
 
-// Ordering selects the fill-reducing ordering used to permute a matrix
-// before sparse LU factorization.
+// Ordering selects the fill-reducing ordering applied symmetrically to rows
+// and columns before a sparse factorization. The zero value is OrderAMD.
 type Ordering int
 
 const (
+	// OrderAMD applies approximate minimum degree (Amestoy, Davis and Duff)
+	// on the symmetrized pattern. Best fill behaviour on power-grid pencils;
+	// the zero value, so every factorization is ordered unless told
+	// otherwise.
+	OrderAMD Ordering = iota
 	// OrderNatural factors the matrix as given.
-	OrderNatural Ordering = iota
+	OrderNatural
 	// OrderRCM applies reverse Cuthill–McKee bandwidth reduction. Cheap and
 	// effective for mesh-like power grids at moderate sizes.
 	OrderRCM
-	// OrderAMD applies a minimum-degree ordering on the symmetrized pattern
-	// (quotient-graph implementation with element absorption). Best fill
-	// behaviour for large grids; the library default.
-	OrderAMD
 )
 
 func (o Ordering) String() string {
@@ -30,62 +31,64 @@ func (o Ordering) String() string {
 	return "unknown"
 }
 
-// symmetrizedAdjacency builds the adjacency structure of the undirected
-// graph of A + Aᵀ without self loops, as slice-of-neighbour-lists.
-func symmetrizedAdjacency[T Scalar](a *CSC[T]) [][]int32 {
+// symmetrizedPattern returns the pattern of A + Aᵀ without self loops in
+// flat compressed form: the neighbours of i are idx[ptr[i]:ptr[i+1]], free of
+// duplicates but in no particular order. idx[ptr[n]:] is spare room, which
+// AMD's quotient graph uses for new elements.
+func symmetrizedPattern[T Scalar](a *CSC[T]) (ptr, idx []int32) {
 	n, _ := a.Dims()
-	deg := make([]int, n)
+	// Counting pass: every off-diagonal entry (i, j) is an edge in both
+	// lists; symmetric entries and repeated row indices are counted twice
+	// here and dropped below.
+	ptr = make([]int32, n+1)
 	for j := 0; j < n; j++ {
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			i := a.RowIdx[k]
-			if i != j {
-				deg[i]++
-				deg[j]++
+			if i := a.RowIdx[k]; i != j {
+				ptr[i+1]++
+				ptr[j+1]++
 			}
 		}
 	}
-	adj := make([][]int32, n)
-	buf := make([]int32, 0)
-	total := 0
 	for i := 0; i < n; i++ {
-		total += deg[i]
+		ptr[i+1] += ptr[i]
 	}
-	buf = make([]int32, total)
-	pos := 0
-	for i := 0; i < n; i++ {
-		adj[i] = buf[pos : pos : pos+deg[i]]
-		pos += deg[i]
-	}
+	idx = make([]int32, ptr[n])
+	fill := make([]int32, n)
+	copy(fill, ptr[:n])
 	for j := 0; j < n; j++ {
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			i := a.RowIdx[k]
-			if i != j {
-				adj[i] = append(adj[i], int32(j))
-				adj[j] = append(adj[j], int32(i))
+			if i := a.RowIdx[k]; i != j {
+				idx[fill[i]] = int32(j)
+				fill[i]++
+				idx[fill[j]] = int32(i)
+				fill[j]++
 			}
 		}
 	}
-	// Deduplicate neighbour lists (A and Aᵀ overlap on symmetric entries).
-	for i := range adj {
-		lst := adj[i]
-		sort.Slice(lst, func(x, y int) bool { return lst[x] < lst[y] })
-		w := 0
-		for r := 0; r < len(lst); r++ {
-			if w == 0 || lst[r] != lst[w-1] {
-				lst[w] = lst[r]
+	// Deduplicating pass, compacting in place: fill doubles as the mark
+	// array, holding i+1 once neighbour v of i has been kept.
+	clear(fill)
+	w := int32(0)
+	for i := 0; i < n; i++ {
+		start := ptr[i]
+		ptr[i] = w
+		for _, v := range idx[start:ptr[i+1]] {
+			if fill[v] != int32(i)+1 {
+				fill[v] = int32(i) + 1
+				idx[w] = v
 				w++
 			}
 		}
-		adj[i] = lst[:w]
 	}
-	return adj
+	ptr[n] = w
+	return ptr, idx
 }
 
 // RCM computes a reverse Cuthill–McKee ordering of the symmetrized pattern
 // of A. The returned permutation maps new index to old index.
 func RCM[T Scalar](a *CSC[T]) Perm {
 	n, _ := a.Dims()
-	adj := symmetrizedAdjacency(a)
+	ptr, idx := symmetrizedPattern(a)
 	visited := make([]bool, n)
 	order := make([]int, 0, n)
 	queue := make([]int, 0, n)
@@ -95,7 +98,7 @@ func RCM[T Scalar](a *CSC[T]) Perm {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(adj, start)
+		root := pseudoPeripheral(ptr, idx, start)
 		visited[root] = true
 		queue = append(queue[:0], root)
 		for len(queue) > 0 {
@@ -103,14 +106,22 @@ func RCM[T Scalar](a *CSC[T]) Perm {
 			queue = queue[1:]
 			order = append(order, v)
 			// Neighbours in increasing-degree order per Cuthill–McKee.
-			nbrs := make([]int, 0, len(adj[v]))
-			for _, w := range adj[v] {
+			nbrs := make([]int, 0, ptr[v+1]-ptr[v])
+			for _, w := range idx[ptr[v]:ptr[v+1]] {
 				if !visited[w] {
 					visited[w] = true
 					nbrs = append(nbrs, int(w))
 				}
 			}
-			sort.Slice(nbrs, func(x, y int) bool { return len(adj[nbrs[x]]) < len(adj[nbrs[y]]) })
+			// Ties go to the lower index, so the order does not depend on
+			// the order of the neighbour lists.
+			sort.Slice(nbrs, func(x, y int) bool {
+				u, w := nbrs[x], nbrs[y]
+				if du, dw := ptr[u+1]-ptr[u], ptr[w+1]-ptr[w]; du != dw {
+					return du < dw
+				}
+				return u < w
+			})
 			queue = append(queue, nbrs...)
 		}
 	}
@@ -124,8 +135,8 @@ func RCM[T Scalar](a *CSC[T]) Perm {
 
 // pseudoPeripheral locates an approximately peripheral node of the component
 // containing start by repeated BFS to the farthest level.
-func pseudoPeripheral(adj [][]int32, start int) int {
-	level := make([]int, len(adj))
+func pseudoPeripheral(ptr, idx []int32, start int) int {
+	level := make([]int, len(ptr)-1)
 	cur := start
 	bestEcc := -1
 	for iter := 0; iter < 8; iter++ {
@@ -139,7 +150,7 @@ func pseudoPeripheral(adj [][]int32, start int) int {
 		for len(q) > 0 {
 			v := q[0]
 			q = q[1:]
-			for _, w := range adj[v] {
+			for _, w := range idx[ptr[v]:ptr[v+1]] {
 				if level[w] < 0 {
 					level[w] = level[v] + 1
 					if level[w] > ecc {

@@ -19,13 +19,15 @@ func TestRCMIsPermutation(t *testing.T) {
 }
 
 func TestAMDIsPermutation(t *testing.T) {
+	// Unsymmetric random patterns from sparse to nearly dense, so that
+	// dense rows, supervariables and garbage collection all occur.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(50)
-		a := randomSquareCSC(rng, n, 0.1)
+		n := 1 + rng.Intn(120)
+		a := randomSquareCSC(rng, n, rng.Float64())
 		return AMD(a).IsValid()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
