@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
@@ -423,4 +424,48 @@ func BenchmarkSolvePanel(b *testing.B) {
 			lu.SolvePanel(x, w)
 		}
 	})
+}
+
+// BenchmarkKrylovPhase times BDSM's Krylov phase (steps 3–5 of Algorithm 1)
+// on the grids of the two reduce workloads, full-scale ckt1 (l = 6) and
+// the 50k-node multiscale grid (l = 4), each after Ward pre-reduction and
+// with the automatic backend. One worker makes the Stats split of the
+// phase — solve-ms, ortho-ms and congruence-ms per op — add up to its
+// wall clock; ns/op also includes the factorization.
+func BenchmarkKrylovPhase(b *testing.B) {
+	ms, err := MultiscaleBenchmark(50000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gm, err := ms.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	multiscale, err := lti.NewSparseSystem(gm.C, gm.G, gm.B, gm.L)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		sys     *lti.SparseSystem
+		moments int
+	}{{"ckt1", buildBench(b, "ckt1", 1), 6}, {"multiscale50000", multiscale, 4}} {
+		wres, err := ReduceWard(c.sys, WardOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var st core.Stats
+			for b.Loop() {
+				if _, err := core.Reduce(wres.Sys, core.Options{Moments: c.moments,
+					Backend: krylov.BackendAuto, Workers: 1, Stats: &st}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perOp := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+			b.ReportMetric(perOp(st.SolveTime), "solve-ms")
+			b.ReportMetric(perOp(st.OrthoTime), "ortho-ms")
+			b.ReportMetric(perOp(st.CongruenceTime), "congruence-ms")
+		})
+	}
 }

@@ -51,24 +51,8 @@ func PRIMAMultipoint(sys *lti.SparseSystem, points []float64, opts Options) (*lt
 		}
 		// Grow the shared basis with this point's block Krylov chain: the
 		// per-point recurrence iterates on this point's accepted columns.
-		var cur []int
-		for _, col := range r {
-			if basis.Append(col) {
-				cur = append(cur, basis.Len()-1)
-			}
-		}
-		w := make([]float64, n)
-		for j := 1; j < opts.Moments && len(cur) > 0; j++ {
-			var next []int
-			for _, idx := range cur {
-				if err := op.Apply(w, basis.Col(idx)); err != nil {
-					return nil, err
-				}
-				if basis.Append(w) {
-					next = append(next, basis.Len()-1)
-				}
-			}
-			cur = next
+		if err := krylov.ExtendArnoldi(op, basis, r, opts.Moments); err != nil {
+			return nil, err
 		}
 		if opts.Stats != nil {
 			opts.Stats.PencilSolves += op.Solves()

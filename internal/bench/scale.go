@@ -37,6 +37,12 @@ type ScaleRung struct {
 	SchurSeconds     float64 `json:"schur_seconds"`
 	FactorSeconds    float64 `json:"factor_seconds"`
 	KrylovSeconds    float64 `json:"krylov_seconds"`
+	// The Krylov phase split into pencil solves, Gram–Schmidt and
+	// congruence: core.Stats worker time summed over workers, so with
+	// several workers the three add up to more than KrylovSeconds.
+	KrylovSolveSeconds      float64 `json:"krylov_solve_seconds"`
+	KrylovOrthoSeconds      float64 `json:"krylov_ortho_seconds"`
+	KrylovCongruenceSeconds float64 `json:"krylov_congruence_seconds"`
 	// ReduceSeconds is the total core.Reduce wall clock (all phases).
 	ReduceSeconds float64 `json:"reduce_seconds"`
 }
@@ -135,6 +141,9 @@ func Scale(cfg Config, maxNodes int) (*ScaleResult, error) {
 		rung.SchurSeconds = phases["schur"].Seconds()
 		rung.FactorSeconds = phases["factor"].Seconds()
 		rung.KrylovSeconds = phases["krylov"].Seconds()
+		rung.KrylovSolveSeconds = stats.SolveTime.Seconds()
+		rung.KrylovOrthoSeconds = stats.OrthoTime.Seconds()
+		rung.KrylovCongruenceSeconds = stats.CongruenceTime.Seconds()
 		rung.External = stats.Ward.External
 		rung.Boundary = stats.Ward.Boundary
 		rung.Kept = stats.Ward.Internal + stats.Ward.Boundary
@@ -230,14 +239,17 @@ func fitLogLogSlope(rungs []ScaleRung) float64 {
 // Render prints the ladder as a table.
 func (r *ScaleResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Sparse-first scale ladder (moments=%d, %d workers)\n", r.Moments, r.GoMaxProcs)
-	fmt.Fprintf(w, "%10s %10s %9s %9s %6s %8s %8s %8s %8s %8s %8s\n",
-		"nodes", "nnz", "external", "kept", "order", "build", "part", "schur", "factor", "krylov", "reduce")
+	fmt.Fprintf(w, "%10s %10s %9s %9s %6s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n",
+		"nodes", "nnz", "external", "kept", "order", "build", "part", "schur", "factor", "krylov",
+		"solve", "ortho", "congr", "reduce")
 	for _, rg := range r.Rungs {
-		fmt.Fprintf(w, "%10d %10d %9d %9d %6d %7.2fs %7.3fs %7.3fs %7.2fs %7.2fs %7.2fs\n",
+		fmt.Fprintf(w, "%10d %10d %9d %9d %6d %7.2fs %7.3fs %7.3fs %7.2fs %7.2fs %7.2fs %7.2fs %7.2fs %7.2fs\n",
 			rg.Nodes, rg.NNZ, rg.External, rg.Kept, rg.Order,
 			rg.BuildSeconds, rg.PartitionSeconds, rg.SchurSeconds,
-			rg.FactorSeconds, rg.KrylovSeconds, rg.ReduceSeconds)
+			rg.FactorSeconds, rg.KrylovSeconds, rg.KrylovSolveSeconds, rg.KrylovOrthoSeconds,
+			rg.KrylovCongruenceSeconds, rg.ReduceSeconds)
 	}
+	fmt.Fprintln(w, "solve/ortho/congr: Krylov worker time summed over workers")
 	fmt.Fprintf(w, "log-log fit: reduce_seconds ∝ nnz^%.2f\n", r.FitExponent)
 	fmt.Fprintf(w, "ward exactness: max relative deviation %.3g on %d nodes (bar %g)\n",
 		r.WardMaxError, r.WardErrorCheckNodes, WardTolerance)

@@ -127,11 +127,20 @@ type Stats struct {
 	FactorTime time.Duration
 	// ReduceTime is the time spent in Krylov iteration + congruence.
 	ReduceTime time.Duration
+	// SolveTime, OrthoTime and CongruenceTime split the Krylov phase into
+	// its pencil solves (with the C·V products that feed them),
+	// Gram–Schmidt, and projection into blocks. They are worker time summed
+	// over workers, not wall-clock time, so with several workers they add
+	// up to more than ReduceTime.
+	SolveTime      time.Duration
+	OrthoTime      time.Duration
+	CongruenceTime time.Duration
 	// BasisColumns is the total number of accepted basis vectors Σᵢ lᵢ.
 	BasisColumns int
 	// PeakBasisBytes estimates the peak memory held in Krylov bases:
-	// BDSM streams one panel of sparse.PanelWidth splitted systems per
-	// worker, so the peak is workers·PanelWidth·n·l·|points|·8 bytes —
+	// each worker holds one panel basis of l·|points| interleaved slots for
+	// sparse.PanelWidth splitted systems, allocated once and reused for
+	// every panel, so the peak is workers·PanelWidth·n·l·|points|·8 bytes —
 	// independent of the port count m.
 	PeakBasisBytes int64
 	// Ward reports the pre-reduction stage's shape and cost. Zero-valued
@@ -147,6 +156,9 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*lti.BlockDiagSystem, error) {
 	opts.Normalize()
 	if _, m, _ := sys.Dims(); m == 0 {
 		return nil, fmt.Errorf("core: system has no input ports")
+	}
+	if opts.Moments < 1 {
+		return nil, fmt.Errorf("core: moment count l must be ≥ 1, got %d", opts.Moments)
 	}
 	phase := func(name string, d time.Duration) {
 		if opts.OnPhase != nil {
@@ -204,7 +216,7 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*lti.BlockDiagSystem, error) {
 	// each pass over the factor but nothing else.
 	tReduce := time.Now()
 	results := make([]result, m)
-	statsPerWorker := make([]dense.OrthoStats, opts.Workers)
+	statsPerWorker := make([]workerStats, opts.Workers)
 
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -246,9 +258,12 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*lti.BlockDiagSystem, error) {
 
 	if opts.Stats != nil {
 		st := opts.Stats
-		for i := range statsPerWorker {
-			st.Ortho.DotProducts += statsPerWorker[i].DotProducts
-			st.Ortho.Deflated += statsPerWorker[i].Deflated
+		for _, ws := range statsPerWorker {
+			st.Ortho.DotProducts += ws.ortho.DotProducts
+			st.Ortho.Deflated += ws.ortho.Deflated
+			st.SolveTime += ws.solveTime
+			st.OrthoTime += ws.orthoTime
+			st.CongruenceTime += ws.congruenceTime
 		}
 		solves := 0
 		for _, op := range ops {
@@ -274,92 +289,98 @@ type result struct {
 	err   error
 }
 
-// panelWorker reduces panels of consecutive splitted systems. Its lane
-// buffers and the Krylov workers' panel scratch are allocated once and
-// reused for every panel the worker takes.
+// panelWorker reduces panels of consecutive splitted systems. It keeps the
+// panel's chains interleaved from the start vectors to the projected
+// blocks, so every length-n kernel — C·V, the pencil solve, Gram–Schmidt
+// and congruence — runs on all lanes at once. Its panel basis and the
+// Krylov workers' scratch are allocated once and reused for every panel
+// the worker takes.
 type panelWorker struct {
-	sys      *lti.SparseSystem
 	wks      []*krylov.Worker // one per expansion point
 	l        int
 	chainTol float64
-	st       *dense.OrthoStats
-	lanes    [][]float64 // candidate vector per lane
-	src      [][]float64 // last accepted vector per live chain, nil once retired
+	basis    *dense.PanelBasis
+	blocks   []lti.Block
+	st       *workerStats
+}
+
+// workerStats is one worker's share of Stats: its Gram–Schmidt counts and
+// the time it spent in each part of the Krylov phase.
+type workerStats struct {
+	ortho                                dense.OrthoStats
+	solveTime, orthoTime, congruenceTime time.Duration
 }
 
 func newPanelWorker(sys *lti.SparseSystem, ops []*krylov.Operator, l int,
-	truncTol float64, st *dense.OrthoStats) *panelWorker {
+	truncTol float64, st *workerStats) *panelWorker {
 
 	n, _, _ := sys.Dims()
-	pw := &panelWorker{sys: sys, l: l, chainTol: max(truncTol, dense.DeflationTol), st: st,
-		wks: make([]*krylov.Worker, len(ops)), src: make([][]float64, sparse.PanelWidth)}
+	pw := &panelWorker{l: l, chainTol: max(truncTol, dense.DeflationTol), st: st,
+		wks:    make([]*krylov.Worker, len(ops)),
+		basis:  dense.NewPanelBasis(n, l*len(ops), &st.ortho),
+		blocks: make([]lti.Block, sparse.PanelWidth)}
 	for k, op := range ops {
 		pw.wks[k] = op.Worker()
-	}
-	pw.lanes = make([][]float64, sparse.PanelWidth)
-	for k := range pw.lanes {
-		pw.lanes[k] = make([]float64, n)
 	}
 	return pw
 }
 
 // reduce builds the Krylov bases of the splitted systems first..first+
 // len(res)-1 across all expansion points and projects each into a diagonal
-// block. The chains advance level by level, one panel solve per level;
-// each system keeps its own basis, Gram–Schmidt and congruence. It streams:
-// the bases are dropped as soon as the blocks are formed, so peak memory is
-// one panel of PanelWidth n×l bases per worker regardless of the port
-// count.
+// block. The chains advance level by level, one panel apply per level, and
+// each level is orthonormalized lane by lane in one panel pass per basis
+// slot; each system keeps its own basis. It streams: the slots are reused
+// by the next panel once the blocks are formed, so peak memory is one
+// panel of PanelWidth n×l bases per worker regardless of the port count.
 func (pw *panelWorker) reduce(first int, res []result) error {
-	n, _, _ := pw.sys.Dims()
-	bases := make([]*dense.Basis[float64], len(res))
-	for k := range bases {
-		bases[k] = dense.NewBasis[float64](n, pw.st)
-	}
-	lanes, src := pw.lanes[:len(res)], pw.src[:len(res)]
-	// accept appends lane k's candidate to its basis with tolerance tol and
-	// keeps the chain live only if the candidate was accepted.
-	accept := func(tol float64) (live bool) {
-		for k, b := range bases {
-			if src[k] == nil {
-				continue
-			}
-			src[k] = nil
-			if b.AppendTol(lanes[k], tol) {
-				src[k] = b.Col(b.Len() - 1)
-				live = true
-			}
-		}
-		return live
+	b := pw.basis
+	b.Reset(len(res))
+	var all [sparse.PanelWidth]bool
+	for k := range res {
+		all[k] = true
 	}
 	for _, wk := range pw.wks {
 		// r = (s0C - G)⁻¹ bᵢ; a zero bᵢ yields a zero start vector which
 		// deflates immediately.
-		if err := wk.StartPanel(lanes, first); err != nil {
+		t := time.Now()
+		if err := wk.StartLanes(b.Slot(b.Slots()), first, len(res)); err != nil {
 			return err
 		}
+		t = tick(&pw.st.solveTime, t)
 		// Arnoldi-style chain: iterate A on the last accepted orthonormal
 		// vector. Algorithm 1 iterates the raw vectors A^j r; both span the
 		// same Krylov subspace in exact arithmetic, and the orthonormalized
 		// recurrence is the numerically robust realization of it. The start
 		// vector always uses the exact-deflation threshold; chain vectors
 		// honor the adaptive truncation tolerance. A deflated or truncated
-		// chain leaves the panel as a zero lane.
-		copy(src, lanes) // every chain starts live on its start vector
-		live := accept(dense.DeflationTol)
-		for j := 1; j < pw.l && live; j++ {
-			if err := wk.ApplyPanel(lanes, src); err != nil {
+		// chain stays in the panel as a zero lane.
+		live := b.AppendTol(&all, dense.DeflationTol)
+		t = tick(&pw.st.orthoTime, t)
+		for j := 1; j < pw.l && live != [sparse.PanelWidth]bool{}; j++ {
+			if err := wk.ApplyLanes(b.Slot(b.Slots()), b.Slot(b.Slots()-1), &live); err != nil {
 				return err
 			}
-			live = accept(pw.chainTol)
+			t = tick(&pw.st.solveTime, t)
+			live = b.AppendTol(&live, pw.chainTol)
+			t = tick(&pw.st.orthoTime, t)
 		}
 	}
-	for k, b := range bases {
-		if b.Len() == 0 {
+	t := time.Now()
+	pw.wks[0].CongruencePanel(b, first, pw.blocks)
+	for k := range res {
+		if b.LaneLen(k) == 0 {
 			res[k] = result{skip: true}
 			continue
 		}
-		res[k] = result{block: krylov.CongruenceBlock(pw.sys, b, first+k), cols: b.Len()}
+		res[k] = result{block: pw.blocks[k], cols: b.LaneLen(k)}
 	}
+	tick(&pw.st.congruenceTime, t)
 	return nil
+}
+
+// tick adds the time since t to d and returns the current time.
+func tick(d *time.Duration, t time.Time) time.Time {
+	now := time.Now()
+	*d += now.Sub(t)
+	return now
 }

@@ -129,8 +129,8 @@ func blockEqual(a, b lti.Block) bool {
 // phase to the single-vector one: identical blocks under ==, and identical
 // pencil-solve, dot-product and basis-column counts, across port counts on
 // both sides of the panel width, worker counts, chains that retire
-// mid-panel, zero input columns, multi-point bases, and the Cholesky and
-// iterative backends.
+// mid-panel, zero input columns (also as the only lane of the last panel),
+// multi-point bases, and the Cholesky and iterative backends.
 func TestReducePanelsMatchSingleVectorReference(t *testing.T) {
 	base := testGrid(t, 12, 12, 1, 51)
 	n, _, _ := base.Dims()
@@ -154,6 +154,11 @@ func TestReducePanelsMatchSingleVectorReference(t *testing.T) {
 		{name: "iterative", sys: testGrid(t, 7, 7, 1, 9), opts: Options{Moments: 3,
 			Backend: krylov.BackendIterative, Iter: sparse.IterOptions{Tol: 1e-13, MaxIter: 30 * n}}},
 		{name: "cholesky", sys: rcGrid(t, 11), opts: Options{Moments: 4, Backend: krylov.BackendCholesky}},
+		{name: "cholesky-multipoint-trunc", sys: rcGrid(t, 11), opts: Options{Points: []float64{1e8, 1e10},
+			Moments: 6, TruncTol: 0.2, Backend: krylov.BackendCholesky}, mixed: true},
+		// Large enough that congruence runs over several row blocks.
+		{name: "m=17-zero-column-last-panel", sys: withZeroColumn(t, testGrid(t, 16, 12, 2, 17), 16),
+			opts: Options{Moments: 5}},
 	}
 	for _, tc := range cases {
 		want, wantSt := referenceReduce(t, tc.sys, tc.opts)

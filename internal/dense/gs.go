@@ -104,3 +104,132 @@ func (b *Basis[T]) Mat() *Mat[T] {
 
 // Cols returns the underlying column slices (shared storage).
 func (b *Basis[T]) Cols() [][]T { return b.cols }
+
+// PanelBasis is the Krylov bases of up to sparse.PanelWidth splitted
+// systems, one per lane, kept in the interleaved panel layout (see
+// sparse.PanelWidth) so that Gram–Schmidt runs on all lanes in one pass per
+// basis vector. Slot s is one panel of n·PanelWidth; its lane k holds lane
+// k's next basis vector when lane k accepted its candidate there, and zero
+// otherwise. Lane k's basis is therefore its accepted slots in slot order,
+// and a zero slot changes nothing in lane k's Gram–Schmidt: its dot is
+// exactly zero and its update adds only zeros. The slots are allocated once
+// and reused by every panel (Reset).
+type PanelBasis struct {
+	n     int
+	store []float64 // capacity slots of n·PanelWidth, contiguous
+	slots int       // slots in use
+	lanes int       // real lanes; the rest are padding, never counted
+	// index[s][k] is slot s's position in lane k's basis, or -1.
+	index [][sparse.PanelWidth]int
+	cnt   [sparse.PanelWidth]int // basis vectors per lane
+	stats *OrthoStats
+}
+
+// NewPanelBasis returns a panel basis for vectors of length n with room
+// for capacity slots. If stats is non-nil, orthonormalization work is
+// accumulated into it, per real lane, as Basis counts it.
+func NewPanelBasis(n, capacity int, stats *OrthoStats) *PanelBasis {
+	return &PanelBasis{n: n, store: make([]float64, capacity*n*sparse.PanelWidth),
+		index: make([][sparse.PanelWidth]int, 0, capacity), stats: stats}
+}
+
+// Reset empties the basis for a new panel whose first lanes lanes are real.
+func (b *PanelBasis) Reset(lanes int) {
+	if lanes < 0 || lanes > sparse.PanelWidth {
+		panic("dense: PanelBasis lane count out of range")
+	}
+	b.slots, b.lanes, b.cnt, b.index = 0, lanes, [sparse.PanelWidth]int{}, b.index[:0]
+}
+
+// Lanes returns the number of real lanes.
+func (b *PanelBasis) Lanes() int { return b.lanes }
+
+// Slots returns the number of slots in use.
+func (b *PanelBasis) Slots() int { return b.slots }
+
+// Slot returns panel s (shared storage). Slot(Slots()) is where the next
+// candidates go before AppendTol.
+func (b *PanelBasis) Slot(s int) []float64 {
+	size := b.n * sparse.PanelWidth
+	return b.store[s*size : (s+1)*size : (s+1)*size]
+}
+
+// Index returns slot s's position in lane k's basis, or -1 when lane k has
+// no vector in slot s.
+func (b *PanelBasis) Index(s, k int) int { return b.index[s][k] }
+
+// LaneLen returns the number of basis vectors of lane k.
+func (b *PanelBasis) LaneLen(k int) int { return b.cnt[k] }
+
+// AppendTol orthonormalizes the candidates in Slot(Slots()) and appends
+// the slot: for every real lane with live[k], lane k of the new slot is
+// exactly the vector Basis.AppendTol(candidate, tol) appends to lane k's
+// basis, and the counts it adds to the stats are the same. It reports
+// which lanes accepted. Every other lane holds zero afterwards: a real lane
+// is cleared, and a padding lane, which holds zero when it enters, is
+// scaled by zero.
+func (b *PanelBasis) AppendTol(live *[sparse.PanelWidth]bool, tol float64) (accepted [sparse.PanelWidth]bool) {
+	const pw = sparse.PanelWidth
+	s := b.slots
+	w := b.Slot(s)
+	var norm0, norm, h, a [pw]float64
+	sparse.LaneNrm2(&norm0, w)
+	norm = norm0
+	// Two MGS passes, as Basis.AppendTol runs them; each slot's update is
+	// fused with the next slot's dot, and the last update with the norm.
+	if s > 0 {
+		sparse.LaneDots(&h, b.Slot(0), w)
+		for pass := 0; pass < 2; pass++ {
+			for j := 0; j < s; j++ {
+				for k := range a {
+					a[k] = -h[k]
+				}
+				if pass == 1 && j == s-1 {
+					sparse.LaneAxpyNrm2(&norm, w, &a, b.Slot(j))
+				} else {
+					sparse.LaneAxpyDot(&h, w, &a, b.Slot(j), b.Slot((j+1)%s))
+				}
+			}
+		}
+	}
+	var scale [pw]float64
+	var index [pw]int
+	for k := range index {
+		index[k] = -1
+	}
+	for k := 0; k < b.lanes; k++ {
+		if !live[k] {
+			continue
+		}
+		if norm0[k] == 0 {
+			b.deflated()
+			continue
+		}
+		if b.stats != nil {
+			b.stats.DotProducts += 2 * int64(b.cnt[k])
+		}
+		if norm[k] <= tol*norm0[k] {
+			b.deflated()
+			continue
+		}
+		accepted[k], index[k], scale[k] = true, b.cnt[k], 1/norm[k]
+		b.cnt[k]++
+	}
+	sparse.LaneScale(w, &scale)
+	for k := 0; k < b.lanes; k++ {
+		if !accepted[k] {
+			for i := k; i < len(w); i += pw {
+				w[i] = 0
+			}
+		}
+	}
+	b.index = append(b.index, index)
+	b.slots++
+	return accepted
+}
+
+func (b *PanelBasis) deflated() {
+	if b.stats != nil {
+		b.stats.Deflated++
+	}
+}

@@ -83,3 +83,97 @@ func CongruenceBlock(sys *lti.SparseSystem, v *dense.Basis[float64], input int) 
 	}
 	return lti.Block{C: cr, G: gr, B: br, L: lr, Input: input}
 }
+
+// congruenceRows is the row block of CongruencePanel: the block's rows of
+// every slot, and of C·vⱼ and G·vⱼ, stay in cache while all slot pairs
+// read them.
+const congruenceRows = 256
+
+// CongruencePanel projects every real lane k of the panel basis v — the
+// thin basis V⁽ⁱ⁾ of splitted system i = first+k — into its BDSM diagonal
+// block out[k], equal under == to CongruenceBlock on lane k's basis. It
+// runs in blocks of rows: per block, C·vⱼ and G·vⱼ are formed for the
+// block's rows of every slot j, and each slot pair's lane dot products
+// continue over them, so the sums keep CongruenceBlock's row order. A
+// lane with an empty basis gets a zero Block.
+func (wk *Worker) CongruencePanel(v *dense.PanelBasis, first int, out []lti.Block) {
+	const pw = sparse.PanelWidth
+	sys := wk.op.sys
+	n, _, p := sys.Dims()
+	lanes, slots := v.Lanes(), v.Slots()
+	for k := 0; k < lanes; k++ {
+		l := v.LaneLen(k)
+		if l == 0 {
+			out[k] = lti.Block{}
+			continue
+		}
+		out[k] = lti.Block{C: dense.NewMat[float64](l, l), G: dense.NewMat[float64](l, l),
+			B: make([]float64, l), L: dense.NewMat[float64](p, l), Input: first + k}
+	}
+	// pairs lists the slot pairs (i, j) some real lane has vectors in
+	// both of; dc and dg hold their running lane dot products.
+	type pair struct{ i, j int }
+	var pairs []pair
+	for j := 0; j < slots; j++ {
+		for i := 0; i < slots; i++ {
+			for k := 0; k < lanes; k++ {
+				if v.Index(i, k) >= 0 && v.Index(j, k) >= 0 {
+					pairs = append(pairs, pair{i, j})
+					break
+				}
+			}
+		}
+	}
+	dc := make([][pw]float64, len(pairs))
+	dg := make([][pw]float64, len(pairs))
+	cv, gv := wk.panels()
+	for lo := 0; lo < n; lo += congruenceRows {
+		hi := min(lo+congruenceRows, n)
+		cvb, gvb := cv[:(hi-lo)*pw], gv[:(hi-lo)*pw]
+		for q := 0; q < len(pairs); {
+			j := pairs[q].j
+			sys.C.MulPanelRows(cvb, v.Slot(j), lo, hi)
+			sys.G.MulPanelRows(gvb, v.Slot(j), lo, hi)
+			for ; q < len(pairs) && pairs[q].j == j; q++ {
+				vi := v.Slot(pairs[q].i)[lo*pw : hi*pw]
+				sparse.LaneDots(&dc[q], vi, cvb)
+				sparse.LaneDots(&dg[q], vi, gvb)
+			}
+		}
+	}
+	for q, pr := range pairs {
+		for k := 0; k < lanes; k++ {
+			i, j := v.Index(pr.i, k), v.Index(pr.j, k)
+			if i >= 0 && j >= 0 {
+				out[k].C.Set(i, j, dc[q][k])
+				out[k].G.Set(i, j, dg[q][k])
+			}
+		}
+	}
+	if wk.lpanel == nil {
+		wk.lpanel = make([]float64, p*pw)
+	}
+	lv := wk.lpanel
+	for s := 0; s < slots; s++ {
+		vs := v.Slot(s)
+		sys.L.MulPanel(lv, vs)
+		for k := 0; k < lanes; k++ {
+			j := v.Index(s, k)
+			if j < 0 {
+				continue
+			}
+			for r := 0; r < p; r++ {
+				out[k].L.Set(r, j, lv[r*pw+k])
+			}
+			// Bir = V⁽ⁱ⁾ᵀbᵢ over bᵢ's nonzeros, in row order. Besides
+			// these, the dense product CongruenceBlock forms adds only the
+			// zeros v·0 of a finite v, and a sum that starts at +0 never
+			// becomes -0, so skipping them changes no bit.
+			var sum float64
+			for q := sys.B.ColPtr[first+k]; q < sys.B.ColPtr[first+k+1]; q++ {
+				sum += vs[sys.B.RowIdx[q]*pw+k] * sys.B.Val[q]
+			}
+			out[k].B[j] = sum
+		}
+	}
+}

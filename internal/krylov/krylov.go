@@ -177,7 +177,19 @@ func (op *Operator) Worker() *Worker {
 type Worker struct {
 	op     *Operator
 	buf, w []float64
-	panel  []float64 // interleaved panel and its scratch, 2·n·PanelWidth
+	// panel is two interleaved panels of n·PanelWidth, allocated on first
+	// use: the panel solve's scratch, and congruence's C·V and G·V.
+	panel  []float64
+	lpanel []float64 // congruence's L·V, p·PanelWidth
+}
+
+// panels returns the worker's two panel scratch buffers.
+func (wk *Worker) panels() (a, b []float64) {
+	size := wk.op.N() * sparse.PanelWidth
+	if wk.panel == nil {
+		wk.panel = make([]float64, 2*size)
+	}
+	return wk.panel[:size:size], wk.panel[size:]
 }
 
 // SolvePencil computes dst = (s0·C - G)⁻¹ b. dst and b may alias.
@@ -209,70 +221,73 @@ func (wk *Worker) StartColumn(j int) ([]float64, error) {
 	return r, nil
 }
 
-// StartPanel sets dst[k] = (s0·C - G)⁻¹ b_{first+k} for the len(dst) ≤
-// sparse.PanelWidth consecutive input columns starting at first: the start
-// vectors of that many splitted systems, solved in one pass over the
-// factor. A zero bⱼ yields a zero vector.
-func (wk *Worker) StartPanel(dst [][]float64, first int) error {
+// StartLanes sets lane k of the panel x (n·PanelWidth, interleaved as
+// sparse.PanelWidth describes) to the start vector (s0·C - G)⁻¹ b_{first+k}
+// for every k < lanes, in one pass over the factor, and the remaining lanes
+// to zero. Each lane equals StartColumn(first+k) under ==; a zero bⱼ yields
+// a zero lane.
+func (wk *Worker) StartLanes(x []float64, first, lanes int) error {
+	const pw = sparse.PanelWidth
 	b := wk.op.sys.B
-	for k, d := range dst {
-		clear(d)
+	clear(x)
+	var live [pw]bool
+	for k := 0; k < lanes; k++ {
 		j := first + k
 		for p := b.ColPtr[j]; p < b.ColPtr[j+1]; p++ {
-			d[b.RowIdx[p]] = b.Val[p]
+			x[b.RowIdx[p]*pw+k] = b.Val[p]
 		}
+		live[k] = true
 	}
-	if err := wk.solvePanel(dst); err != nil {
-		return fmt.Errorf("krylov: start columns %d..%d: %w", first, first+len(dst)-1, err)
+	if err := wk.solveLanes(x, &live); err != nil {
+		return fmt.Errorf("krylov: start columns %d..%d: %w", first, first+lanes-1, err)
 	}
 	return nil
 }
 
-// ApplyPanel sets dst[k] = (s0·C - G)⁻¹ C src[k] for every lane k whose
-// src[k] is non-nil, in one pass over the factor; lanes with a nil source
-// are left untouched and cost no solve. dst and src must not alias.
-func (wk *Worker) ApplyPanel(dst, src [][]float64) error {
-	var live [sparse.PanelWidth][]float64
-	for k, x := range src {
-		if x != nil {
-			wk.op.sys.C.MatVec(dst[k], x)
-			live[k] = dst[k]
-		}
-	}
-	return wk.solvePanel(live[:len(src)])
+// ApplyLanes sets lane k of the panel dst to (s0·C - G)⁻¹ C (lane k of
+// src) for every lane with live[k], in one pass over C and one over the
+// factor, counting one solve per live lane. Each such lane equals Apply on
+// that lane under ==. Lanes that are not live must be zero in src; they
+// come back zero in dst. dst and src must not alias.
+func (wk *Worker) ApplyLanes(dst, src []float64, live *[sparse.PanelWidth]bool) error {
+	wk.op.sys.C.MulPanel(dst, src)
+	return wk.solveLanes(dst, live)
 }
 
-// solvePanel overwrites each non-nil lane with its pencil solve, counting
-// one solve per lane. The direct backends share one panel pass over the
-// factor; the iterative backend solves lane by lane.
-func (wk *Worker) solvePanel(lanes [][]float64) error {
-	if wk.op.lu == nil && wk.op.chol == nil {
-		for _, x := range lanes {
-			if x != nil {
-				if err := wk.SolvePencil(x, x); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, x := range lanes {
-		if x != nil {
+// solveLanes overwrites each live lane of the panel x with its pencil
+// solve, counting one solve per live lane. The direct backends solve all
+// lanes in one pass over the factor; the iterative backend unpacks, solves
+// and packs back lane by lane.
+func (wk *Worker) solveLanes(x []float64, live *[sparse.PanelWidth]bool) error {
+	const pw = sparse.PanelWidth
+	for _, ok := range live {
+		if ok {
 			wk.op.solves.Add(1)
 		}
 	}
-	size := wk.op.N() * sparse.PanelWidth
-	if wk.panel == nil {
-		wk.panel = make([]float64, 2*size)
-	}
-	x, scratch := wk.panel[:size], wk.panel[size:]
-	sparse.PackPanel(x, lanes)
-	if wk.op.lu != nil {
+	switch {
+	case wk.op.lu != nil:
+		scratch, _ := wk.panels()
 		wk.op.lu.SolvePanel(x, scratch)
-	} else {
+	case wk.op.chol != nil:
+		scratch, _ := wk.panels()
 		wk.op.chol.SolvePanel(x, scratch)
+	default:
+		for k, ok := range live {
+			if !ok {
+				continue
+			}
+			for i := range wk.buf {
+				wk.buf[i] = x[i*pw+k]
+			}
+			if err := wk.op.solver.Solve(wk.w, wk.buf); err != nil {
+				return err
+			}
+			for i, v := range wk.w {
+				x[i*pw+k] = v
+			}
+		}
 	}
-	sparse.UnpackPanel(lanes, x)
 	return nil
 }
 
@@ -282,14 +297,17 @@ func (wk *Worker) solvePanel(lanes [][]float64) error {
 func (op *Operator) StartBlock() ([][]float64, error) {
 	n, m, _ := op.sys.Dims()
 	wk := op.Worker()
+	x := make([]float64, n*sparse.PanelWidth)
 	r := make([][]float64, m)
 	for j := range r {
 		r[j] = make([]float64, n)
 	}
 	for j := 0; j < m; j += sparse.PanelWidth {
-		if err := wk.StartPanel(r[j:min(j+sparse.PanelWidth, m)], j); err != nil {
+		cols := r[j:min(j+sparse.PanelWidth, m)]
+		if err := wk.StartLanes(x, j, len(cols)); err != nil {
 			return nil, fmt.Errorf("krylov: start block: %w", err)
 		}
+		sparse.UnpackPanel(cols, x)
 	}
 	return r, nil
 }
@@ -317,30 +335,61 @@ func BlockArnoldi(op *Operator, r [][]float64, l int, stats *dense.OrthoStats) (
 		return nil, fmt.Errorf("krylov: moment count l must be ≥ 1, got %d", l)
 	}
 	basis := dense.NewBasis[float64](op.N(), stats)
-	// Current block: indices into basis columns accepted in the last round.
+	if err := ExtendArnoldi(op, basis, r, l); err != nil {
+		return nil, err
+	}
+	if basis.Len() == 0 {
+		return nil, ErrEmptyBasis
+	}
+	return basis, nil
+}
+
+// ExtendArnoldi appends the block Krylov chain K_l(A, R) to basis: R first,
+// then l-1 rounds, each applying A to the columns the previous round
+// accepted and appending the results in order. A round's sources are fixed
+// before any of its appends, so the round advances them
+// sparse.PanelWidth at a time through one panel apply each.
+func ExtendArnoldi(op *Operator, basis *dense.Basis[float64], r [][]float64, l int) error {
+	const pw = sparse.PanelWidth
 	var cur []int
 	for _, col := range r {
 		if basis.Append(col) {
 			cur = append(cur, basis.Len()-1)
 		}
 	}
-	if basis.Len() == 0 {
-		return nil, ErrEmptyBasis
+	if l < 2 || len(cur) == 0 {
+		return nil
 	}
-	w := make([]float64, op.N())
+	n := op.N()
+	wk := op.Worker()
+	src, dst := make([]float64, n*pw), make([]float64, n*pw)
+	out := make([][]float64, pw)
+	for k := range out {
+		out[k] = make([]float64, n)
+	}
+	var in [pw][]float64
 	for j := 1; j < l && len(cur) > 0; j++ {
 		var next []int
-		for _, idx := range cur {
-			if err := op.Apply(w, basis.Col(idx)); err != nil {
-				return nil, fmt.Errorf("krylov: Arnoldi step %d: %w", j, err)
+		for c := 0; c < len(cur); c += pw {
+			group := cur[c:min(c+pw, len(cur))]
+			var live [pw]bool
+			for k, idx := range group {
+				in[k], live[k] = basis.Col(idx), true
 			}
-			if basis.Append(w) {
-				next = append(next, basis.Len()-1)
+			sparse.PackPanel(src, in[:len(group)])
+			if err := wk.ApplyLanes(dst, src, &live); err != nil {
+				return fmt.Errorf("krylov: Arnoldi step %d: %w", j, err)
+			}
+			sparse.UnpackPanel(out[:len(group)], dst)
+			for k := range group {
+				if basis.Append(out[k]) {
+					next = append(next, basis.Len()-1)
+				}
 			}
 		}
 		cur = next
 	}
-	return basis, nil
+	return nil
 }
 
 // Arnoldi is single-vector BlockArnoldi: K_l(A, r).
