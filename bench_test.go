@@ -426,6 +426,50 @@ func BenchmarkSolvePanel(b *testing.B) {
 	})
 }
 
+// BenchmarkPencilFactor compares sparse LU with the factor the automatic
+// backend picks — the signed Cholesky factor of the quasi-definite pencil —
+// on full-scale ckt1's pencil after Ward pre-reduction: "factor" times the
+// factorization from the assembled CSR pencil, "panel" one 8-lane
+// SolvePanel over it. fill-nnz is the factor's stored entries.
+func BenchmarkPencilFactor(b *testing.B) {
+	wres, err := ReduceWard(buildBench(b, "ckt1", 1), WardOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pencil := wres.Sys.C.Add(core.DefaultS0, wres.Sys.G, -1)
+	for _, c := range []struct {
+		name   string
+		factor func() (sparse.Direct, error)
+	}{
+		{"lu", func() (sparse.Direct, error) { return sparse.FactorLU(pencil.ToCSC(), sparse.LUOptions{}) }},
+		{"auto", func() (sparse.Direct, error) { return sparse.Factor(pencil, sparse.LUOptions{}) }},
+	} {
+		f, err := c.factor()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name+"/factor", func(b *testing.B) {
+			for b.Loop() {
+				if _, err := c.factor(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(f.NNZ()), "fill-nnz")
+		})
+		b.Run(c.name+"/panel", func(b *testing.B) {
+			x := make([]float64, f.N()*sparse.PanelWidth)
+			w := make([]float64, len(x))
+			for b.Loop() {
+				for i := range x {
+					x[i] = float64(i%7) - 3
+				}
+				f.SolvePanel(x, w)
+			}
+			b.ReportMetric(float64(f.NNZ()), "fill-nnz")
+		})
+	}
+}
+
 // BenchmarkKrylovPhase times BDSM's Krylov phase (steps 3–5 of Algorithm 1)
 // on the grids of the two reduce workloads, full-scale ckt1 (l = 6) and
 // the 50k-node multiscale grid (l = 4), each after Ward pre-reduction and

@@ -2,9 +2,10 @@
 // last column: BDSM reduces one splitted system at a time, so its working
 // memory does not grow with the port count, while PRIMA's dense basis does —
 // until it no longer fits (the Table II "break down" rows). It also shows
-// the solver backends: sparse LU, Cholesky on an RC-only grid (SPD pencil),
-// and the factorization-free iterative mode the paper uses for its largest
-// circuits.
+// the solver backends: sparse LU, the symmetric (signed Cholesky) factor
+// that auto picks for RC and RLC grids alike — on this RC-only grid the
+// pencil is SPD and it is plain Cholesky — and the factorization-free
+// iterative mode the paper uses for its largest circuits.
 package main
 
 import (

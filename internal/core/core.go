@@ -120,7 +120,7 @@ type Stats struct {
 	Ortho dense.OrthoStats
 	// PencilSolves counts sparse pencil solves.
 	PencilSolves int
-	// FactorNNZ is the total fill of the pencil factors (LU or Cholesky)
+	// FactorNNZ is the total fill of the pencil factors (LU or signed Cholesky)
 	// over all expansion points (0 for the iterative backend).
 	FactorNNZ int
 	// FactorTime is the time spent factoring pencils.

@@ -59,8 +59,8 @@ type Config struct {
 	Seed int64
 	// RCOnly omits the package inductance: pads become a purely resistive
 	// path to ground and no branch-current states are created. The MNA
-	// pencil (s0·C - G) is then symmetric positive definite, enabling the
-	// Cholesky and CG solver backends.
+	// pencil (s0·C - G) is then symmetric positive definite, enabling CG;
+	// the symmetric (signed Cholesky) factor serves RC and RLC pencils alike.
 	RCOnly bool
 }
 

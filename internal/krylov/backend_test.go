@@ -1,12 +1,14 @@
 package krylov
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/grid"
 	"repro/internal/lti"
+	"repro/internal/sparse"
 )
 
 // rcSystem builds an RC-only grid whose pencil is SPD.
@@ -71,29 +73,84 @@ func TestCholeskyBackendMatchesLUOnRCGrid(t *testing.T) {
 	}
 }
 
-func TestCholeskyBackendRejectsRLCGrid(t *testing.T) {
-	sys := testSystem(t) // RLC grid: skew inductor coupling → not SPD
-	if _, err := NewOperator(sys, 1e9, OperatorOptions{Backend: BackendCholesky}); err == nil {
-		t.Fatal("Cholesky backend accepted an unsymmetric pencil")
+// unsignableSystem returns the RC grid with one off-diagonal conductance of
+// row 0 scaled by 1.5, as a controlled source would stamp it: the pair
+// gᵢⱼ, gⱼᵢ is then neither symmetric nor antisymmetric, so no row signing
+// makes the pencil symmetric.
+func unsignableSystem(t *testing.T) *lti.SparseSystem {
+	t.Helper()
+	sys := rcSystem(t)
+	g := sys.G.Clone()
+	for k := g.RowPtr[0]; k < g.RowPtr[1]; k++ {
+		if g.ColIdx[k] != 0 {
+			g.Val[k] *= 1.5
+			break
+		}
+	}
+	return &lti.SparseSystem{C: sys.C, G: g, B: sys.B, L: sys.L}
+}
+
+// TestCholeskyBackendOnRLCGrid: the explicit Cholesky backend factors the
+// RLC pencil through its row signing, with less than LU's fill, and solves
+// as LU does.
+func TestCholeskyBackendOnRLCGrid(t *testing.T) {
+	sys := testSystem(t)
+	n, _, _ := sys.Dims()
+	lu, err := NewOperator(sys, 1e9, OperatorOptions{Backend: BackendLU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := NewOperator(sys, 1e9, OperatorOptions{Backend: BackendCholesky})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.FactorNNZ >= lu.FactorNNZ {
+		t.Errorf("symmetric factor fill %d not below LU fill %d", ch.FactorNNZ, lu.FactorNNZ)
+	}
+	rng := rand.New(rand.NewSource(5))
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	x1 := make([]float64, n)
+	x2 := make([]float64, n)
+	if err := lu.SolvePencil(x1, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.SolvePencil(x2, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range x1 {
+		if math.Abs(x1[i]-x2[i]) > 1e-9*(1+math.Abs(x1[i])) {
+			t.Fatalf("backends disagree at %d: %g vs %g", i, x1[i], x2[i])
+		}
+	}
+}
+
+func TestCholeskyBackendRejectsUnsignablePencil(t *testing.T) {
+	_, err := NewOperator(unsignableSystem(t), 1e9, OperatorOptions{Backend: BackendCholesky})
+	if !errors.Is(err, sparse.ErrNotSPD) {
+		t.Fatalf("err = %v, want ErrNotSPD for a pencil no row signing makes symmetric", err)
 	}
 }
 
 func TestAutoBackendSelection(t *testing.T) {
-	rc := rcSystem(t)
-	op, err := NewOperator(rc, 1e9, OperatorOptions{Backend: BackendAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op.UsedBackend != BackendCholesky {
-		t.Errorf("auto picked %v on RC grid, want cholesky", op.UsedBackend)
-	}
-	rlc := testSystem(t)
-	op, err = NewOperator(rlc, 1e9, OperatorOptions{Backend: BackendAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op.UsedBackend != BackendLU {
-		t.Errorf("auto picked %v on RLC grid, want lu", op.UsedBackend)
+	for _, c := range []struct {
+		name string
+		sys  *lti.SparseSystem
+		want Backend
+	}{
+		{"RC grid", rcSystem(t), BackendCholesky},
+		{"RLC grid", testSystem(t), BackendCholesky},
+		{"unsignable pencil", unsignableSystem(t), BackendLU},
+	} {
+		op, err := NewOperator(c.sys, 1e9, OperatorOptions{Backend: BackendAuto})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if op.UsedBackend != c.want {
+			t.Errorf("auto picked %v on %s, want %v", op.UsedBackend, c.name, c.want)
+		}
 	}
 }
 

@@ -1,12 +1,16 @@
 // Package krylov implements the Krylov-subspace projection machinery shared
 // by all reduction schemes in this library: a pencil operator abstraction
-// A = (s0·C - G)⁻¹C backed by either a direct sparse LU factorization or an
+// A = (s0·C - G)⁻¹C backed by either a direct sparse factorization or an
 // iterative solver, and a block Arnoldi process with deflation.
 //
-// The two backends mirror the paper's experimental setup: the LU-backed
-// operator is the fast path, while the iterative backend reproduces the
+// The two kinds of backend mirror the paper's experimental setup: a direct
+// factor is the fast path, while the iterative backend reproduces the
 // "factorization is skipped … to save memory" regime used for the largest
-// benchmarks (ckt3–ckt5).
+// benchmarks (ckt3–ckt5). For MNA grids, RC and RLC alike, the direct
+// factor of choice is one symmetric factor: the signed Cholesky
+// factorization of the pencil with its inductor-current rows negated, a
+// symmetric quasi-definite matrix (sparse.Cholesky). Sparse LU remains for
+// pencils that no row signing makes symmetric.
 package krylov
 
 import (
@@ -28,13 +32,14 @@ const (
 	// BackendIterative solves with Jacobi-preconditioned BiCGStab,
 	// trading time for memory on very large grids.
 	BackendIterative
-	// BackendCholesky factors the pencil with sparse Cholesky — roughly
-	// half the work and fill of LU. Valid only for symmetric positive
-	// definite pencils (RC-only grids, no inductors); construction fails
-	// otherwise.
+	// BackendCholesky factors the pencil with signed sparse Cholesky —
+	// roughly half the work and fill of LU. Valid for pencils that a row
+	// signing makes symmetric quasi-definite: every RC grid (SPD pencil)
+	// and every RLC grid (inductor-current rows negated); construction
+	// fails otherwise.
 	BackendCholesky
-	// BackendAuto picks Cholesky when the pencil is symmetric positive
-	// definite and LU otherwise.
+	// BackendAuto picks the signed Cholesky factor when it applies and LU
+	// otherwise (see sparse.Factor).
 	BackendAuto
 )
 
@@ -69,8 +74,7 @@ type Operator struct {
 	sys    *lti.SparseSystem
 	s0     float64
 	solver sparse.Solver[float64]
-	lu     *sparse.LU[float64] // non-nil for the LU backend
-	chol   *sparse.Cholesky    // non-nil for the Cholesky backend
+	direct sparse.Direct // non-nil for the direct backends
 	buf    []float64
 	solves atomic.Int64
 	// FactorNNZ is the direct-factor fill (0 for the iterative backend).
@@ -89,52 +93,41 @@ func NewOperator(sys *lti.SparseSystem, s0 float64, opts OperatorOptions) (*Oper
 	n, _, _ := sys.Dims()
 	op := &Operator{sys: sys, s0: s0, buf: make([]float64, n), UsedBackend: opts.Backend}
 	pencil := sys.C.Add(s0, sys.G, -1)
-	backend := opts.Backend
-	auto := backend == BackendAuto
-	if auto {
-		// Symmetric pencils get Cholesky first; an indefinite one (possible
-		// even for symmetric RLC formulations) falls back to LU below
-		// instead of failing construction.
-		if sparse.IsSymmetric(pencil, 1e-12) {
-			backend = BackendCholesky
-		} else {
-			backend = BackendLU
-		}
-		op.UsedBackend = backend
-	}
-	if backend == BackendCholesky {
-		ch, err := sparse.FactorCholesky(pencil.ToCSC(), opts.LU)
-		switch {
-		case err == nil:
-			op.solver = ch
-			op.chol = ch
-			op.FactorNNZ = ch.NNZ()
-			return op, nil
-		case auto && errors.Is(err, sparse.ErrNotSPD):
-			backend = BackendLU
-			op.UsedBackend = BackendLU
-		default:
-			return nil, fmt.Errorf("krylov: Cholesky-factoring pencil at s0=%g: %w", s0, err)
-		}
-	}
-	switch backend {
+	switch opts.Backend {
 	case BackendLU:
 		lu, err := sparse.FactorLU(pencil.ToCSC(), opts.LU)
 		if err != nil {
 			return nil, fmt.Errorf("krylov: factoring pencil at s0=%g: %w", s0, err)
 		}
-		op.solver = lu
-		op.lu = lu
-		op.FactorNNZ = lu.NNZ()
+		op.direct = lu
+	case BackendCholesky:
+		ch, err := sparse.FactorSymmetric(pencil, opts.LU)
+		if err != nil {
+			return nil, fmt.Errorf("krylov: Cholesky-factoring pencil at s0=%g: %w", s0, err)
+		}
+		op.direct = ch
+	case BackendAuto:
+		f, err := sparse.Factor(pencil, opts.LU)
+		if err != nil {
+			return nil, fmt.Errorf("krylov: factoring pencil at s0=%g: %w", s0, err)
+		}
+		op.direct = f
+		op.UsedBackend = BackendLU
+		if _, ok := f.(*sparse.Cholesky); ok {
+			op.UsedBackend = BackendCholesky
+		}
 	case BackendIterative:
 		it, err := sparse.NewBiCGStab(pencil, opts.Iter)
 		if err != nil {
 			return nil, fmt.Errorf("krylov: building iterative solver: %w", err)
 		}
 		op.solver = it
+		return op, nil
 	default:
 		return nil, fmt.Errorf("krylov: unknown backend %v", opts.Backend)
 	}
+	op.solver = op.direct
+	op.FactorNNZ = op.direct.NNZ()
 	return op, nil
 }
 
@@ -195,12 +188,8 @@ func (wk *Worker) panels() (a, b []float64) {
 // SolvePencil computes dst = (s0·C - G)⁻¹ b. dst and b may alias.
 func (wk *Worker) SolvePencil(dst, b []float64) error {
 	wk.op.solves.Add(1)
-	if wk.op.lu != nil {
-		wk.op.lu.SolveBuf(dst, b, wk.w)
-		return nil
-	}
-	if wk.op.chol != nil {
-		wk.op.chol.SolveBuf(dst, b, wk.w)
+	if d := wk.op.direct; d != nil {
+		d.SolveBuf(dst, b, wk.w)
 		return nil
 	}
 	return wk.op.solver.Solve(dst, b)
@@ -265,27 +254,23 @@ func (wk *Worker) solveLanes(x []float64, live *[sparse.PanelWidth]bool) error {
 			wk.op.solves.Add(1)
 		}
 	}
-	switch {
-	case wk.op.lu != nil:
+	if d := wk.op.direct; d != nil {
 		scratch, _ := wk.panels()
-		wk.op.lu.SolvePanel(x, scratch)
-	case wk.op.chol != nil:
-		scratch, _ := wk.panels()
-		wk.op.chol.SolvePanel(x, scratch)
-	default:
-		for k, ok := range live {
-			if !ok {
-				continue
-			}
-			for i := range wk.buf {
-				wk.buf[i] = x[i*pw+k]
-			}
-			if err := wk.op.solver.Solve(wk.w, wk.buf); err != nil {
-				return err
-			}
-			for i, v := range wk.w {
-				x[i*pw+k] = v
-			}
+		d.SolvePanel(x, scratch)
+		return nil
+	}
+	for k, ok := range live {
+		if !ok {
+			continue
+		}
+		for i := range wk.buf {
+			wk.buf[i] = x[i*pw+k]
+		}
+		if err := wk.op.solver.Solve(wk.w, wk.buf); err != nil {
+			return err
+		}
+		for i, v := range wk.w {
+			x[i*pw+k] = v
 		}
 	}
 	return nil

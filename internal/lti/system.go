@@ -185,11 +185,11 @@ func (s *SparseSystem) EvalColumn(z complex128, j int) ([]complex128, error) {
 //
 //	M_k = L · ((s0·C - G)⁻¹ C)^k · (s0·C - G)⁻¹ B,  k = 0..count-1,
 //
-// computed exactly with one sparse LU factorization. These are the
-// quantities BDSM and PRIMA match (eq. 5/12 of the paper).
+// computed exactly with one sparse factorization (sparse.Factor). These are
+// the quantities BDSM and PRIMA match (eq. 5/12 of the paper).
 func (s *SparseSystem) Moments(s0 float64, count int) ([]*dense.Mat[float64], error) {
 	n, m, p := s.Dims()
-	lu, err := sparse.FactorLU(s.Pencil(s0), sparse.LUOptions{})
+	f, err := sparse.Factor(s.C.Add(s0, s.G, -1), sparse.LUOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("lti: pencil singular at s0=%g: %w", s0, err)
 	}
@@ -198,7 +198,7 @@ func (s *SparseSystem) Moments(s0 float64, count int) ([]*dense.Mat[float64], er
 	for j := 0; j < m; j++ {
 		r[j] = s.BColumn(j)
 	}
-	if err := lu.SolveMany(r); err != nil {
+	if err := f.SolveMany(r); err != nil {
 		return nil, err
 	}
 	moments := make([]*dense.Mat[float64], 0, count)
@@ -216,7 +216,7 @@ func (s *SparseSystem) Moments(s0 float64, count int) ([]*dense.Mat[float64], er
 			s.C.MatVec(tmp, r[j])
 			r[j], tmp = tmp, r[j]
 		}
-		if err := lu.SolveMany(r); err != nil {
+		if err := f.SolveMany(r); err != nil {
 			return nil, err
 		}
 	}

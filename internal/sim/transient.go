@@ -79,15 +79,15 @@ func (o *TransientOptions) Steps() int {
 func (o *TransientOptions) beta() float64 { return methodBeta(o.Method) }
 
 // SimulateSparse integrates the full sparse descriptor model with one sparse
-// LU factorization of (C - β·h·G) and one solve per step.
+// factorization of (C - β·h·G) (sparse.Factor: the same quasi-definite
+// structure as the Krylov pencil) and one solve per step.
 func SimulateSparse(sys *lti.SparseSystem, opts TransientOptions) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	n, m, _ := sys.Dims()
 	h, beta := opts.Dt, opts.beta()
-	lhs := sys.C.Add(1, sys.G, -beta*h).ToCSC()
-	lu, err := sparse.FactorLU(lhs, sparse.LUOptions{})
+	f, err := sparse.Factor(sys.C.Add(1, sys.G, -beta*h), sparse.LUOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("sim: transient pencil singular (C - βhG): %w", err)
 	}
@@ -126,7 +126,7 @@ func SimulateSparse(sys *lti.SparseSystem, opts TransientOptions) (*Result, erro
 			}
 		}
 		sparse.Axpy(rhs, 1, bu)
-		lu.SolveBuf(x, rhs, w)
+		f.SolveBuf(x, rhs, w)
 		record(t)
 		copy(uNow, uNext)
 	}

@@ -6,45 +6,183 @@ import (
 	"math"
 )
 
-// ErrNotSPD is returned when Cholesky factorization encounters a
-// non-positive pivot, i.e. the matrix is not symmetric positive definite.
+// ErrNotSPD is returned when the Cholesky factorization cannot certify its
+// input: the matrix is not symmetric up to a row signing, or a pivot's sign
+// disagrees with the sign of its row (for an unsigned matrix: a non-positive
+// pivot, so the matrix is not symmetric positive definite).
 var ErrNotSPD = errors.New("sparse: matrix is not symmetric positive definite")
 
-// Cholesky holds a sparse factorization P·A·Pᵀ = L·Lᵀ of a symmetric
-// positive definite matrix, such as the pencil (s0·C - G) of an RC-only
-// power grid at a real expansion point. Roughly half the work and fill of
-// LU on the same matrix. Implements the Solver interface.
+// symTol is the relative tolerance on aᵢⱼ ≈ ±aⱼᵢ that admits a matrix to the
+// symmetric factor; it absorbs the roundoff of a Schur complement.
+const symTol = 1e-12
+
+// Cholesky holds a signed sparse Cholesky factorization
+//
+//	P·S·A·Pᵀ = L·Σ·Lᵀ,  S = diag(±1),  Σ = diag(sign dₖ),  Lₖₖ = √|dₖ|,
+//
+// of a matrix A that some row signing S makes symmetric quasi-definite. The
+// pencil s0·C - G of an RC-only power grid is SPD, so S = Σ = I and this is
+// plain Cholesky. An RLC pencil is symmetric except for antisymmetric
+// inductor couplings; negating the inductor-current rows leaves an SPD node
+// block, a negative definite inductor block and symmetric couplings, which
+// has such a factorization under every symmetric permutation without
+// pivoting (Vanderbei, SIAM J. Optim. 1995). Roughly half the work and fill
+// of LU on the same matrix. Implements the Solver interface.
 type Cholesky struct {
-	n int
-	l *CSC[float64] // lower triangular, diagonal first per column
-	q Perm          // fill-reducing ordering (new→old)
+	n   int
+	l   *CSC[float64] // lower triangular, diagonal first per column
+	q   Perm          // fill-reducing ordering (new→old)
+	sig []float64     // sig[k] = s[q[k]] = Σₖ, ±1 in factor order
+}
+
+// Direct is a real sparse direct factorization: the factor Factor picks,
+// serving single, buffered and panel solves.
+type Direct interface {
+	Solver[float64]
+	// SolveBuf is Solve with caller-provided scratch of length N.
+	SolveBuf(dst, b, w []float64)
+	// SolvePanel solves the PanelWidth right-hand sides interleaved in x
+	// in place; w is scratch of the same length.
+	SolvePanel(x, w []float64)
+	// SolveMany solves each column of x in place.
+	SolveMany(x [][]float64) error
+	// NNZ returns the stored entry count of the factor.
+	NNZ() int
+}
+
+// Factor factors the real square matrix a for repeated solves: the signed
+// Cholesky factorization when a is symmetric quasi-definite up to a row
+// signing (every RC and RLC MNA pencil), and sparse LU when no signing
+// exists or the factorization cannot certify its pivot signs.
+func Factor(a *CSR[float64], opts LUOptions) (Direct, error) {
+	sa, s := signedCSC(a)
+	if s != nil {
+		ch, err := factorCholesky(sa, s, opts)
+		switch {
+		case err == nil:
+			return ch, nil
+		case !errors.Is(err, ErrNotSPD):
+			return nil, err
+		}
+		negateRows(sa, s) // back to A for LU
+	}
+	lu, err := FactorLU(sa, opts)
+	if err != nil {
+		return nil, err
+	}
+	return lu, nil
+}
+
+// FactorSymmetric computes the signed Cholesky factorization of a (see
+// Cholesky). Returns ErrNotSPD when no row signing makes a symmetric or
+// when a pivot's sign disagrees with its row's sign.
+func FactorSymmetric(a *CSR[float64], opts LUOptions) (*Cholesky, error) {
+	sa, s := signedCSC(a)
+	if s == nil {
+		return nil, fmt.Errorf("%w: not symmetric up to a row signing", ErrNotSPD)
+	}
+	return factorCholesky(sa, s, opts)
 }
 
 // IsSymmetric reports whether A equals Aᵀ within the given relative
 // tolerance on each entry.
 func IsSymmetric(a *CSR[float64], tol float64) bool {
-	n, m := a.Dims()
-	if n != m {
+	t, ok := mirror(a)
+	if !ok {
 		return false
 	}
-	t := a.Transpose()
-	if len(t.ColIdx) != len(a.ColIdx) {
-		return false
-	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != t.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range a.ColIdx {
-		if a.ColIdx[k] != t.ColIdx[k] {
-			return false
-		}
-		if math.Abs(a.Val[k]-t.Val[k]) > tol*(math.Abs(a.Val[k])+math.Abs(t.Val[k]))/2+1e-300 {
+	for k := range a.Val {
+		if !near(a.Val[k], t.Val[k], tol) {
 			return false
 		}
 	}
 	return true
+}
+
+// mirror returns Aᵀ and whether it has the pattern of A, so that entry k of
+// both is the mirrored pair aᵢⱼ, aⱼᵢ.
+func mirror(a *CSR[float64]) (*CSR[float64], bool) {
+	n, m := a.Dims()
+	t := a.Transpose()
+	if n != m || len(t.ColIdx) != len(a.ColIdx) {
+		return t, false
+	}
+	for i := range a.RowPtr {
+		if a.RowPtr[i] != t.RowPtr[i] {
+			return t, false
+		}
+	}
+	for k := range a.ColIdx {
+		if a.ColIdx[k] != t.ColIdx[k] {
+			return t, false
+		}
+	}
+	return t, true
+}
+
+// near reports whether x and y agree within relative tolerance tol.
+func near(x, y, tol float64) bool {
+	return math.Abs(x-y) <= tol*(math.Abs(x)+math.Abs(y))/2+1e-300
+}
+
+// signedCSC returns S·A in CSC form together with the diagonal s of a row
+// signing S that makes it symmetric within symTol, or A in CSC form and a
+// nil s when none exists. The CSC form is the transpose that the mirror
+// comparison builds anyway, signed in place. Signs propagate over each
+// connected component from +1 at its lowest index: aᵢⱼ ≈ aⱼᵢ gives j the
+// sign of i, aᵢⱼ ≈ −aⱼᵢ the opposite one, and any other pair, a missing
+// mirror entry, or an odd cycle of antisymmetric couplings means no signing.
+// A symmetric matrix gets s = 1 everywhere and unchanged values.
+func signedCSC(a *CSR[float64]) (*CSC[float64], []float64) {
+	t, ok := mirror(a)
+	n, m := a.Dims()
+	csc := &CSC[float64]{rows: n, cols: m, ColPtr: t.RowPtr, RowIdx: t.ColIdx, Val: t.Val}
+	if !ok {
+		return csc, nil
+	}
+	s := make([]float64, n) // 0 until reached
+	var stack []int
+	for root := 0; root < n; root++ {
+		if s[root] != 0 {
+			continue
+		}
+		s[root] = 1
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				aij, aji := a.Val[k], t.Val[k]
+				want := s[i]
+				switch sym, anti := near(aij, aji, symTol), near(aij, -aji, symTol); {
+				case sym && anti:
+					continue // a zero pair couples nothing
+				case anti:
+					want = -want
+				case !sym:
+					return csc, nil
+				}
+				switch j := a.ColIdx[k]; s[j] {
+				case 0:
+					s[j] = want
+					stack = append(stack, j)
+				case -want:
+					return csc, nil
+				}
+			}
+		}
+	}
+	negateRows(csc, s)
+	return csc, s
+}
+
+// negateRows negates, in place, the rows i of a with s[i] < 0.
+func negateRows(a *CSC[float64], s []float64) {
+	for k, i := range a.RowIdx {
+		if s[i] < 0 {
+			a.Val[k] = -a.Val[k]
+		}
+	}
 }
 
 // FactorCholesky computes the up-looking sparse Cholesky factorization of
@@ -54,6 +192,16 @@ func IsSymmetric(a *CSR[float64], tol float64) bool {
 // permuted matrix is read, so structural symmetry is the caller's
 // responsibility; use IsSymmetric).
 func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
+	s := make([]float64, a.cols)
+	for i := range s {
+		s[i] = 1
+	}
+	return factorCholesky(a, s, opts)
+}
+
+// factorCholesky factors the symmetric matrix sa = S·A, with S = diag(s),
+// as P·sa·Pᵀ = L·Σ·Lᵀ, and certifies Σ = P·S·Pᵀ pivot by pivot.
+func factorCholesky(a *CSC[float64], s []float64, opts LUOptions) (*Cholesky, error) {
 	opts.defaults()
 	n, m := a.Dims()
 	if n != m {
@@ -69,6 +217,10 @@ func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 	aq := a
 	if opts.Ordering != OrderNatural {
 		aq = a.PermuteSym(q)
+	}
+	sig := make([]float64, n)
+	for k, old := range q {
+		sig[k] = s[old]
 	}
 
 	// Elimination tree and an ereach-based up-looking factorization
@@ -132,29 +284,33 @@ func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 				akk = aq.Val[p]
 			}
 		}
-		// Up-looking triangular solve across the reach in topological order.
+		// Up-looking triangular solve L·Σ·l = a across the reach in
+		// topological order: z = Σ·l solves with L, and L[k][j] = Σⱼ·zⱼ.
 		d := akk
 		for _, j := range pattern[reach(k):] {
-			lkj := x[j] / lx[lp[j]]
+			zj := x[j] / lx[lp[j]]
 			x[j] = 0
-			// x -= L(:,j)·lkj over the rows of column j so far, all < k.
+			// x -= L(:,j)·zj over the rows of column j so far, all < k.
 			for p := lp[j] + 1; p < next[j]; p++ {
-				x[li[p]] -= lx[p] * lkj
+				x[li[p]] -= lx[p] * zj
 			}
-			d -= lkj * lkj
+			lkj := sig[j] * zj
+			d -= lkj * zj
 			// Record L[k][j].
 			li[next[j]], lx[next[j]] = k, lkj
 			next[j]++
 		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w: pivot %g at column %d", ErrNotSPD, d, k)
+		// The certificate: dₖ has the sign of its row (NaN fails too).
+		if !(sig[k]*d > 0) {
+			return nil, fmt.Errorf("%w: pivot %g at column %d of sign %g", ErrNotSPD, d, k, sig[k])
 		}
-		lx[lp[k]] = math.Sqrt(d)
+		lx[lp[k]] = math.Sqrt(sig[k] * d)
 	}
 	return &Cholesky{
-		n: n,
-		l: &CSC[float64]{rows: n, cols: n, ColPtr: lp, RowIdx: li, Val: lx},
-		q: q,
+		n:   n,
+		l:   &CSC[float64]{rows: n, cols: n, ColPtr: lp, RowIdx: li, Val: lx},
+		q:   q,
+		sig: sig,
 	}, nil
 }
 
@@ -199,11 +355,18 @@ func (c *Cholesky) Solve(dst, b []float64) error {
 	return nil
 }
 
+// SolveMany solves A X = B in place, PanelWidth columns per pass over the
+// factor: each element of x is overwritten with the corresponding solution.
+func (c *Cholesky) SolveMany(x [][]float64) error {
+	return solveMany(c.n, x, c.SolvePanel)
+}
+
 // SolveBuf is Solve with a caller-provided scratch buffer.
 func (c *Cholesky) SolveBuf(dst, b, w []float64) {
 	n := c.n
+	// w = P·S·b.
 	for i := 0; i < n; i++ {
-		w[i] = b[c.q[i]]
+		w[i] = c.sig[i] * b[c.q[i]]
 	}
 	l := c.l
 	// Forward solve L z = w.
@@ -218,10 +381,10 @@ func (c *Cholesky) SolveBuf(dst, b, w []float64) {
 			w[l.RowIdx[p]] -= l.Val[p] * zj
 		}
 	}
-	// Back solve Lᵀ y = z.
+	// Back solve Lᵀ y = Σ·z.
 	for j := n - 1; j >= 0; j-- {
 		dp := l.ColPtr[j]
-		sum := w[j]
+		sum := c.sig[j] * w[j]
 		for p := dp + 1; p < l.ColPtr[j+1]; p++ {
 			sum -= l.Val[p] * w[l.RowIdx[p]]
 		}

@@ -277,17 +277,23 @@ func (lu *LU[T]) SolveBuf(dst, b, w []T) {
 // SolveMany solves A X = B in place, PanelWidth columns per pass over the
 // factor: each element of x is overwritten with the corresponding solution.
 func (lu *LU[T]) SolveMany(x [][]T) error {
+	return solveMany(lu.n, x, lu.SolvePanel)
+}
+
+// solveMany packs x PanelWidth columns at a time into one panel, solves it
+// with solvePanel and unpacks the result in place.
+func solveMany[T Scalar](n int, x [][]T, solvePanel func(x, w []T)) error {
 	for c := range x {
-		if len(x[c]) != lu.n {
-			return fmt.Errorf("sparse: LU SolveMany column %d length mismatch", c)
+		if len(x[c]) != n {
+			return fmt.Errorf("sparse: SolveMany column %d length mismatch", c)
 		}
 	}
-	panel := make([]T, 2*lu.n*PanelWidth)
-	p, w := panel[:lu.n*PanelWidth], panel[lu.n*PanelWidth:]
+	panel := make([]T, 2*n*PanelWidth)
+	p, w := panel[:n*PanelWidth], panel[n*PanelWidth:]
 	for c := 0; c < len(x); c += PanelWidth {
 		cols := x[c:min(c+PanelWidth, len(x))]
 		PackPanel(p, cols)
-		lu.SolvePanel(p, w)
+		solvePanel(p, w)
 		UnpackPanel(cols, p)
 	}
 	return nil

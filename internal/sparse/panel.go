@@ -125,8 +125,12 @@ func (lu *LU[T]) SolvePanel(x, w []T) {
 func (c *Cholesky) SolvePanel(x, w []float64) {
 	const pw = PanelWidth
 	n := c.n
+	// w = P·S·B.
 	for i := 0; i < n; i++ {
-		copy(w[i*pw:][:pw], x[c.q[i]*pw:][:pw])
+		s := c.sig[i]
+		b := (*[pw]float64)(x[c.q[i]*pw:])
+		z := (*[pw]float64)(w[i*pw:])
+		z[0], z[1], z[2], z[3], z[4], z[5], z[6], z[7] = s*b[0], s*b[1], s*b[2], s*b[3], s*b[4], s*b[5], s*b[6], s*b[7]
 	}
 	l := c.l
 	// Forward solve L z = w.
@@ -155,11 +159,11 @@ func (c *Cholesky) SolvePanel(x, w []float64) {
 			r[7] -= v * z7
 		}
 	}
-	// Back solve Lᵀ y = z.
+	// Back solve Lᵀ y = Σ·z.
 	for j := n - 1; j >= 0; j-- {
 		dp := l.ColPtr[j]
-		s := (*[pw]float64)(w[j*pw:])
-		s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		s, g := (*[pw]float64)(w[j*pw:]), c.sig[j]
+		s0, s1, s2, s3, s4, s5, s6, s7 := g*s[0], g*s[1], g*s[2], g*s[3], g*s[4], g*s[5], g*s[6], g*s[7]
 		rows := l.RowIdx[dp+1 : l.ColPtr[j+1]]
 		vals := l.Val[dp+1 : l.ColPtr[j+1]]
 		vals = vals[:len(rows)]

@@ -242,25 +242,6 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// schurSolver is the minimal scratch-buffered solve surface shared by the
-// Cholesky and LU external factorizations.
-type schurSolver interface {
-	SolveBuf(dst, b, w []float64)
-	NNZ() int
-}
-
-// luSolver adapts sparse.LU's error-free SolveBuf signature.
-type luSolver struct{ lu *sparse.LU[float64] }
-
-func (s luSolver) SolveBuf(dst, b, w []float64) { s.lu.SolveBuf(dst, b, w) }
-func (s luSolver) NNZ() int                     { return s.lu.NNZ() }
-
-// cholSolver adapts sparse.Cholesky.
-type cholSolver struct{ ch *sparse.Cholesky }
-
-func (s cholSolver) SolveBuf(dst, b, w []float64) { s.ch.SolveBuf(dst, b, w) }
-func (s cholSolver) NNZ() int                     { return s.ch.NNZ() }
-
 // schurEliminate performs the elimination proper, filling res.Sys and the
 // Schur fields of res.Stats. On a singular external block it records a
 // fallback (res keeps aliasing the input) and returns nil; only structural
@@ -384,30 +365,21 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 		}
 	}
 
-	// Factor N = −G_EE: Cholesky when the block is symmetric (the resistive
-	// common case — half the work and fill of LU), LU otherwise or when the
-	// block is indefinite. A singular block means some external island has
-	// no path to ground or boundary; elimination is then impossible and the
-	// caller gets the input back unchanged.
-	eeCSR := negEE.ToCSR()
-	var solver schurSolver
-	backend := "lu"
-	if sparse.IsSymmetric(eeCSR, 1e-12) {
-		if ch, err := sparse.FactorCholesky(eeCSR.ToCSC(), opts.LU); err == nil {
-			solver = cholSolver{ch}
-			backend = "cholesky"
-		}
+	// Factor N = −G_EE with the symmetric factor when a row signing makes
+	// the block symmetric (the resistive common case — half the work and
+	// fill of LU), LU otherwise. A singular block means some external island
+	// has no path to ground or boundary; elimination is then impossible and
+	// the caller gets the input back unchanged.
+	solver, err := sparse.Factor(negEE.ToCSR(), opts.LU)
+	if err != nil {
+		res.Stats.Fallback = fmt.Sprintf("external block singular: %v", err)
+		res.Stats.Backend = "none"
+		return nil
 	}
-	if solver == nil {
-		lu, err := sparse.FactorLU(eeCSR.ToCSC(), opts.LU)
-		if err != nil {
-			res.Stats.Fallback = fmt.Sprintf("external block singular: %v", err)
-			res.Stats.Backend = "none"
-			return nil
-		}
-		solver = luSolver{lu}
+	res.Stats.Backend = "lu"
+	if _, ok := solver.(*sparse.Cholesky); ok {
+		res.Stats.Backend = "cholesky"
 	}
-	res.Stats.Backend = backend
 	res.Stats.FactorNNZ = solver.NNZ()
 
 	// Schur solves: one per boundary column with external coupling. The

@@ -295,8 +295,9 @@ func Moments(sys *SparseModel, s0 float64, count int) ([]*MomentMatrix, error) {
 	return sys.Moments(s0, count)
 }
 
-// SolverBackend selects direct LU or iterative (memory-streaming) pencil
-// solves inside the reduction algorithms.
+// SolverBackend selects direct (sparse LU or the symmetric signed-Cholesky
+// factor) or iterative (memory-streaming) pencil solves inside the reduction
+// algorithms; BackendAuto picks the symmetric factor for RC and RLC grids.
 type SolverBackend = krylov.Backend
 
 // Solver backends.
