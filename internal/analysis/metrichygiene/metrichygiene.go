@@ -8,8 +8,8 @@
 // error, so the dashboard docs and the CI gate can never silently rot.
 //
 // Scope: internal/serve registers pgserve_* families, internal/router
-// registers pgrouter_* families. internal/bench's bench_* metrics are a
-// deliberately unexported harness surface and are not enforced.
+// registers pgrouter_* families. Metrics registered anywhere else (test
+// fixtures, harnesses) are not enforced.
 package metrichygiene
 
 import (

@@ -8,14 +8,15 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/krylov"
 	"repro/internal/lti"
 )
 
@@ -144,21 +145,14 @@ func runEKS(sys *lti.SparseSystem, l int) (SchemeResult, *baseline.EKSROM) {
 	return res, rom
 }
 
-// primaDirect builds a PRIMA ROM without budget guard (helper for figures).
-func primaDirect(sys *lti.SparseSystem, l int) (*lti.DenseSystem, error) {
-	op, err := krylov.NewOperator(sys, core.DefaultS0, krylov.OperatorOptions{})
+// WriteRecord writes an experiment's machine-readable record (the
+// BENCH_*.json files) as indented JSON.
+func WriteRecord(path string, rec any) error {
+	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r, err := op.StartBlock()
-	if err != nil {
-		return nil, err
-	}
-	basis, err := krylov.BlockArnoldi(op, r, l, nil)
-	if err != nil {
-		return nil, err
-	}
-	return krylov.Congruence(sys, basis), nil
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // line prints a formatted row with a trailing newline.

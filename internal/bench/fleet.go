@@ -364,12 +364,3 @@ func (r *FleetResult) Render(w io.Writer) {
 	line(w, "flapping absorbed by %d breaker trips and %d router retries; p99 inflation %.2f×, client-visible errors %d",
 		r.DegradedBreakerTrips, r.DegradedRetries, r.DegradedP99X, r.Degraded.Errors)
 }
-
-// WriteJSON writes the machine-readable record (BENCH_fleet.json).
-func (r *FleetResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}

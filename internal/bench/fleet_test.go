@@ -54,7 +54,7 @@ func TestFleetRecord(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	if err := res.WriteJSON(path); err != nil {
+	if err := WriteRecord(path, res); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"time"
 
@@ -43,10 +41,9 @@ type InterpCase struct {
 
 // InterpResult is the machine-readable record pgbench -exp interp emits as
 // BENCH_interp.json: interpolation-vs-reduction speed and accuracy across
-// the benchmark family.
-// The anchor/target scales are fixed per case (plateau-bound), so unlike
-// BENCH_modal.json there is no record-wide scale field — each case carries
-// its own operating point.
+// the benchmark family. The anchor/target scales are fixed per case
+// (plateau-bound), so there is no record-wide scale field — each case
+// carries its own operating point.
 type InterpResult struct {
 	Name       string `json:"name"`
 	GoMaxProcs int    `json:"gomaxprocs"`
@@ -190,13 +187,4 @@ func (r *InterpResult) Render(w io.Writer) {
 			c.Speedup, c.MaxRelErr, ok)
 	}
 	line(w, "min speedup %.0f×, worst rel err %.2e (budget %g)", r.MinSpeedup, r.MaxErr, interpBudget)
-}
-
-// WriteJSON writes the machine-readable record (BENCH_interp.json).
-func (r *InterpResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/cmplx"
-	"os"
 	"runtime"
 	"time"
 
@@ -253,13 +251,4 @@ func (r *ScaleResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "log-log fit: reduce_seconds ∝ nnz^%.2f\n", r.FitExponent)
 	fmt.Fprintf(w, "ward exactness: max relative deviation %.3g on %d nodes (bar %g)\n",
 		r.WardMaxError, r.WardErrorCheckNodes, WardTolerance)
-}
-
-// WriteJSON writes the machine-readable record (BENCH_scale.json).
-func (r *ScaleResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,10 +1,6 @@
 package lti
 
-import (
-	"testing"
-
-	"repro/internal/dense"
-)
+import "testing"
 
 // modalFixture builds the fully-modal RC system every alloc test shares.
 func modalFixture(t *testing.T) *ModalSystem {
@@ -105,28 +101,5 @@ func TestPackedEvalColumnsIntoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EvalColumnsInto allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-// TestFactoredEvalIntoAllocs: the full-matrix factored evaluation with
-// caller-provided storage is allocation-free.
-//
-//pgmor:alloctest BlockDiagFactors.EvalInto
-//pgmor:alloctest blockFactor.addMatColumn
-func TestFactoredEvalIntoAllocs(t *testing.T) {
-	bd := rcBlockDiag()
-	f, err := bd.Factorize(complex(0, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := dense.NewMat[complex128](bd.P, bd.M)
-	scratch := make([]complex128, f.ScratchLen())
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := f.EvalInto(h, scratch); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("EvalInto allocates %.1f times per call, want 0", allocs)
 	}
 }

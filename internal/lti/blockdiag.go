@@ -61,249 +61,74 @@ func (bd *BlockDiagSystem) Validate() error {
 	return nil
 }
 
-// BlockDiagFactors is a reusable frequency-point factorization context: the
-// complex LU factors of every block pencil (sCᵢ - Gᵢ) at one fixed s,
-// together with complexified views of Bᵢ and Lᵢ. Factoring is the O(l³)
-// part of an evaluation; with the factors in hand each extra Eval or
-// EvalColumn at the same s costs only O(l²) triangular solves per block.
-// A BlockDiagFactors is immutable after construction and safe for
-// concurrent use.
-type BlockDiagFactors struct {
-	// S is the complex frequency the pencils were factored at.
-	S complex128
-	// M and P mirror the source system's port and output counts.
-	M, P int
-
-	// col is -1 for a full factorization; otherwise only the blocks
-	// driven by input col are factored and only that column can be
-	// evaluated.
-	col    int
-	blocks []blockFactor
-}
-
-type blockFactor struct {
-	lu    *dense.LU[complex128]
-	b     []complex128           // complexified B
-	l     *dense.Mat[complex128] // complexified L
-	input int
-}
-
-// factorBlock builds the evaluation context of a single block at s.
-func factorBlock(b *Block, s complex128) (blockFactor, error) {
+// blockColumn evaluates block b's contribution Lᵢ (sCᵢ - Gᵢ)⁻¹ bᵢ to
+// column Input of Hr(s) through a one-shot complex LU of its pencil. It is
+// the LU reference the modal form is checked against, and the inline path
+// for blocks that fail to diagonalize.
+func blockColumn(b *Block, s complex128) ([]complex128, error) {
 	ctrFactorizations.Add(1)
 	pencil := dense.ToComplex(b.C).Scale(s).Sub(dense.ToComplex(b.G))
 	lu, err := dense.FactorLU(pencil)
 	if err != nil {
-		return blockFactor{}, fmt.Errorf("lti: block pencil singular at s=%v: %w", s, err)
+		return nil, fmt.Errorf("lti: block pencil singular at s=%v: %w", s, err)
 	}
 	bz := make([]complex128, len(b.B))
 	for k, v := range b.B {
 		bz[k] = complex(v, 0)
 	}
-	return blockFactor{lu: lu, b: bz, l: dense.ToComplex(b.L), input: b.Input}, nil
-}
-
-// column solves the factored block pencil against its input vector and maps
-// through L: Lᵢ (sCᵢ - Gᵢ)⁻¹ bᵢ.
-func (bf *blockFactor) column() ([]complex128, error) {
-	x := make([]complex128, len(bf.b))
-	if err := bf.lu.Solve(x, bf.b); err != nil {
+	x := make([]complex128, len(bz))
+	if err := lu.Solve(x, bz); err != nil {
 		return nil, err
 	}
-	return bf.l.MulVec(x), nil
+	return dense.ToComplex(b.L).MulVec(x), nil
 }
 
-// columnInto is column with caller-provided buffers: the solve lands in
-// x[:order] and Lᵢ·x is accumulated into dst. The allocation-free core of
-// the serving layer's factored evaluation path.
-//
-//pgmor:noalloc
-func (bf *blockFactor) columnInto(dst, x []complex128) error {
-	x = x[:len(bf.b)]
-	if err := bf.lu.Solve(x, bf.b); err != nil {
-		return err
-	}
-	for r := range dst {
-		row := bf.l.Row(r)
-		var sum complex128
-		for i, v := range x {
-			sum += row[i] * v
-		}
-		dst[r] += sum
-	}
-	return nil
-}
-
-// addMatColumn is columnInto accumulating into column j of h instead of a
-// contiguous slice, so full-matrix evaluation needs no per-call column
-// temporary.
-//
-//pgmor:noalloc
-func (bf *blockFactor) addMatColumn(h *dense.Mat[complex128], j int, x []complex128) error {
-	x = x[:len(bf.b)]
-	if err := bf.lu.Solve(x, bf.b); err != nil {
-		return err
-	}
-	for r := 0; r < bf.l.Rows; r++ {
-		row := bf.l.Row(r)
-		var sum complex128
-		for i, v := range x {
-			sum += row[i] * v
-		}
-		h.Data[r*h.Cols+j] += sum
-	}
-	return nil
-}
-
-// Factorize factors every block pencil at s into a reusable evaluation
-// context. Repeated evaluations at the same frequency — AC sweeps over
-// shared grids, concurrent requests hitting common points — should factor
-// once and evaluate through the returned context.
-func (bd *BlockDiagSystem) Factorize(s complex128) (*BlockDiagFactors, error) {
-	f := &BlockDiagFactors{S: s, M: bd.M, P: bd.P, col: -1, blocks: make([]blockFactor, len(bd.Blocks))}
+// Eval computes Hr(s) block by block: column Inputᵢ accumulates
+// Lᵢ (sCᵢ - Gᵢ)⁻¹ bᵢ (eq. 15). Each block is a small l×l factor+solve, so
+// the total cost is O(m·l³) — the paper's headline simulation speedup over
+// the O(m³l³) dense ROM (Sec. III-B). Serving evaluates through the modal
+// form (Modalize), which this LU evaluation is the reference for.
+func (bd *BlockDiagSystem) Eval(s complex128) (*dense.Mat[complex128], error) {
+	h := dense.NewMat[complex128](bd.P, bd.M)
 	for i := range bd.Blocks {
-		bf, err := factorBlock(&bd.Blocks[i], s)
+		col, err := blockColumn(&bd.Blocks[i], s)
 		if err != nil {
 			return nil, fmt.Errorf("lti: block %d: %w", i, err)
 		}
-		f.blocks[i] = bf
+		j := bd.Blocks[i].Input
+		for r, v := range col {
+			h.Data[r*h.Cols+j] += v
+		}
 	}
-	return f, nil
+	ctrFactoredEvals.Add(int64(len(bd.Blocks)))
+	return h, nil
 }
 
-// FactorizeColumn factors only the blocks driven by input j (normally one
-// block of m), producing a context that evaluates column j alone. Compared
-// to Factorize this is m× cheaper to build and to retain — the right shape
-// for single-entry sweeps over many-port grids.
-func (bd *BlockDiagSystem) FactorizeColumn(s complex128, j int) (*BlockDiagFactors, error) {
+// EvalColumn evaluates one column of Hr(s), factoring only the blocks driven
+// by input j (normally exactly one).
+func (bd *BlockDiagSystem) EvalColumn(s complex128, j int) ([]complex128, error) {
 	if j < 0 || j >= bd.M {
 		return nil, fmt.Errorf("lti: column %d out of range %d", j, bd.M)
 	}
-	f := &BlockDiagFactors{S: s, M: bd.M, P: bd.P, col: j}
+	dst := make([]complex128, bd.P)
+	var evaluated int64
 	for i := range bd.Blocks {
 		if bd.Blocks[i].Input != j {
 			continue
 		}
-		bf, err := factorBlock(&bd.Blocks[i], s)
+		col, err := blockColumn(&bd.Blocks[i], s)
 		if err != nil {
 			return nil, fmt.Errorf("lti: block %d: %w", i, err)
 		}
-		f.blocks = append(f.blocks, bf)
-	}
-	return f, nil
-}
-
-// ScratchLen returns the solve-buffer length EvalInto/EvalColumnInto need:
-// the largest factored block order. Callers that pool scratch across models
-// should size to the largest ScratchLen they serve.
-func (f *BlockDiagFactors) ScratchLen() int {
-	n := 0
-	for i := range f.blocks {
-		if l := len(f.blocks[i].b); l > n {
-			n = l
-		}
-	}
-	return n
-}
-
-// Eval computes the full p×m transfer matrix Hr(S) from the cached factors:
-// column Input receives Lᵢ (sCᵢ - Gᵢ)⁻¹ bᵢ (eq. 15), at O(l²) per block.
-func (f *BlockDiagFactors) Eval() (*dense.Mat[complex128], error) {
-	h := dense.NewMat[complex128](f.P, f.M)
-	if err := f.EvalInto(h, make([]complex128, f.ScratchLen())); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// EvalInto is Eval with caller-provided storage: h must be P×M (it is
-// zeroed), scratch at least ScratchLen long. Zero allocations per call.
-//
-//pgmor:noalloc
-func (f *BlockDiagFactors) EvalInto(h *dense.Mat[complex128], scratch []complex128) error {
-	if f.col >= 0 {
-		return fmt.Errorf("lti: column-%d factorization cannot evaluate the full matrix", f.col)
-	}
-	if h.Rows != f.P || h.Cols != f.M {
-		return fmt.Errorf("lti: EvalInto matrix is %d×%d, want %d×%d", h.Rows, h.Cols, f.P, f.M)
-	}
-	for i := range h.Data {
-		h.Data[i] = 0
-	}
-	ctrFactoredEvals.Add(int64(len(f.blocks)))
-	for i := range f.blocks {
-		if err := f.blocks[i].addMatColumn(h, f.blocks[i].input, scratch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EvalColumn computes column j of Hr(S) from the cached factors.
-func (f *BlockDiagFactors) EvalColumn(j int) ([]complex128, error) {
-	col := make([]complex128, f.P)
-	if err := f.EvalColumnInto(col, make([]complex128, f.ScratchLen()), j); err != nil {
-		return nil, err
-	}
-	return col, nil
-}
-
-// EvalColumnInto computes column j of Hr(S) into dst (length P, zeroed here)
-// using scratch (at least ScratchLen long) for the block solves. Zero
-// allocations per call — the per-point cost of a factored sweep with
-// caller-held buffers.
-//
-//pgmor:noalloc
-func (f *BlockDiagFactors) EvalColumnInto(dst, scratch []complex128, j int) error {
-	if j < 0 || j >= f.M {
-		return fmt.Errorf("lti: column %d out of range %d", j, f.M)
-	}
-	if f.col >= 0 && j != f.col {
-		return fmt.Errorf("lti: factorization holds column %d, not %d", f.col, j)
-	}
-	if len(dst) != f.P {
-		return fmt.Errorf("lti: EvalColumnInto dst length %d, want %d", len(dst), f.P)
-	}
-	for r := range dst {
-		dst[r] = 0
-	}
-	var evaluated int64
-	for i := range f.blocks {
-		if f.blocks[i].input != j {
-			continue
-		}
-		if err := f.blocks[i].columnInto(dst, scratch); err != nil {
-			return err
+		for r, v := range col {
+			dst[r] += v
 		}
 		evaluated++
 	}
 	if evaluated > 0 {
 		ctrFactoredEvals.Add(evaluated)
 	}
-	return nil
-}
-
-// Eval computes Hr(s) block by block via a one-shot factorization context.
-// Each block is a small l×l factor+solve, so the total cost is O(m·l³) —
-// the paper's headline simulation speedup over the O(m³l³) dense ROM
-// (Sec. III-B). Callers evaluating the same s repeatedly should Factorize
-// once and reuse the context.
-func (bd *BlockDiagSystem) Eval(s complex128) (*dense.Mat[complex128], error) {
-	f, err := bd.Factorize(s)
-	if err != nil {
-		return nil, err
-	}
-	return f.Eval()
-}
-
-// EvalColumn evaluates one column of Hr(s), factoring only the blocks driven
-// by input j (normally exactly one).
-func (bd *BlockDiagSystem) EvalColumn(s complex128, j int) ([]complex128, error) {
-	f, err := bd.FactorizeColumn(s, j)
-	if err != nil {
-		return nil, err
-	}
-	return f.EvalColumn(j)
+	return dst, nil
 }
 
 // ToDense assembles the explicit block-diagonal matrices of eq. (14) into a

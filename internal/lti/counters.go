@@ -4,9 +4,9 @@ import "sync/atomic"
 
 // Package-wide evaluation telemetry. The counters are batched atomic adds on
 // paths that each do at least O(l²) arithmetic, so the overhead is noise;
-// they exist so benchmarks (cmd/pgbench -exp perf) and operators can see how
-// much work the modal fast path removes — pencil factorizations performed,
-// and evaluations served modally versus through LU factors.
+// they let tests and library callers see how much work the modal fast path
+// removes — pencil factorizations performed, and evaluations served
+// modally versus through LU factors.
 //
 // The unit of ModalEvals and FactoredEvals is one (block, frequency)
 // evaluation, attributed to the path that actually served it. A partially
@@ -25,8 +25,8 @@ type EvalCounters struct {
 	// Factorizations counts block pencil LU factorizations (the O(l³)
 	// step the modal form eliminates).
 	Factorizations int64 `json:"factorizations"`
-	// FactoredEvals counts per-(block, frequency) evaluations through LU
-	// factors (cached or one-shot); ModalEvals counts per-(block, frequency)
+	// FactoredEvals counts per-(block, frequency) evaluations through a
+	// one-shot LU of the block pencil; ModalEvals counts per-(block, frequency)
 	// evaluations through pole–residue forms. Each block is attributed to
 	// the path that actually evaluated it, so the two sum exactly to the
 	// block evaluations performed even on partially modal models.
@@ -44,7 +44,7 @@ func Counters() EvalCounters {
 }
 
 // ResetCounters zeroes the telemetry, returning the snapshot from before the
-// reset. Benchmark harnesses bracket timed sections with it.
+// reset. Tests bracket the evaluations they count with it.
 func ResetCounters() EvalCounters {
 	c := EvalCounters{
 		Factorizations: ctrFactorizations.Swap(0),

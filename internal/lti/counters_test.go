@@ -97,32 +97,26 @@ func TestCountersFallbackAttribution(t *testing.T) {
 	checkModalAgrees(t, bd, ms, logOmegas(1e-2, 1e2, 9), 1e-10)
 }
 
-// TestCountersFactoredColumnPerBlock pins the factored-context counters to
-// the same per-block unit: a column evaluation counts the blocks it actually
-// solved, a full-matrix evaluation counts every factored block.
+// TestCountersFactoredColumnPerBlock pins the LU evaluation counters to the
+// same per-block unit: a column evaluation counts the blocks it actually
+// factored and solved, a full-matrix evaluation counts every block.
 func TestCountersFactoredColumnPerBlock(t *testing.T) {
 	bd := rcBlockDiag()
 	s := complex(0, 2)
-	f, err := bd.Factorize(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]complex128, bd.P)
-	scratch := make([]complex128, f.ScratchLen())
 
 	ResetCounters()
-	if err := f.EvalColumnInto(dst, scratch, 0); err != nil {
+	if _, err := bd.EvalColumn(s, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c := Counters(); c.FactoredEvals != 1 {
-		t.Errorf("column 0 evaluates one block, FactoredEvals = %d", c.FactoredEvals)
+	if c := Counters(); c.FactoredEvals != 1 || c.Factorizations != 1 {
+		t.Errorf("column 0 evaluates one block, (Factorizations, FactoredEvals) = (%d, %d)", c.Factorizations, c.FactoredEvals)
 	}
 
 	ResetCounters()
-	if _, err := f.Eval(); err != nil {
+	if _, err := bd.Eval(s); err != nil {
 		t.Fatal(err)
 	}
-	if c := Counters(); c.FactoredEvals != int64(len(bd.Blocks)) {
-		t.Errorf("full eval evaluates %d blocks, FactoredEvals = %d", len(bd.Blocks), c.FactoredEvals)
+	if c, n := Counters(), int64(len(bd.Blocks)); c.FactoredEvals != n || c.Factorizations != n {
+		t.Errorf("full eval evaluates %d blocks, (Factorizations, FactoredEvals) = (%d, %d)", n, c.Factorizations, c.FactoredEvals)
 	}
 }

@@ -341,13 +341,9 @@ func selfCheck(b *Block, mb *ModalBlock) bool {
 	modal := make([]complex128, p)
 	compared := 0
 	for _, s := range probes {
-		bf, err := factorBlock(b, s)
+		ref, err := blockColumn(b, s)
 		if err != nil {
 			continue // the pencil is singular at this probe; skip it
-		}
-		ref, err := bf.column()
-		if err != nil {
-			continue
 		}
 		for r := range modal {
 			modal[r] = 0
@@ -455,13 +451,9 @@ func (ms *ModalSystem) EvalColumnInto(dst []complex128, s complex128, j int) err
 // telemetry for blocks the diagonalization could not cover.
 func (ms *ModalSystem) fallbackColumn(dst []complex128, i int, s complex128) error {
 	ctrFactoredEvals.Add(1)
-	bf, err := factorBlock(&ms.BD.Blocks[i], s)
+	col, err := blockColumn(&ms.BD.Blocks[i], s)
 	if err != nil {
 		return fmt.Errorf("lti: modal fallback block %d: %w", i, err)
-	}
-	col, err := bf.column()
-	if err != nil {
-		return err
 	}
 	for r := range dst {
 		dst[r] += col[r]

@@ -242,30 +242,6 @@ func TestModalEvalColumnIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestFactoredEvalColumnIntoAllocs pins the reduced-allocation factored
-// path: with pooled buffers a cached-factor column evaluation is
-// allocation-free too.
-//
-//pgmor:alloctest BlockDiagFactors.EvalColumnInto
-//pgmor:alloctest blockFactor.columnInto
-func TestFactoredEvalColumnIntoAllocs(t *testing.T) {
-	bd := rcBlockDiag()
-	f, err := bd.Factorize(complex(0, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]complex128, bd.P)
-	scratch := make([]complex128, f.ScratchLen())
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := f.EvalColumnInto(dst, scratch, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("factored EvalColumnInto allocates %.1f times per call, want 0", allocs)
-	}
-}
-
 func TestModalCounters(t *testing.T) {
 	bd := rcBlockDiag()
 	ms, err := bd.Modalize()

@@ -365,56 +365,47 @@ func TestEvalEntryRangeCheck(t *testing.T) {
 	}
 }
 
-// TestFactorizeColumnMatchesFull: a single-column factorization evaluates
-// its column bit-identically to the full factorization and refuses to
-// evaluate anything else.
-func TestFactorizeColumnMatchesFull(t *testing.T) {
+// TestBlockDiagEvalColumnMatchesEvalExactly: a column evaluation, which
+// factors only the blocks its input drives, equals the same column of the
+// full-matrix evaluation bit for bit, and rejects columns out of range.
+func TestBlockDiagEvalColumnMatchesEvalExactly(t *testing.T) {
 	bd := randomBlockDiag(rand.New(rand.NewSource(7)), 4, 3, 5)
 	s := complex(0, 1e3)
-	full, err := bd.Factorize(s)
+	h, err := bd.Eval(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < bd.M; j++ {
-		fc, err := bd.FactorizeColumn(s, j)
+		got, err := bd.EvalColumn(s, j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := full.EvalColumn(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fc.EvalColumn(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range want {
-			if got[r] != want[r] {
-				t.Fatalf("column %d row %d: column factors %v, full factors %v", j, r, got[r], want[r])
+		for r := range got {
+			if got[r] != h.At(r, j) {
+				t.Fatalf("column %d row %d: EvalColumn %v, Eval %v", j, r, got[r], h.At(r, j))
 			}
 		}
-		if _, err := fc.Eval(); err == nil {
-			t.Fatalf("column-%d factorization evaluated the full matrix", j)
-		}
-		if _, err := fc.EvalColumn((j + 1) % bd.M); err == nil {
-			t.Fatalf("column-%d factorization evaluated column %d", j, (j+1)%bd.M)
+	}
+	for _, j := range []int{-1, bd.M} {
+		if _, err := bd.EvalColumn(s, j); err == nil {
+			t.Fatalf("EvalColumn accepted column %d of %d", j, bd.M)
 		}
 	}
 }
 
-// TestFactorizeSingularPencilFails: a block whose pencil is singular at s
-// (here C = G = 0) fails both factorizations instead of returning factors.
-func TestFactorizeSingularPencilFails(t *testing.T) {
+// TestBlockDiagSingularPencilFails: a block whose pencil is singular at s
+// (here C = G = 0) fails both evaluations instead of returning a value.
+func TestBlockDiagSingularPencilFails(t *testing.T) {
 	bd := &BlockDiagSystem{M: 1, P: 1, Blocks: []Block{{
 		C: dense.NewMat[float64](1, 1),
 		G: dense.NewMat[float64](1, 1),
 		B: []float64{1},
 		L: dense.NewMat[float64](1, 1),
 	}}}
-	if _, err := bd.Factorize(complex(0, 1e9)); err == nil {
-		t.Fatal("Factorize accepted a singular pencil")
+	if _, err := bd.Eval(complex(0, 1e9)); err == nil {
+		t.Fatal("Eval accepted a singular pencil")
 	}
-	if _, err := bd.FactorizeColumn(complex(0, 1e9), 0); err == nil {
-		t.Fatal("FactorizeColumn accepted a singular pencil")
+	if _, err := bd.EvalColumn(complex(0, 1e9), 0); err == nil {
+		t.Fatal("EvalColumn accepted a singular pencil")
 	}
 }

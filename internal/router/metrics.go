@@ -7,9 +7,7 @@ import (
 	"repro/internal/obs"
 )
 
-// routerMetrics is the pgrouter_* instrument set. All methods are nil-safe
-// so DisableMetrics costs one nil check per event and no conditionals at
-// call sites.
+// routerMetrics is the pgrouter_* instrument set.
 type routerMetrics struct {
 	requests   *obs.CounterVec   // route, status
 	latency    *obs.HistogramVec // route
@@ -91,9 +89,6 @@ func newRouterMetrics(reg *obs.Registry, rt *Router) *routerMetrics {
 }
 
 func (m *routerMetrics) request(route string, status int, d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.requests.With(route, strconv.Itoa(status)).Inc()
 	m.latency.With(route).Observe(d.Seconds())
 }
@@ -102,18 +97,12 @@ func (m *routerMetrics) request(route string, status int, d time.Duration) {
 // gauge (breaker transitions happen inside attempt outcomes, so this is the
 // natural refresh point).
 func (m *routerMetrics) attempt(rep *replica, outcome string) {
-	if m == nil {
-		return
-	}
 	m.attempts.With(rep.addr, outcome).Inc()
 	m.breakerNum.With(rep.addr).Set(breakerGaugeValue(rep.breaker.State()))
 }
 
 // probe records a health-probe verdict (wired as the prober's onProbe hook).
 func (m *routerMetrics) probe(rep *replica, ok bool) {
-	if m == nil {
-		return
-	}
 	v := int64(0)
 	if ok {
 		v = 1
@@ -134,57 +123,33 @@ func breakerGaugeValue(s breakerState) int64 {
 }
 
 func (m *routerMetrics) upstream(d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.upstreamS.Observe(d.Seconds())
 }
 
 func (m *routerMetrics) retry() {
-	if m == nil {
-		return
-	}
 	m.retries.Inc()
 }
 
 func (m *routerMetrics) hedge() {
-	if m == nil {
-		return
-	}
 	m.hedges.Inc()
 }
 
 func (m *routerMetrics) hedgeWin() {
-	if m == nil {
-		return
-	}
 	m.hedgeWins.Inc()
 }
 
 func (m *routerMetrics) shed() {
-	if m == nil {
-		return
-	}
 	m.sheds.Inc()
 }
 
 func (m *routerMetrics) failover() {
-	if m == nil {
-		return
-	}
 	m.failovers.Inc()
 }
 
 func (m *routerMetrics) replay() {
-	if m == nil {
-		return
-	}
 	m.replays.Inc()
 }
 
 func (m *routerMetrics) buildMerged() {
-	if m == nil {
-		return
-	}
 	m.merged.Inc()
 }

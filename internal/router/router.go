@@ -74,8 +74,6 @@ type Config struct {
 	Transport http.RoundTripper
 	// Logger receives router logs; nil discards.
 	Logger *slog.Logger
-	// DisableMetrics skips metrics registration and /metrics.
-	DisableMetrics bool
 	// Seed seeds retry jitter; 0 uses a fixed seed (jitter spreads
 	// concurrent retries — it does not need to be unpredictable).
 	Seed int64
@@ -187,10 +185,8 @@ func New(cfg Config) (*Router, error) {
 		rt.replicas[addr] = rep
 		rt.order = append(rt.order, rep)
 	}
-	if !cfg.DisableMetrics {
-		rt.reg = obs.NewRegistry()
-		rt.metrics = newRouterMetrics(rt.reg, rt)
-	}
+	rt.reg = obs.NewRegistry()
+	rt.metrics = newRouterMetrics(rt.reg, rt)
 	if cfg.ProbeInterval >= 0 {
 		rt.prober = newProber(rt.order, cfg.ProbeInterval, cfg.ProbeTimeout, log,
 			func(rep *replica, ok bool) { rt.metrics.probe(rep, ok) })
@@ -206,7 +202,7 @@ func (rt *Router) Close() {
 	}
 }
 
-// Metrics exposes the router's registry (nil when DisableMetrics).
+// Metrics exposes the router's registry.
 func (rt *Router) Metrics() *obs.Registry { return rt.reg }
 
 // candidates returns the key's preference-ordered usable replicas.
@@ -245,9 +241,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("DELETE /session/{id}", rt.handleSessionDelete)
 	mux.HandleFunc("GET /models", rt.handleModels)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	if rt.reg != nil {
-		mux.Handle("GET /metrics", rt.reg.Handler())
-	}
+	mux.Handle("GET /metrics", rt.reg.Handler())
 	return rt.withObs(mux)
 }
 

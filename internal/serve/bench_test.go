@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// The cold/cached/modal triple documents the evaluation economics: cold pays
-// the per-block O(l³) complex LU factorization on every evaluation, cached
-// holds the factors and pays O(l²) triangular solves per evaluation, and
-// modal — the serving path — pays a one-time diagonalization at build and
-// then O(q) per evaluation, with no factorization and no solves.
+// The cold/modal pair documents the evaluation economics: cold pays the
+// per-block O(l³) complex LU factorization on every evaluation, and modal —
+// the serving path — pays a one-time diagonalization at build and then O(q)
+// per evaluation, with no factorization and no solves.
 
 func BenchmarkEvalColdFactorization(b *testing.B) {
 	m := testModel(b, 0.25)
@@ -23,23 +22,8 @@ func BenchmarkEvalColdFactorization(b *testing.B) {
 	}
 }
 
-func BenchmarkEvalCachedFactorization(b *testing.B) {
-	m := testModel(b, 0.25)
-	f, err := m.ROM.Factorize(complex(0, 1e9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Eval(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvalModal is the BenchmarkEvalCachedFactorization-equivalent on
-// the modal path: same ROM, same full-matrix evaluation, no factors.
+// BenchmarkEvalModal is BenchmarkEvalColdFactorization on the modal path:
+// same ROM, same full-matrix evaluation, no factors.
 func BenchmarkEvalModal(b *testing.B) {
 	m := testModel(b, 0.25)
 	if m.Modal == nil || m.ModalBlocks != m.Blocks {
@@ -55,27 +39,9 @@ func BenchmarkEvalModal(b *testing.B) {
 	}
 }
 
-// The column pair measures the single-entry hot path with caller-held
-// buffers — the per-point cost inside a sweep. Both are allocation-free; the
-// modal one additionally performs no triangular solves.
-
-func BenchmarkEvalColumnCached(b *testing.B) {
-	m := testModel(b, 0.25)
-	f, err := m.ROM.FactorizeColumn(complex(0, 1e9), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]complex128, m.Outputs)
-	scratch := make([]complex128, f.ScratchLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.EvalColumnInto(dst, scratch, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkEvalColumnModal measures the single-entry hot path with a
+// caller-held buffer — the per-point cost inside a sweep. It is
+// allocation-free and performs no triangular solves.
 func BenchmarkEvalColumnModal(b *testing.B) {
 	m := testModel(b, 0.25)
 	if m.Modal == nil {

@@ -29,9 +29,7 @@ import (
 // metrics enabled, so recording happens at task and request granularity
 // only.
 
-// serverMetrics holds the live-recorded instruments of one Server. All
-// methods are nil-receiver safe: a Server built with DisableMetrics carries
-// a nil *serverMetrics and every record becomes a no-op.
+// serverMetrics holds the live-recorded instruments of one Server.
 type serverMetrics struct {
 	reqTotal   *obs.CounterVec // route, status
 	reqDur     *obs.HistogramVec
@@ -43,9 +41,6 @@ type serverMetrics struct {
 
 // request records one finished HTTP request.
 func (m *serverMetrics) request(route string, status int, d time.Duration, reqBytes, respBytes int64) {
-	if m == nil {
-		return
-	}
 	m.reqTotal.With(route, strconv.Itoa(status)).Inc()
 	m.reqDur.With(route).Observe(d.Seconds())
 	if reqBytes > 0 {
@@ -57,22 +52,16 @@ func (m *serverMetrics) request(route string, status int, d time.Duration, reqBy
 }
 
 func (m *serverMetrics) requestStart() {
-	if m != nil {
-		m.inFlight.Inc()
-	}
+	m.inFlight.Inc()
 }
 
 func (m *serverMetrics) requestEnd() {
-	if m != nil {
-		m.inFlight.Dec()
-	}
+	m.inFlight.Dec()
 }
 
 // advance records one completed (or aborted) session advance.
 func (m *serverMetrics) advance(t0 time.Time) {
-	if m != nil {
-		m.advanceDur.ObserveSince(t0)
-	}
+	m.advanceDur.ObserveSince(t0)
 }
 
 // Histogram bucket layouts, in seconds.

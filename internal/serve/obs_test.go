@@ -275,38 +275,6 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled verifies the benchmarking baseline: DisableMetrics
-// serves no /metrics endpoint and everything else still works.
-func TestMetricsDisabled(t *testing.T) {
-	srv := New(Config{Workers: 2, DisableMetrics: true})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-
-	if srv.Metrics() != nil {
-		t.Fatalf("DisableMetrics left a registry attached")
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/metrics with metrics disabled = %d, want 404", resp.StatusCode)
-	}
-	// Requests still carry IDs and healthz still works.
-	if resp.Header.Get("X-Request-Id") == "" {
-		t.Errorf("no X-Request-Id with metrics disabled")
-	}
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz with metrics disabled = %d", resp.StatusCode)
-	}
-}
-
 // TestMetricsStress hammers the serving endpoints from many goroutines while
 // concurrently scraping /metrics, validating every mid-storm scrape. Run
 // under -race in CI, this is the proof that lock-free recording and the
@@ -413,4 +381,32 @@ func (sb *syncBuffer) Bytes() []byte {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
 	return append([]byte(nil), sb.b.Bytes()...)
+}
+
+// TestInstrumentedEngineAddsNoAllocs: attaching the task wait/run
+// histograms leaves Engine.Map's allocations per call unchanged — recording
+// is clock reads and atomic arithmetic on pre-registered instruments.
+func TestInstrumentedEngineAddsNoAllocs(t *testing.T) {
+	reg := obs.NewRegistry()
+	bare := NewEngine(2)
+	defer bare.Close()
+	instr := NewEngine(2)
+	defer instr.Close()
+	instr.Instrument(
+		reg.Histogram("test_task_wait_seconds", "Task queue wait.", taskBuckets),
+		reg.Histogram("test_task_run_seconds", "Task run time.", taskBuckets))
+
+	noop := func(int) error { return nil }
+	allocs := func(e *Engine, n int) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if err := e.Map(n, noop); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, n := range []int{1, 4} {
+		if b, i := allocs(bare, n), allocs(instr, n); b != i {
+			t.Errorf("Map(%d): %v allocs/call bare, %v instrumented", n, b, i)
+		}
+	}
 }

@@ -90,10 +90,6 @@ type Config struct {
 	// SlowRequest, when positive, raises per-request log lines that exceed
 	// it from Info to Warn.
 	SlowRequest time.Duration
-	// DisableMetrics skips all metrics registration and recording: no
-	// registry, no /metrics endpoint, no histogram observation anywhere.
-	// The benchmarking baseline for measuring instrumentation overhead.
-	DisableMetrics bool
 	// SnapshotEvery persists each session's integrator state through Store
 	// every N completed advances (and on SnapshotSessions, the drain hook),
 	// so a session can resume on any replica sharing the store directory.
@@ -179,10 +175,8 @@ func New(cfg Config) *Server {
 	s.ev = &Evaluator{eng: s.eng}
 	s.sweeps = NewSweepCoalescer(s.ev)
 	s.advances = newAdvanceCoalescer(s.eng)
-	if !cfg.DisableMetrics {
-		s.reg = obs.NewRegistry()
-		s.metrics = newServerMetrics(s.reg, s)
-	}
+	s.reg = obs.NewRegistry()
+	s.metrics = newServerMetrics(s.reg, s)
 	if cfg.DisableWard {
 		s.repo.DisableWard()
 	}
@@ -208,7 +202,7 @@ func (s *Server) Sessions() *SessionManager { return s.sessions }
 // Repo exposes the model repository (used by preloading and tests).
 func (s *Server) Repo() *Repository { return s.repo }
 
-// Metrics exposes the server's metrics registry (nil when DisableMetrics).
+// Metrics exposes the server's metrics registry.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // SetNotReady marks the server unready: /healthz returns 503 with the
@@ -285,9 +279,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /session/{id}", s.handleSessionDelete)
 	mux.HandleFunc("GET /models", s.handleModels)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if s.reg != nil {
-		mux.Handle("GET /metrics", s.reg.Handler())
-	}
+	mux.Handle("GET /metrics", s.reg.Handler())
 	return s.withObs(mux)
 }
 
