@@ -2,12 +2,15 @@
 // the repo's portability and correctness policy:
 //
 //   - Floating-point opcodes are restricted to an explicit allowlist of
-//     AVX/AVX2 moves, broadcasts, and mul/add/sub (vector and scalar
-//     forms) plus VZEROUPPER. Any FMA-family opcode (VFMADD*, VFMSUB*,
-//     VFNMADD*, ...) is an error even though it would be faster: fused
-//     multiply-add changes rounding (one rounding step instead of two), and
-//     the project's acceptance tests require the SIMD path to be bit-exact
-//     with the pure-Go reference kernels.
+//     opcodes that are exact per lane or bitwise: AVX/AVX2 moves and
+//     broadcasts, mul/add/sub (vector and scalar forms) and VDIVPD, each
+//     correctly rounded like the Go operator, the bitwise VXORPD (zeroing),
+//     VORPD and VPTEST (the all-lanes-zero test), plus VZEROUPPER. Any
+//     FMA-family opcode (VFMADD*, VFMSUB*, VFNMADD*, ...) is an error even
+//     though it would be faster: fused multiply-add changes rounding (one
+//     rounding step instead of two), and the project's acceptance tests
+//     require the SIMD path to be bit-exact with the pure-Go reference
+//     kernels.
 //
 //   - Every TEXT block that touches a Y register must execute VZEROUPPER
 //     before each RET, avoiding the AVX->SSE transition penalty in callers.
@@ -32,7 +35,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "asmpolicy",
-	Doc:  "amd64 assembly: FP opcode allowlist (no FMA), VZEROUPPER before RET, TEXT sizes match Go stubs",
+	Doc:  "amd64 assembly: FP opcode allowlist (exact or bitwise, no FMA), VZEROUPPER before RET, TEXT sizes match Go stubs",
 	Run:  run,
 }
 
@@ -40,8 +43,9 @@ var Analyzer = &analysis.Analyzer{
 // use. Everything else that smells floating-point is rejected.
 var fpAllowlist = map[string]bool{
 	"VMOVUPD": true, "VMOVSD": true, "VBROADCASTSD": true,
-	"VMULPD": true, "VADDPD": true, "VSUBPD": true,
+	"VMULPD": true, "VADDPD": true, "VSUBPD": true, "VDIVPD": true,
 	"VMULSD": true, "VADDSD": true, "VSUBSD": true,
+	"VXORPD": true, "VORPD": true, "VPTEST": true,
 	"VZEROUPPER": true,
 }
 

@@ -11,6 +11,9 @@ func fmaKernel(x []float64, a float64)
 // badOpKernel uses a floating-point opcode outside the allowlist.
 func badOpKernel(x []float64, a float64)
 
+// divKernel divides by a (allowlisted) and then smuggles in an FMA.
+func divKernel(x []float64, a float64)
+
 // noVzero touches Y registers but returns without VZEROUPPER.
 func noVzero(x []float64)
 

@@ -23,7 +23,20 @@ TEXT ·badOpKernel(SB), NOSPLIT, $0-32
 	MOVQ x_base+0(FP), SI
 	VBROADCASTSD a+24(FP), Y0
 	VMOVUPD (SI), Y1
-	VDIVPD Y0, Y1, Y1 // want "VDIVPD is not in the policy allowlist"
+	VRCPPS Y1, Y1 // want "VRCPPS is not in the policy allowlist"
+	VMOVUPD Y1, (SI)
+	VZEROUPPER
+	RET
+
+// Division is allowlisted (correctly rounded like Go's /); allowing it
+// admits no fused multiply-add.
+TEXT ·divKernel(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), SI
+	VBROADCASTSD a+24(FP), Y0
+	VMOVUPD (SI), Y1
+	VDIVPD Y0, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VFMADD231PD Y0, Y1, Y2 // want "FMA opcode VFMADD231PD is forbidden"
 	VMOVUPD Y1, (SI)
 	VZEROUPPER
 	RET

@@ -2,6 +2,8 @@
 
 package sim
 
+import "repro/internal/cpuid"
+
 // AVX2 versions of the fused-group kernels, selected at startup when the
 // CPU and OS support 256-bit vector state. The vector code uses only
 // VMULPD/VADDPD/VSUBPD — per-lane IEEE 754 operations in the exact order of
@@ -17,29 +19,7 @@ func stepModesAVX2(zr, zi, u0, u1 []float64, er, ei, f0r, f0i, f1r, f1i float64)
 //go:noescape
 func accumBlockAVX2(yb, zr, zi, rr, ri []float64, q, p, ns int)
 
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv0() (eax, edx uint32)
-
-// hasAVX2 reports AVX2 plus OS-enabled YMM state (OSXSAVE, XCR0 SSE|AVX).
-func hasAVX2() bool {
-	maxLeaf, _, _, _ := cpuidex(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuidex(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	if lo, _ := xgetbv0(); lo&6 != 6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuidex(7, 0)
-	return ebx7&(1<<5) != 0
-}
-
-var useAVX2 = hasAVX2()
+var useAVX2 = cpuid.AVX2
 
 //pgmor:noalloc
 func axpyReal(y, zr, zi []float64, a, c float64) {

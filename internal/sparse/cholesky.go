@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrNotSPD is returned when the Cholesky factorization cannot certify its
@@ -85,15 +86,21 @@ func FactorSymmetric(a *CSR[float64], opts LUOptions) (*Cholesky, error) {
 }
 
 // IsSymmetric reports whether A equals Aᵀ within the given relative
-// tolerance on each entry.
+// tolerance on each entry. It looks each entry's mirror up by binary search
+// in the mirror row (CSR rows are strictly increasing) instead of building
+// Aᵀ, so it allocates nothing.
 func IsSymmetric(a *CSR[float64], tol float64) bool {
-	t, ok := mirror(a)
-	if !ok {
+	n, m := a.Dims()
+	if n != m {
 		return false
 	}
-	for k := range a.Val {
-		if !near(a.Val[k], t.Val[k], tol) {
-			return false
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			lo, hi := a.RowPtr[a.ColIdx[k]], a.RowPtr[a.ColIdx[k]+1]
+			p, found := slices.BinarySearch(a.ColIdx[lo:hi], i)
+			if !found || !near(a.Val[k], a.Val[lo+p], tol) {
+				return false
+			}
 		}
 	}
 	return true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -151,6 +152,50 @@ func TestIsSymmetric(t *testing.T) {
 	}
 	if IsSymmetric(NewCOO[float64](2, 3).ToCSR(), 1e-12) {
 		t.Error("non-square accepted")
+	}
+}
+
+// TestIsSymmetricMatchesTranspose pins IsSymmetric to its definition,
+// A = Aᵀ entry by entry within tol, on random matrices that are symmetric,
+// symmetric but for one value, or symmetric but for one entry.
+func TestIsSymmetricMatchesTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	byTranspose := func(a *CSR[float64], tol float64) bool {
+		at := a.Transpose()
+		if !slices.Equal(a.RowPtr, at.RowPtr) || !slices.Equal(a.ColIdx, at.ColIdx) {
+			return false
+		}
+		for k := range a.Val {
+			if !near(a.Val[k], at.Val[k], tol) {
+				return false
+			}
+		}
+		return true
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(30)
+		c := NewCOO[float64](n, n)
+		for k := 0; k < 3*n; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			v := rng.NormFloat64()
+			c.Add(i, j, v)
+			if i != j {
+				c.Add(j, i, v*(1+float64(rng.Intn(3)-1)*1e-13))
+			}
+		}
+		switch trial % 3 {
+		case 1:
+			i, j := rng.Intn(n), rng.Intn(n)
+			c.Add(i, j, 1e-3)
+		case 2:
+			c.Add(rng.Intn(n), rng.Intn(n), 0)
+		}
+		a := c.ToCSR()
+		for _, tol := range []float64{1e-12, 1e-14} {
+			if got, want := IsSymmetric(a, tol), byTranspose(a, tol); got != want {
+				t.Fatalf("trial %d tol %g: IsSymmetric = %v, by transpose %v", trial, tol, got, want)
+			}
+		}
 	}
 }
 

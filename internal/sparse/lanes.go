@@ -11,6 +11,15 @@ import "math"
 // Axpy, Nrm2, ScaleVec, CSR.MatVec), so each lane's result is
 // bit-identical to the single-vector kernel on that lane, and lanes never
 // mix: a NaN in one lane stays in that lane.
+//
+// The kernels that dominate the Krylov phase, LaneDots, LaneAxpyDot and the
+// float64 MulPanelRows (with MulPanel), have AVX2 versions on amd64
+// (lanes_amd64.s), picked at start-up when the CPU has AVX2. They carry a
+// row's eight lanes in two 256-bit registers and run each lane's operations
+// in the Go loop's order without fused multiply-add, so every lane equals
+// the …Ref Go loop, which stays as the reference and as the kernel on other
+// CPUs and under the purego build tag. LaneAxpyNrm2, LaneNrm2 and LaneScale
+// are Go only.
 
 // checkLanes panics unless x holds whole panel rows and y has its length.
 func checkLanes(x, y []float64) {
@@ -26,8 +35,14 @@ func checkLanes(x, y []float64) {
 //
 //pgmor:noalloc
 func LaneDots(d *[PanelWidth]float64, q, x []float64) {
-	const pw = PanelWidth
 	checkLanes(x, q)
+	laneDots(d, q, x)
+}
+
+// laneDotsRef is LaneDots in Go: the reference the AVX2 kernel matches bit
+// for bit, and the kernel wherever AVX2 is not used.
+func laneDotsRef(d *[PanelWidth]float64, q, x []float64) {
+	const pw = PanelWidth
 	s0, s1, s2, s3, s4, s5, s6, s7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
 	for len(x) >= pw {
 		a := (*[pw]float64)(q)
@@ -51,9 +66,14 @@ func LaneDots(d *[PanelWidth]float64, q, x []float64) {
 //
 //pgmor:noalloc
 func LaneAxpyDot(d *[PanelWidth]float64, x []float64, a *[PanelWidth]float64, p, q []float64) {
-	const pw = PanelWidth
 	checkLanes(x, p)
 	checkLanes(x, q)
+	laneAxpyDot(d, x, a, p, q)
+}
+
+// laneAxpyDotRef is LaneAxpyDot in Go, the reference of its AVX2 kernel.
+func laneAxpyDotRef(d *[PanelWidth]float64, x []float64, a *[PanelWidth]float64, p, q []float64) {
+	const pw = PanelWidth
 	c := *a
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64
 	for len(x) >= pw {
@@ -192,12 +212,18 @@ func (a *CSR[T]) MulPanel(dst, x []T) {
 //
 //pgmor:noalloc
 func (a *CSR[T]) MulPanelRows(dst, x []T, lo, hi int) {
-	const pw = PanelWidth
-	if lo < 0 || hi > a.rows || lo > hi || len(dst) != (hi-lo)*pw || len(x) != a.cols*pw {
+	if lo < 0 || hi > a.rows || lo > hi || len(dst) != (hi-lo)*PanelWidth || len(x) != a.cols*PanelWidth {
 		panic("sparse: CSR MulPanel dimension mismatch")
 	}
-	rowPtr, colIdx, val := a.RowPtr[lo:hi+1], a.ColIdx, a.Val
-	for i := range hi - lo {
+	mulPanelRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, dst, x)
+}
+
+// mulPanelRowsRef is MulPanelRows in Go over the rows whose extents rowPtr
+// holds (one more entry than rows): the reference of the float64 AVX2
+// kernel, and the kernel for complex128.
+func mulPanelRowsRef[T Scalar](rowPtr, colIdx []int, val, dst, x []T) {
+	const pw = PanelWidth
+	for i := range len(rowPtr) - 1 {
 		var s0, s1, s2, s3, s4, s5, s6, s7 T
 		cols := colIdx[rowPtr[i]:rowPtr[i+1]]
 		vals := val[rowPtr[i]:rowPtr[i+1]]

@@ -195,6 +195,36 @@ func TestCSRMulPanelMatchesMatVec(t *testing.T) {
 	}
 }
 
+// TestCSRMulPanelComplexMatchesMatVec covers the complex128 instance, which
+// the float64 AVX2 dispatch must leave on the Go loop.
+func TestCSRMulPanelComplexMatchesMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const rows, cols = 9, 13
+	c := NewCOO[complex128](rows, cols)
+	for k := 0; k < 30; k++ {
+		c.Add(rng.Intn(rows), rng.Intn(cols), complex(rng.NormFloat64(), rng.NormFloat64()))
+	}
+	a := c.ToCSR()
+	x := make([]complex128, cols*PanelWidth)
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	dst := make([]complex128, rows*PanelWidth)
+	a.MulPanel(dst, x)
+	col, want := make([]complex128, cols), make([]complex128, rows)
+	for k := 0; k < PanelWidth; k++ {
+		for i := range col {
+			col[i] = x[i*PanelWidth+k]
+		}
+		a.MatVec(want, col)
+		for i, w := range want {
+			if dst[i*PanelWidth+k] != w {
+				t.Fatalf("lane %d row %d: %v, MatVec %v", k, i, dst[i*PanelWidth+k], w)
+			}
+		}
+	}
+}
+
 // The lane kernels run once per slot pair, Gram–Schmidt pass or chain
 // level in the Krylov phase; they must not allocate.
 

@@ -4,7 +4,10 @@ package sparse
 // panel stores them interleaved row-major: lane k of row i lives at
 // x[i*PanelWidth+k]. Each nonzero of a factor is then loaded once and
 // applied to all lanes, which share one cache line, so a panel costs about
-// one pass over the factor instead of PanelWidth.
+// one pass over the factor instead of PanelWidth. Eight float64 lanes are
+// also two 256-bit registers: Cholesky.SolvePanel's forward and back passes
+// run as AVX2 kernels on amd64 CPUs that have it (see lanes.go), lane for
+// lane bit-identical to the Go passes cholForwardRef and cholBackRef.
 const PanelWidth = 8
 
 // PackPanel interleaves cols into the panel x of length n·PanelWidth, where
@@ -125,6 +128,9 @@ func (lu *LU[T]) SolvePanel(x, w []T) {
 func (c *Cholesky) SolvePanel(x, w []float64) {
 	const pw = PanelWidth
 	n := c.n
+	if len(x) != n*pw || len(w) != n*pw {
+		panic("sparse: panel length mismatch")
+	}
 	// w = P·S·B.
 	for i := 0; i < n; i++ {
 		s := c.sig[i]
@@ -133,18 +139,28 @@ func (c *Cholesky) SolvePanel(x, w []float64) {
 		z[0], z[1], z[2], z[3], z[4], z[5], z[6], z[7] = s*b[0], s*b[1], s*b[2], s*b[3], s*b[4], s*b[5], s*b[6], s*b[7]
 	}
 	l := c.l
-	// Forward solve L z = w.
-	for j := 0; j < n; j++ {
-		dp := l.ColPtr[j]
-		d := l.Val[dp]
+	cholPanel(l.ColPtr, l.RowIdx, l.Val, c.sig, w)
+	for i := 0; i < n; i++ {
+		copy(x[c.q[i]*pw:][:pw], w[i*pw:][:pw])
+	}
+}
+
+// cholForwardRef solves L z = w in place on the panel w, L given by its
+// CSC arrays with the diagonal first per column: the forward pass of
+// Cholesky.SolvePanel in Go, the reference of its AVX2 kernel.
+func cholForwardRef(colPtr, rowIdx []int, val, w []float64) {
+	const pw = PanelWidth
+	for j := range len(colPtr) - 1 {
+		dp := colPtr[j]
+		d := val[dp]
 		z := (*[pw]float64)(w[j*pw:])
 		z0, z1, z2, z3, z4, z5, z6, z7 := z[0]/d, z[1]/d, z[2]/d, z[3]/d, z[4]/d, z[5]/d, z[6]/d, z[7]/d
 		z[0], z[1], z[2], z[3], z[4], z[5], z[6], z[7] = z0, z1, z2, z3, z4, z5, z6, z7
 		if lanesZero(z) {
 			continue
 		}
-		rows := l.RowIdx[dp+1 : l.ColPtr[j+1]]
-		vals := l.Val[dp+1 : l.ColPtr[j+1]]
+		rows := rowIdx[dp+1 : colPtr[j+1]]
+		vals := val[dp+1 : colPtr[j+1]]
 		vals = vals[:len(rows)]
 		for p, i := range rows {
 			v := vals[p]
@@ -159,13 +175,19 @@ func (c *Cholesky) SolvePanel(x, w []float64) {
 			r[7] -= v * z7
 		}
 	}
-	// Back solve Lᵀ y = Σ·z.
-	for j := n - 1; j >= 0; j-- {
-		dp := l.ColPtr[j]
-		s, g := (*[pw]float64)(w[j*pw:]), c.sig[j]
+}
+
+// cholBackRef solves Lᵀ y = Σ·z in place on the panel w, Σ = diag(sig):
+// the back pass of Cholesky.SolvePanel in Go, the reference of its AVX2
+// kernel.
+func cholBackRef(colPtr, rowIdx []int, val, sig, w []float64) {
+	const pw = PanelWidth
+	for j := len(colPtr) - 2; j >= 0; j-- {
+		dp := colPtr[j]
+		s, g := (*[pw]float64)(w[j*pw:]), sig[j]
 		s0, s1, s2, s3, s4, s5, s6, s7 := g*s[0], g*s[1], g*s[2], g*s[3], g*s[4], g*s[5], g*s[6], g*s[7]
-		rows := l.RowIdx[dp+1 : l.ColPtr[j+1]]
-		vals := l.Val[dp+1 : l.ColPtr[j+1]]
+		rows := rowIdx[dp+1 : colPtr[j+1]]
+		vals := val[dp+1 : colPtr[j+1]]
 		vals = vals[:len(rows)]
 		for p, i := range rows {
 			v := vals[p]
@@ -179,10 +201,7 @@ func (c *Cholesky) SolvePanel(x, w []float64) {
 			s6 -= v * r[6]
 			s7 -= v * r[7]
 		}
-		d := l.Val[dp]
+		d := val[dp]
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0/d, s1/d, s2/d, s3/d, s4/d, s5/d, s6/d, s7/d
-	}
-	for i := 0; i < n; i++ {
-		copy(x[c.q[i]*pw:][:pw], w[i*pw:][:pw])
 	}
 }

@@ -1,42 +1,27 @@
 package ward
 
-import "testing"
+import (
+	"testing"
 
-// The Schur inner kernels run once per boundary column per solve; like the
-// triangular solves they bracket, they must not allocate.
+	"repro/internal/sparse"
+)
+
+// The Schur scatter runs once per boundary column per panel solve; like the
+// triangular solves it feeds, it must not allocate.
 
 //pgmor:alloctest schurScatter
 func TestSchurScatterAllocs(t *testing.T) {
-	x := make([]float64, 64)
+	x := make([]float64, 64*sparse.PanelWidth)
 	rows := []int32{1, 5, 9, 33, 5}
 	vals := []float64{0.5, -1, 2, 3, 0.25}
+	const k = 3
 	allocs := testing.AllocsPerRun(100, func() {
-		schurScatter(x, rows, vals)
+		schurScatter(x[k:], rows, vals)
 	})
 	if allocs != 0 {
 		t.Fatalf("schurScatter allocates %.1f times per call, want 0", allocs)
 	}
-	if x[5] == 0 {
-		t.Fatal("scatter did not accumulate")
-	}
-}
-
-//pgmor:alloctest schurGather
-func TestSchurGatherAllocs(t *testing.T) {
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = float64(i)
-	}
-	cols := []int32{3, 7, 11}
-	vals := []float64{1, -2, 0.5}
-	var sink float64
-	allocs := testing.AllocsPerRun(100, func() {
-		sink = schurGather(cols, vals, x)
-	})
-	if allocs != 0 {
-		t.Fatalf("schurGather allocates %.1f times per call, want 0", allocs)
-	}
-	if want := 3.0 - 14.0 + 5.5; sink != want {
-		t.Fatalf("gather = %g, want %g", sink, want)
+	if x[5*sparse.PanelWidth+k] == 0 || x[5*sparse.PanelWidth] != 0 {
+		t.Fatal("scatter did not accumulate into lane k alone")
 	}
 }

@@ -1,31 +1,22 @@
 package ward
 
-// Schur inner kernels. These run once per boundary column per solve and are
-// the only per-element work the elimination adds on top of the factorization
-// backends, so they are held to the same zero-allocation standard as the
-// sparse triangular solves they bracket (pglint noalloc + alloctest).
+import "repro/internal/sparse"
 
-// schurScatter accumulates the sparse column (rows, vals) into the dense
-// right-hand side x: x[rows[k]] += vals[k]. The caller zeroes x beforehand;
-// accumulation (rather than assignment) keeps duplicate row entries correct.
+// Schur inner kernel. It runs once per boundary column per panel solve and
+// is, with the G_KE panel product, the only per-element work the
+// elimination adds on top of the factorization backends, so it is held to
+// the same zero-allocation standard as the sparse triangular solves it
+// feeds (pglint noalloc + alloctest).
+
+// schurScatter accumulates the sparse column (rows, vals) into lane 0 of the
+// panel x (pass x[k:] for lane k): x[rows[i]·PanelWidth] += vals[i]. The
+// caller zeroes x beforehand; accumulation (rather than assignment) keeps
+// duplicate row entries correct.
 //
 //go:noinline
 //pgmor:noalloc
 func schurScatter(x []float64, rows []int32, vals []float64) {
-	for k, r := range rows {
-		x[r] += vals[k]
+	for i, r := range rows {
+		x[int(r)*sparse.PanelWidth] += vals[i]
 	}
-}
-
-// schurGather returns the sparse·dense dot product Σ vals[k]·x[cols[k]] —
-// one entry of G_KE·y for a boundary row stored as (cols, vals).
-//
-//go:noinline
-//pgmor:noalloc
-func schurGather(cols []int32, vals []float64, x []float64) float64 {
-	var sum float64
-	for k, c := range cols {
-		sum += vals[k] * x[c]
-	}
-	return sum
 }

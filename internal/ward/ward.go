@@ -303,9 +303,9 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 	ekPtr := make([]int, nK+1)
 	ekRow := make([]int32, nnzEK)
 	ekVal := make([]float64, nnzEK)
-	// G_KE rows over boundary slots: keRowPtr[b]..keRowPtr[b+1] spans row b.
+	// G_KE rows over boundary slots: kePtr[b]..kePtr[b+1] spans row b.
 	kePtr := make([]int, nB+1)
-	keCol := make([]int32, nnzKE)
+	keCol := make([]int, nnzKE)
 	keVal := make([]float64, nnzKE)
 
 	for i := 0; i < n; i++ {
@@ -355,7 +355,7 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
 				j := g.ColIdx[k]
 				if ej := extIdx[j]; ej >= 0 {
-					keCol[keFill[b]] = ej
+					keCol[keFill[b]] = int(ej)
 					keVal[keFill[b]] = g.Val[k]
 					keFill[b]++
 				} else {
@@ -384,10 +384,15 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 
 	// Schur solves: one per boundary column with external coupling. The
 	// correction −G_KE·N⁻¹·G_EK is nonzero only on boundary rows × boundary
-	// columns. Columns are independent → sharded across workers. When the
-	// boundary is small enough the correction accumulates into a dense
-	// |B|×|B| panel so a symmetric input can be symmetrized exactly;
+	// columns. Columns are independent: a panel solve carries PanelWidth of
+	// them, one per lane, and panels are sharded across workers. Each lane
+	// equals the column's SolveBuf and each lane of G_KE·Y its single-column
+	// product, so batching leaves G′ bit for bit as solving column by column.
+	// When the boundary is small enough the correction accumulates into a
+	// dense |B|×|B| panel so a symmetric input can be symmetrized exactly;
 	// otherwise each column is stamped as computed.
+	const pw = sparse.PanelWidth
+	gKE := sparse.NewCSR(nB, nE, kePtr, keCol, keVal)
 	useDense := nB <= opts.MaxDenseBoundary
 	var corr []float64
 	if useDense {
@@ -405,43 +410,47 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 		}
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < opts.Workers; w++ {
+	next := make(chan []colJob)
+	for w := 0; w < min(opts.Workers, (len(jobs)+pw-1)/pw); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			x := make([]float64, nE)
-			scratch := make([]float64, nE)
-			delta := make([]float64, nB)
-			for idx := range next {
-				job := jobs[idx]
-				kj, b := int(job.kj), int(job.b)
-				sparse.ZeroVec(x)
-				schurScatter(x, ekRow[ekPtr[kj]:ekPtr[kj+1]], ekVal[ekPtr[kj]:ekPtr[kj+1]])
-				solver.SolveBuf(x, x, scratch)
-				// delta[bi] = (G_KE · y)[bi] over boundary rows; with the
-				// paper's G = −G_std sign, the external rows give
+			x := make([]float64, nE*pw)
+			scratch := make([]float64, nE*pw)
+			delta := make([]float64, nB*pw)
+			for batch := range next {
+				clear(x)
+				for k, job := range batch {
+					kj := int(job.kj)
+					schurScatter(x[k:], ekRow[ekPtr[kj]:ekPtr[kj+1]], ekVal[ekPtr[kj]:ekPtr[kj+1]])
+				}
+				solver.SolvePanel(x, scratch)
+				// Lane k of delta = G_KE · (lane k of x) over boundary rows;
+				// with the paper's G = −G_std sign, the external rows give
 				// x_E = N⁻¹·G_EK·x_K, so delta adds into G'.
-				for bi := 0; bi < nB; bi++ {
-					delta[bi] = schurGather(keCol[kePtr[bi]:kePtr[bi+1]], keVal[kePtr[bi]:kePtr[bi+1]], x)
-				}
-				if useDense {
-					col := corr[b*nB : (b+1)*nB]
-					copy(col, delta)
-					continue
-				}
-				mu.Lock()
-				for bi := 0; bi < nB; bi++ {
-					if delta[bi] != 0 {
-						gOut.Add(int(keepIdx[part.Boundary[bi]]), kj, delta[bi])
+				gKE.MulPanel(delta, x)
+				for k, job := range batch {
+					kj, b := int(job.kj), int(job.b)
+					if useDense {
+						col := corr[b*nB : (b+1)*nB]
+						for bi := range col {
+							col[bi] = delta[bi*pw+k]
+						}
+						continue
 					}
+					mu.Lock()
+					for bi := 0; bi < nB; bi++ {
+						if v := delta[bi*pw+k]; v != 0 {
+							gOut.Add(int(keepIdx[part.Boundary[bi]]), kj, v)
+						}
+					}
+					mu.Unlock()
 				}
-				mu.Unlock()
 			}
 		}()
 	}
-	for idx := range jobs {
-		next <- idx
+	for lo := 0; lo < len(jobs); lo += pw {
+		next <- jobs[lo:min(lo+pw, len(jobs))]
 	}
 	close(next)
 	wg.Wait()
