@@ -2,15 +2,16 @@
 // the repo's portability and correctness policy:
 //
 //   - Floating-point opcodes are restricted to an explicit allowlist of
-//     opcodes that are exact per lane or bitwise: AVX/AVX2 moves and
-//     broadcasts, mul/add/sub (vector and scalar forms) and VDIVPD, each
-//     correctly rounded like the Go operator, the bitwise VXORPD (zeroing),
-//     VORPD and VPTEST (the all-lanes-zero test), plus VZEROUPPER. Any
-//     FMA-family opcode (VFMADD*, VFMSUB*, VFNMADD*, ...) is an error even
-//     though it would be faster: fused multiply-add changes rounding (one
-//     rounding step instead of two), and the project's acceptance tests
-//     require the SIMD path to be bit-exact with the pure-Go reference
-//     kernels.
+//     opcodes that are exact per lane or bitwise: AVX/AVX2 moves, broadcasts
+//     and the lane permute VPERMPD, mul/add/sub (vector and scalar forms),
+//     the horizontal subtract VHSUBPD (one IEEE subtract per element, like
+//     VSUBPD) and VDIVPD, each correctly rounded like the Go operator, the
+//     bitwise VXORPD (zeroing), VORPD and VPTEST (the all-lanes-zero test),
+//     plus VZEROUPPER. Any FMA-family opcode (VFMADD*, VFMSUB*, VFNMADD*,
+//     ...) is an error even though it would be faster: fused multiply-add
+//     changes rounding (one rounding step instead of two), and the
+//     project's acceptance tests require the SIMD path to be bit-exact with
+//     the pure-Go reference kernels.
 //
 //   - Every TEXT block that touches a Y register must execute VZEROUPPER
 //     before each RET, avoiding the AVX->SSE transition penalty in callers.
@@ -43,7 +44,8 @@ var Analyzer = &analysis.Analyzer{
 // use. Everything else that smells floating-point is rejected.
 var fpAllowlist = map[string]bool{
 	"VMOVUPD": true, "VMOVSD": true, "VBROADCASTSD": true,
-	"VMULPD": true, "VADDPD": true, "VSUBPD": true, "VDIVPD": true,
+	"VBROADCASTF128": true, "VPERMPD": true,
+	"VMULPD": true, "VADDPD": true, "VSUBPD": true, "VDIVPD": true, "VHSUBPD": true,
 	"VMULSD": true, "VADDSD": true, "VSUBSD": true,
 	"VXORPD": true, "VORPD": true, "VPTEST": true,
 	"VZEROUPPER": true,

@@ -14,6 +14,10 @@ func badOpKernel(x []float64, a float64)
 // divKernel divides by a (allowlisted) and then smuggles in an FMA.
 func divKernel(x []float64, a float64)
 
+// cplxKernel multiplies complex pairs by a broadcast complex scalar and
+// subtracts adjacent lanes (all allowlisted), then smuggles in an FMA.
+func cplxKernel(x []float64, z []complex128)
+
 // noVzero touches Y registers but returns without VZEROUPPER.
 func noVzero(x []float64)
 

@@ -41,6 +41,22 @@ TEXT ·divKernel(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
+// The complex-product ops are allowlisted: VBROADCASTF128 and VPERMPD move
+// data, VHSUBPD is one IEEE subtract per element. Allowing them admits no
+// fused multiply-add.
+TEXT ·cplxKernel(SB), NOSPLIT, $0-48
+	MOVQ x_base+0(FP), SI
+	MOVQ z_base+24(FP), DX
+	VBROADCASTF128 (DX), Y0
+	VMULPD (SI), Y0, Y1
+	VMULPD 32(SI), Y0, Y2
+	VHSUBPD Y2, Y1, Y1
+	VPERMPD $0xd8, Y1, Y1
+	VFMADD231PD Y0, Y1, Y2 // want "FMA opcode VFMADD231PD is forbidden"
+	VMOVUPD Y1, (SI)
+	VZEROUPPER
+	RET
+
 TEXT ·noVzero(SB), NOSPLIT, $0-24
 	MOVQ x_base+0(FP), SI
 	VMOVUPD (SI), Y1

@@ -3,23 +3,26 @@ package sim
 import "testing"
 
 // kernelVectors builds SoA state shaped like a 2-mode, 3-output,
-// 8-session block.
-func kernelVectors() (y, zr, zi, rr, ri, u0, u1 []float64) {
+// 8-session block, plus the block's complex residues and one session's
+// complex coordinates z.
+func kernelVectors() (y, zr, zi []float64, res, z []complex128, u0, u1 []float64) {
 	const q, p, ns = 2, 3, 8
 	y = make([]float64, p*ns)
 	zr = make([]float64, q*ns)
 	zi = make([]float64, q*ns)
-	rr = make([]float64, q*p)
-	ri = make([]float64, q*p)
+	res = make([]complex128, q*p)
+	z = make([]complex128, q)
 	u0 = make([]float64, ns)
 	u1 = make([]float64, ns)
 	for i := range zr {
 		zr[i] = 0.25 * float64(i+1)
 		zi[i] = -0.125 * float64(i+1)
 	}
-	for i := range rr {
-		rr[i] = 1 / float64(i+2)
-		ri[i] = 0.5 / float64(i+2)
+	for i := range res {
+		res[i] = complex(1/float64(i+2), 0.5/float64(i+2))
+	}
+	for k := range z {
+		z[k] = complex(zr[k*ns], zi[k*ns])
 	}
 	for i := range u0 {
 		u0[i] = float64(i)
@@ -30,15 +33,15 @@ func kernelVectors() (y, zr, zi, rr, ri, u0, u1 []float64) {
 
 // TestKernelRefAllocs: the pure-Go reference kernels are allocation-free.
 //
-//pgmor:alloctest axpyRealRef
+//pgmor:alloctest modalAccumRef
 //pgmor:alloctest accumBlockRef
 //pgmor:alloctest stepModesRef
 func TestKernelRefAllocs(t *testing.T) {
-	y, zr, zi, rr, ri, u0, u1 := kernelVectors()
+	y, zr, zi, res, z, u0, u1 := kernelVectors()
 	const q, p, ns = 2, 3, 8
 	cases := map[string]func(){
-		"axpyRealRef":   func() { axpyRealRef(y[:ns], zr[:ns], zi[:ns], 1.5, -0.5) },
-		"accumBlockRef": func() { accumBlockRef(y, zr, zi, rr, ri, q, p, ns) },
+		"modalAccumRef": func() { modalAccumRef(y[:p], z, res) },
+		"accumBlockRef": func() { accumBlockRef(y, zr, zi, res, q, p, ns) },
 		"stepModesRef": func() {
 			stepModesRef(zr[:ns], zi[:ns], u0, u1, 0.9, 0.1, 0.01, 0.02, 0.03, 0.04)
 		},
@@ -59,7 +62,8 @@ func TestGroupAdvanceFusedAllocs(t *testing.T) {
 	_, ms := modalTestSystem(t)
 	var members []*Stepper
 	var inputs []Input
-	for i := 0; i < 2; i++ {
+	// groupMinLanes members: the narrowest group that runs the fused path.
+	for i := 0; i < groupMinLanes; i++ {
 		st, err := NewStepper(ms, StepperOptions{Dt: 0.01})
 		if err != nil {
 			t.Fatal(err)
@@ -80,8 +84,8 @@ func TestGroupAdvanceFusedAllocs(t *testing.T) {
 		})
 		// results slice + 4 per member (Result, T, Y, row backing), with a
 		// little slack for runtime noise; the bound must not move with n.
-		if allocs > 12 {
-			t.Fatalf("group Advance(%d) allocates %.1f times per call, want O(members) ≤ 12", n, allocs)
+		if allocs > 20 {
+			t.Fatalf("group Advance(%d) allocates %.1f times per call, want O(members) ≤ 20", n, allocs)
 		}
 	}
 }

@@ -20,7 +20,9 @@ type GroupOptions struct {
 // coordinates gathered into a mode-major structure-of-arrays (z[k·S+s]) so
 // the inner session loop streams contiguously. Independent advance touches
 // N scattered copies of the same constants and pays the per-session
-// per-block call overhead N times.
+// per-block call overhead N times. A shard of fewer than groupMinLanes
+// members has too few sessions to fill a vector, so it advances its members
+// one by one instead, through the single-session kernels.
 //
 // The trajectories are bit-identical to calling Advance on each member
 // independently: per session, every floating-point operation runs in the
@@ -39,21 +41,20 @@ type StepperGroup struct {
 	pool    *groupPool
 }
 
-// groupBlockData is the read-only split form of one modal block's output
-// data, shared by every shard: residues and direct term separated into real
-// and imaginary float64 arrays so the output kernel streams same-type lanes.
-type groupBlockData struct {
-	rr, ri []float64 // residues, mode-major [k*p+r]
-	dre    []float64 // Re(D), nil when the block has no direct term
-}
+// groupMinLanes is the narrowest shard the fused kernels advance: below 4
+// sessions stepModes and accumBlock run their scalar references, so a
+// narrower shard advances each member on its own through Stepper.Advance,
+// whose single-session output kernel is vectorized across outputs instead.
+const groupMinLanes = 4
 
 // groupShard owns a contiguous member range and its SoA staging buffers.
 // Fully-modal groups run the vectorized split-float path (zr/zi, uNow/uNxt,
-// ybatch); groups containing implicit blocks use the complex staging.
+// ybatch); groups containing implicit blocks use the complex staging. A
+// shard narrower than groupMinLanes has no staging: its members advance
+// one by one.
 type groupShard struct {
 	lo, hi   int
 	allModal bool
-	data     []groupBlockData // shared split residues; zero-valued for implicit blocks
 
 	// Split-float path (allModal).
 	zr, zi     [][]float64 // per block: mode-major z parts [k*S+s]
@@ -96,33 +97,6 @@ func NewStepperGroup(members []*Stepper, opts GroupOptions) (*StepperGroup, erro
 			break
 		}
 	}
-	// Split residues and direct terms once; every shard reads the same
-	// arrays.
-	data := make([]groupBlockData, len(ref.blocks))
-	if allModal {
-		for b := range ref.blocks {
-			mb := ref.blocks[b].modal.mb
-			q := mb.R.Rows
-			d := groupBlockData{
-				rr: make([]float64, q*g.p),
-				ri: make([]float64, q*g.p),
-			}
-			for k := 0; k < q; k++ {
-				row := mb.R.Row(k)
-				for r := 0; r < g.p; r++ {
-					d.rr[k*g.p+r] = real(row[r])
-					d.ri[k*g.p+r] = imag(row[r])
-				}
-			}
-			if mb.D != nil {
-				d.dre = make([]float64, g.p)
-				for r := 0; r < g.p; r++ {
-					d.dre[r] = real(mb.D[r])
-				}
-			}
-			data[b] = d
-		}
-	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -139,14 +113,17 @@ func NewStepperGroup(members []*Stepper, opts GroupOptions) (*StepperGroup, erro
 		if lo >= hi {
 			break
 		}
-		g.shards = append(g.shards, newGroupShard(ref, lo, hi, allModal, data))
+		g.shards = append(g.shards, newGroupShard(ref, lo, hi, allModal))
 	}
 	return g, nil
 }
 
-func newGroupShard(ref *Stepper, lo, hi int, allModal bool, data []groupBlockData) *groupShard {
+func newGroupShard(ref *Stepper, lo, hi int, allModal bool) *groupShard {
 	s := hi - lo
-	sh := &groupShard{lo: lo, hi: hi, allModal: allModal, data: data}
+	sh := &groupShard{lo: lo, hi: hi, allModal: allModal}
+	if s < groupMinLanes {
+		return sh
+	}
 	if allModal {
 		sh.zr = make([][]float64, len(ref.blocks))
 		sh.zi = make([][]float64, len(ref.blocks))
@@ -233,12 +210,7 @@ func (g *StepperGroup) Advance(n int, inputs []Input) ([]*Result, error) {
 	}
 	results := make([]*Result, len(g.members))
 	for s := range results {
-		res := &Result{T: make([]float64, n), Y: make([][]float64, n)}
-		yback := make([]float64, n*g.p)
-		for i := 0; i < n; i++ {
-			res.Y[i] = yback[i*g.p : (i+1)*g.p : (i+1)*g.p]
-		}
-		results[s] = res
+		results[s] = newResult(n, g.p)
 	}
 	if n == 0 {
 		return results, nil
@@ -261,10 +233,17 @@ func (g *StepperGroup) Close() {
 	}
 }
 
-// advanceGroupShard runs the fused kernel over the shard's member range. It
-// deliberately takes the members slice rather than the *StepperGroup so the
-// persistent workers do not keep the group reachable (see ensurePool).
+// advanceGroupShard runs the fused kernel over the shard's member range, or
+// advances a narrow shard's members one by one. It deliberately takes the
+// members slice rather than the *StepperGroup so the persistent workers do
+// not keep the group reachable (see ensurePool).
 func advanceGroupShard(members []*Stepper, sh *groupShard, n int, inputs []Input, results []*Result) {
+	if sh.hi-sh.lo < groupMinLanes {
+		for s := sh.lo; s < sh.hi; s++ {
+			members[s].advanceInto(n, inputs[s], results[s])
+		}
+		return
+	}
 	if sh.allModal {
 		advanceGroupShardFused(members, sh, n, inputs, results)
 		return
@@ -456,14 +435,13 @@ func advanceGroupShardFused(members []*Stepper, sh *groupShard, n int, inputs []
 		clear(yb)
 		for b := range ref.blocks {
 			mst := ref.blocks[b].modal
-			d := &sh.data[b]
-			accumBlock(yb, sh.zr[b], sh.zi[b], d.rr, d.ri, len(mst.expLH), p, ns)
-			if d.dre != nil {
+			accumBlock(yb, sh.zr[b], sh.zi[b], mst.mb.R.Data, len(mst.expLH), p, ns)
+			if d := mst.mb.D; d != nil {
 				// uNow has been advanced to the right endpoint, i.e. the
 				// staged uNxt row.
 				u := sh.uNxt[mst.input*ns : (mst.input+1)*ns]
 				for r := 0; r < p; r++ {
-					dr := d.dre[r]
+					dr := real(d[r])
 					yrow := yb[r*ns : (r+1)*ns]
 					for s := range yrow {
 						yrow[s] += dr * u[s]

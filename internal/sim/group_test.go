@@ -1,10 +1,51 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/dense"
 	"repro/internal/lti"
 )
+
+// wideModalSystem builds an m-input ROM of m blocks, each of q modes seen at
+// p outputs: C = I, G a negative-definite tridiagonal, random B and L. It
+// modalizes through the symmetric path.
+func wideModalSystem(t *testing.T, m, q, p int) *lti.ModalSystem {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(m*1000 + q*100 + p)))
+	bd := &lti.BlockDiagSystem{M: m, P: p}
+	for i := 0; i < m; i++ {
+		g := dense.NewMat[float64](q, q)
+		for j := 0; j < q; j++ {
+			g.Set(j, j, -(2 + rng.Float64()))
+			if j > 0 {
+				off := 0.5 * rng.Float64()
+				g.Set(j, j-1, off)
+				g.Set(j-1, j, off)
+			}
+		}
+		b := make([]float64, q)
+		for j := range b {
+			b[j] = rng.NormFloat64()
+		}
+		l := dense.NewMat[float64](p, q)
+		for j := range l.Data {
+			l.Data[j] = rng.NormFloat64()
+		}
+		bd.Blocks = append(bd.Blocks, lti.Block{C: dense.Eye[float64](q), G: g, B: b, L: l, Input: i})
+	}
+	ms, err := bd.Modalize()
+	if err != nil {
+		t.Fatalf("Modalize: %v", err)
+	}
+	if modal, fb := ms.ModalCount(); fb != 0 || modal != m {
+		t.Fatalf("wide system did not fully modalize (%d modal, %d fallback)", modal, fb)
+	}
+	return ms
+}
 
 // groupFixtures builds S steppers over ms plus S identically-configured
 // twins, each pair pre-advanced to its own step offset so the group members
@@ -202,5 +243,69 @@ func TestStepperGroupValidation(t *testing.T) {
 	}
 	if res, err := g.Advance(0, []Input{input, input}); err != nil || len(res) != 2 || len(res[0].T) != 0 {
 		t.Errorf("Advance(0) = %v, %v", res, err)
+	}
+}
+
+// TestStepperGroupMatchesIndependentAllSizes: groups of every width up to
+// past the narrow-shard cut (members advanced one by one) and into the fused
+// kernels (vectorized across sessions) produce the values of independent
+// advances, on a model wide enough for the output chunks of both kernels.
+func TestStepperGroupMatchesIndependentAllSizes(t *testing.T) {
+	ms := wideModalSystem(t, 3, 6, 21)
+	for ns := 1; ns <= 9; ns++ {
+		t.Run(fmt.Sprint(ns), func(t *testing.T) {
+			members, twins, inputs := groupFixtures(t, ms, ns)
+			g, err := NewStepperGroup(members, GroupOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{1, 17} {
+				got, err := g.Advance(n, inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range twins {
+					want, err := twins[s].Advance(n, inputs[s])
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameResult(t, got[s], want, 0) // equal values
+					if members[s].Step() != twins[s].Step() {
+						t.Fatalf("member %d clock %d, independent %d", s, members[s].Step(), twins[s].Step())
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestNewStepperGroupAllocBytes: building a fused group allocates staging
+// that scales with sessions × (modes + ports + outputs), never a copy of
+// the model's q×p residues — the kernels read those in place.
+func TestNewStepperGroupAllocBytes(t *testing.T) {
+	const ns = 4 // wide enough for the fused kernels
+	bytesFor := func(p int) uint64 {
+		ms := wideModalSystem(t, 3, 6, p)
+		members, _, _ := groupFixtures(t, ms, ns)
+		best := ^uint64(0)
+		for rep := 0; rep < 5; rep++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := NewStepperGroup(members, GroupOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	const pSmall, pLarge = 4, 256
+	small, large := bytesFor(pSmall), bytesFor(pLarge)
+	// Only the output staging (p·ns float64) may grow with p, plus a
+	// little slack for allocator size classes. A residue copy would add
+	// 16·q·p bytes: 72 KB here.
+	if growth, allowed := int64(large)-int64(small), int64(8*ns*(pLarge-pSmall)+1024); growth > allowed {
+		t.Fatalf("NewStepperGroup allocates %d B at p=%d and %d B at p=%d: grows %d B, want ≤ %d (output staging only)",
+			small, pSmall, large, pLarge, growth, allowed)
 	}
 }

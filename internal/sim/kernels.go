@@ -1,44 +1,60 @@
 package sim
 
-// Fused-group inner kernels over structure-of-arrays session state. The
-// group advance splits the per-mode coordinates, drives, and residues into
-// separate real/imaginary float64 arrays so the innermost loops stream
-// contiguous same-type data across sessions — the layout SIMD wants.
+// Modal-advance inner kernels. modalAccum is the single-session output
+// kernel: one block's residue rows applied to its modal coordinates. The
+// fused group advance (group.go) splits the per-mode coordinates and drives
+// into separate real/imaginary float64 arrays with sessions innermost, so
+// accumBlock and stepModes stream contiguous same-type data across sessions
+// — the layout SIMD wants. Both read a block's complex residue rows
+// (lti.ModalBlock.R.Data, mode-major [k*p+r]) in place.
 //
-// Numerical contract: every kernel performs, per session lane, exactly the
-// multiply/add/subtract sequence written in the Go reference below — the
-// same operation order the scalar Stepper uses per step — so fused results
-// equal independent-advance results (the amd64 assembly versions use only
-// per-lane IEEE mul/add/sub, never FMA contraction, for the same reason).
-// Dropping a complex-arithmetic identity like x−0·w = x can flip the sign
-// of an exact zero but never changes a value, which is why the group's
-// equivalence tests compare values, not bit patterns.
+// Numerical contract: every kernel performs, per output (and per session
+// lane), exactly the multiply/add/subtract sequence written in the Go
+// reference below — the same operation order the scalar Stepper uses per
+// step — so vectorized results equal the reference bit for bit (the amd64
+// assembly versions use only per-element IEEE mul/add/sub, never FMA
+// contraction, for the same reason). The group kernels drop the zₖ = 0 skip
+// of the single-session path; dropping a complex-arithmetic identity like
+// x−0·w = x can flip the sign of an exact zero but never changes a value,
+// which is why the group's equivalence tests compare values, not bit
+// patterns.
 
-// axpyRealRef: y[i] += zr[i]*a - zi[i]*c — the real part of accumulating
-// residue·z across one mode row, sessions innermost.
+// modalAccumRef accumulates one modal block's output contribution for one
+// session: for every mode k in ascending order with zₖ ≠ 0 and every output
+// r, y[r] += Re(r[k*p+r]·zₖ) with p = len(y) — the real part of Go's complex
+// product, re·re − im·im, then the add.
 //
 //pgmor:noalloc
-func axpyRealRef(y, zr, zi []float64, a, c float64) {
-	zr = zr[:len(y)]
-	zi = zi[:len(y)]
-	for i := range y {
-		y[i] += zr[i]*a - zi[i]*c
+func modalAccumRef(y []float64, z, r []complex128) {
+	p := len(y)
+	for k, zk := range z {
+		if zk == 0 {
+			continue
+		}
+		row := r[k*p : (k+1)*p]
+		for i := range y {
+			y[i] += real(row[i] * zk)
+		}
 	}
 }
 
 // accumBlockRef accumulates one modal block's residue contributions into the
 // row-major output batch: for every mode k and output row r,
-// yb[r*ns+s] += zr[k*ns+s]*rr[k*p+r] - zi[k*ns+s]*ri[k*p+r]. Equivalent to
-// p×q axpyReal calls; the fused form exists so the assembly version pays one
-// call and one bounds check per block instead of per (mode, row).
+// yb[r*ns+s] += zr[k*ns+s]*Re(res[k*p+r]) - zi[k*ns+s]*Im(res[k*p+r]).
+// One call per block, so the assembly version pays one call and one bounds
+// check per block instead of per (mode, row).
 //
 //pgmor:noalloc
-func accumBlockRef(yb, zr, zi, rr, ri []float64, q, p, ns int) {
+func accumBlockRef(yb, zr, zi []float64, res []complex128, q, p, ns int) {
 	for k := 0; k < q; k++ {
 		zrk := zr[k*ns : (k+1)*ns]
 		zik := zi[k*ns : (k+1)*ns]
 		for r := 0; r < p; r++ {
-			axpyRealRef(yb[r*ns:(r+1)*ns], zrk, zik, rr[k*p+r], ri[k*p+r])
+			a, c := real(res[k*p+r]), imag(res[k*p+r])
+			y := yb[r*ns : (r+1)*ns]
+			for s := range y {
+				y[s] += zrk[s]*a - zik[s]*c
+			}
 		}
 	}
 }

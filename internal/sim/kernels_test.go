@@ -17,19 +17,14 @@ func TestKernelsMatchReference(t *testing.T) {
 		}
 		return v
 	}
-	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 100, 256} {
-		a, c := rng.NormFloat64(), rng.NormFloat64()
-		zr, zi := fill(n), fill(n)
-		yGot, yWant := fill(n), []float64(nil)
-		yWant = append(yWant, yGot...)
-		axpyReal(yGot, zr, zi, a, c)
-		axpyRealRef(yWant, zr, zi, a, c)
-		for i := range yWant {
-			if yGot[i] != yWant[i] {
-				t.Fatalf("axpyReal n=%d i=%d: %v != %v", n, i, yGot[i], yWant[i])
-			}
+	fillComplex := func(n int) []complex128 {
+		v := make([]complex128, n)
+		for i := range v {
+			v[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-
+		return v
+	}
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 100, 256} {
 		er, ei := rng.NormFloat64(), rng.NormFloat64()
 		f0r, f0i := rng.NormFloat64(), rng.NormFloat64()
 		f1r, f1i := rng.NormFloat64(), rng.NormFloat64()
@@ -44,6 +39,20 @@ func TestKernelsMatchReference(t *testing.T) {
 				t.Fatalf("stepModes n=%d i=%d: (%v,%v) != (%v,%v)", n, i, zrGot[i], ziGot[i], zrWant[i], ziWant[i])
 			}
 		}
+
+		// modalAccum with n outputs over a 6-mode block, one mode zero.
+		z := fillComplex(6)
+		z[2] = 0
+		res := fillComplex(6 * n)
+		yGot := fill(n)
+		yWant := append([]float64(nil), yGot...)
+		modalAccum(yGot, z, res)
+		modalAccumRef(yWant, z, res)
+		for i := range yWant {
+			if yGot[i] != yWant[i] {
+				t.Fatalf("modalAccum p=%d i=%d: %v != %v", n, i, yGot[i], yWant[i])
+			}
+		}
 	}
 
 	// accumBlock over varied block shapes, including vector tails in ns.
@@ -54,11 +63,11 @@ func TestKernelsMatchReference(t *testing.T) {
 	} {
 		q, p, ns := shape.q, shape.p, shape.ns
 		zr, zi := fill(q*ns), fill(q*ns)
-		rr, ri := fill(q*p), fill(q*p)
+		res := fillComplex(q * p)
 		ybGot := fill(p * ns)
 		ybWant := append([]float64(nil), ybGot...)
-		accumBlock(ybGot, zr, zi, rr, ri, q, p, ns)
-		accumBlockRef(ybWant, zr, zi, rr, ri, q, p, ns)
+		accumBlock(ybGot, zr, zi, res, q, p, ns)
+		accumBlockRef(ybWant, zr, zi, res, q, p, ns)
 		for i := range ybWant {
 			if ybGot[i] != ybWant[i] {
 				t.Fatalf("accumBlock q=%d p=%d ns=%d i=%d: %v != %v", q, p, ns, i, ybGot[i], ybWant[i])

@@ -72,15 +72,7 @@ func (st *modalBlockState) step(u0, u1 float64) {
 
 // addOutput accumulates y += Re(Σₖ Rₖ·zₖ + D·u).
 func (st *modalBlockState) addOutput(y []float64, u float64) {
-	for k, zk := range st.z {
-		if zk == 0 {
-			continue
-		}
-		row := st.mb.R.Row(k)
-		for r := range y {
-			y[r] += real(row[r] * zk)
-		}
-	}
+	modalAccum(y, st.z, st.mb.R.Data)
 	if st.mb.D != nil && u != 0 {
 		for r := range y {
 			y[r] += real(st.mb.D[r]) * u

@@ -302,14 +302,28 @@ func (st *Stepper) Advance(n int, input Input) (*Result, error) {
 	if input == nil {
 		return nil, fmt.Errorf("sim: stepper Input waveform is required")
 	}
-	res := &Result{T: make([]float64, n), Y: make([][]float64, n)}
-	if n == 0 {
-		return res, nil
+	res := newResult(n, st.p)
+	if n > 0 {
+		st.advanceInto(n, input, res)
 	}
-	// One backing array for all n rows: Advance performs O(1) allocations
-	// regardless of step count, where the old per-step make([]float64, p)
-	// put n short-lived rows on the heap per call.
-	yback := make([]float64, n*st.p)
+	return res, nil
+}
+
+// newResult allocates the n rows of a p-output advance. One backing array
+// holds all n rows: an advance performs O(1) allocations regardless of step
+// count, where a per-step make([]float64, p) would put n short-lived rows on
+// the heap per call.
+func newResult(n, p int) *Result {
+	res := &Result{T: make([]float64, n), Y: make([][]float64, n)}
+	yback := make([]float64, n*p)
+	for i := range res.Y {
+		res.Y[i] = yback[i*p : (i+1)*p : (i+1)*p]
+	}
+	return res
+}
+
+// advanceInto is Advance (n > 0) writing into the rows of res.
+func (st *Stepper) advanceInto(n int, input Input, res *Result) {
 	// Re-evaluate the left endpoint under the (possibly new) drive; for an
 	// unchanged waveform this reproduces the value the previous Advance left
 	// behind, because Input is a pure function of t.
@@ -320,12 +334,9 @@ func (st *Stepper) Advance(n int, input Input) (*Result, error) {
 		input(t, st.uNext)
 		st.stepAll()
 		copy(st.uNow, st.uNext)
-		row := yback[i*st.p : (i+1)*st.p : (i+1)*st.p]
-		st.outputInto(row)
+		st.outputInto(res.Y[i])
 		res.T[i] = t
-		res.Y[i] = row
 	}
-	return res, nil
 }
 
 // StepperState is a deep snapshot of a Stepper's integration state: the step
