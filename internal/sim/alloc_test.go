@@ -84,8 +84,8 @@ func TestGroupAdvanceFusedAllocs(t *testing.T) {
 		})
 		// results slice + 4 per member (Result, T, Y, row backing), with a
 		// little slack for runtime noise; the bound must not move with n.
-		if allocs > 20 {
-			t.Fatalf("group Advance(%d) allocates %.1f times per call, want O(members) ≤ 20", n, allocs)
+		if want := float64(1 + 4*len(members) + 4); allocs > want {
+			t.Fatalf("group Advance(%d) allocates %.1f times per call, want O(members) ≤ %.0f", n, allocs, want)
 		}
 	}
 }

@@ -13,23 +13,23 @@ type GroupOptions struct {
 	Workers int
 }
 
-// StepperGroup advances N compatible Steppers — same model, same Dt — through
-// one fused per-mode pass instead of N independent block loops. Per step and
-// modal block the propagator constants e^{λₖh}, φ-weights, and residue rows
-// are loaded once and applied to every member session, with the per-mode
-// coordinates gathered into a mode-major structure-of-arrays (z[k·S+s]) so
-// the inner session loop streams contiguously. Independent advance touches
-// N scattered copies of the same constants and pays the per-session
-// per-block call overhead N times. A shard of fewer than groupMinLanes
-// members has too few sessions to fill a vector, so it advances its members
-// one by one instead, through the single-session kernels.
+// StepperGroup advances N compatible Steppers — same model, same Dt — as
+// one batch. On a fully modal model the members of a shard run, in whole
+// 4-lane vectors, through one fused per-mode pass: per step and modal block
+// the propagator constants e^{λₖh}, φ-weights, and residue rows are loaded
+// once and applied to every fused session, with the per-mode coordinates
+// gathered into a mode-major structure-of-arrays (z[k·S+s]) so the inner
+// session loop streams contiguously. The fused pass only pays off from
+// groupMinLanes sessions; narrower shards, the members past the last whole
+// vector, and every member of a model with implicit-rule blocks advance one
+// by one through the single-session kernels.
 //
-// The trajectories are bit-identical to calling Advance on each member
-// independently: per session, every floating-point operation runs in the
-// same order with the same operands — the fusion only reorders work across
-// sessions, which share no state. Members keep full ownership of their state
-// between group advances: Snapshot, Restore, and independent Advance all
-// remain valid, and members may sit at different step indices.
+// The trajectories equal calling Advance on each member independently: per
+// session, every floating-point operation runs in the same order with the
+// same operands — the fusion only reorders work across sessions, which share
+// no state. Members keep full ownership of their state between group
+// advances: Snapshot, Restore, and independent Advance all remain valid,
+// and members may sit at different step indices.
 //
 // A StepperGroup is not safe for concurrent use; callers serialize Advance
 // the same way they serialize a Stepper.
@@ -41,33 +41,42 @@ type StepperGroup struct {
 	pool    *groupPool
 }
 
-// groupMinLanes is the narrowest shard the fused kernels advance: below 4
-// sessions stepModes and accumBlock run their scalar references, so a
-// narrower shard advances each member on its own through Stepper.Advance,
-// whose single-session output kernel is vectorized across outputs instead.
-const groupMinLanes = 4
+// The fused kernels advance sessions in vectors of groupVecLanes float64
+// lanes, and only from groupMinLanes sessions on. Measured on the ckt1 ROM
+// (51 blocks, 306 modes, p = 51; 64-step advances, 2-vCPU Xeon), the fused
+// pass costs per session 1.2× an independent advance at 4 sessions, 1.05×
+// at 8, and 0.6–0.8× from 12 on when the width is a whole number of
+// vectors; a ragged width runs its last lanes through scalar tails and
+// loses most of that (1.1× at 15). So a shard fuses its largest multiple of
+// groupVecLanes members when that reaches groupMinLanes, and advances the
+// rest one by one.
+const (
+	groupVecLanes = 4
+	groupMinLanes = 12
+)
 
-// groupShard owns a contiguous member range and its SoA staging buffers.
-// Fully-modal groups run the vectorized split-float path (zr/zi, uNow/uNxt,
-// ybatch); groups containing implicit blocks use the complex staging. A
-// shard narrower than groupMinLanes has no staging: its members advance
-// one by one.
+// fusedLanes returns how many of a fully modal shard's ns members the fused
+// kernels advance.
+func fusedLanes(ns int) int {
+	if f := ns - ns%groupVecLanes; f >= groupMinLanes {
+		return f
+	}
+	return 0
+}
+
+// groupShard owns a contiguous member range: members [lo, mid) run the
+// fused kernels over its SoA staging buffers, members [mid, hi) advance one
+// by one. A shard with nothing to fuse has mid == lo and no staging.
 type groupShard struct {
-	lo, hi   int
-	allModal bool
+	lo, mid, hi int
 
-	// Split-float path (allModal).
 	zr, zi     [][]float64 // per block: mode-major z parts [k*S+s]
 	uNow, uNxt []float64   // endpoint drives, port-major [port*S+s]
 	ybatch     []float64   // output staging, row-major [r*S+s]
-
-	// Complex path (mixed modal/implicit groups).
-	z        [][]complex128 // per block: mode-major z[k*S+s]; nil for implicit blocks
-	cu0, cu1 []complex128   // per-session endpoint inputs of the block being stepped
 }
 
-// NewStepperGroup validates that every member is advanceable by one fused
-// kernel and builds the staging buffers. Members must be distinct steppers
+// NewStepperGroup validates that the members can share one model's tables
+// and builds the fused shards' staging buffers. Members must be distinct steppers
 // over the same modal data (same ModalBlock pointers — i.e. the same model)
 // with identical Dt; the propagator tables are verified bit-equal, which is
 // what lets the kernel read member 0's copy for everyone.
@@ -119,32 +128,25 @@ func NewStepperGroup(members []*Stepper, opts GroupOptions) (*StepperGroup, erro
 }
 
 func newGroupShard(ref *Stepper, lo, hi int, allModal bool) *groupShard {
-	s := hi - lo
-	sh := &groupShard{lo: lo, hi: hi, allModal: allModal}
-	if s < groupMinLanes {
+	sh := &groupShard{lo: lo, mid: lo, hi: hi}
+	if !allModal {
 		return sh
 	}
-	if allModal {
-		sh.zr = make([][]float64, len(ref.blocks))
-		sh.zi = make([][]float64, len(ref.blocks))
-		for b := range ref.blocks {
-			q := len(ref.blocks[b].modal.z)
-			sh.zr[b] = make([]float64, q*s)
-			sh.zi[b] = make([]float64, q*s)
-		}
-		sh.uNow = make([]float64, ref.m*s)
-		sh.uNxt = make([]float64, ref.m*s)
-		sh.ybatch = make([]float64, ref.p*s)
+	s := fusedLanes(hi - lo)
+	if s == 0 {
 		return sh
 	}
-	sh.z = make([][]complex128, len(ref.blocks))
-	sh.cu0 = make([]complex128, s)
-	sh.cu1 = make([]complex128, s)
+	sh.mid = lo + s
+	sh.zr = make([][]float64, len(ref.blocks))
+	sh.zi = make([][]float64, len(ref.blocks))
 	for b := range ref.blocks {
-		if m := ref.blocks[b].modal; m != nil {
-			sh.z[b] = make([]complex128, len(m.z)*s)
-		}
+		q := len(ref.blocks[b].modal.z)
+		sh.zr[b] = make([]float64, q*s)
+		sh.zi[b] = make([]float64, q*s)
 	}
+	sh.uNow = make([]float64, ref.m*s)
+	sh.uNxt = make([]float64, ref.m*s)
+	sh.ybatch = make([]float64, ref.p*s)
 	return sh
 }
 
@@ -233,132 +235,20 @@ func (g *StepperGroup) Close() {
 	}
 }
 
-// advanceGroupShard runs the fused kernel over the shard's member range, or
-// advances a narrow shard's members one by one. It deliberately takes the
-// members slice rather than the *StepperGroup so the persistent workers do
-// not keep the group reachable (see ensurePool).
+// advanceGroupShard runs the fused kernels over the shard's fused members
+// and advances the rest one by one. It deliberately takes the members slice
+// rather than the *StepperGroup so the persistent workers do not keep the
+// group reachable (see ensurePool).
 func advanceGroupShard(members []*Stepper, sh *groupShard, n int, inputs []Input, results []*Result) {
-	if sh.hi-sh.lo < groupMinLanes {
-		for s := sh.lo; s < sh.hi; s++ {
-			members[s].advanceInto(n, inputs[s], results[s])
-		}
-		return
-	}
-	if sh.allModal {
+	if sh.mid > sh.lo {
 		advanceGroupShardFused(members, sh, n, inputs, results)
-		return
 	}
-	s0 := sh.lo
-	ns := sh.hi - sh.lo
-	ref := members[s0]
-	// Gather the per-mode coordinates into the mode-major SoA staging; the
-	// member slices go stale for the duration of the advance and are
-	// refreshed by the scatter below.
-	for b := range ref.blocks {
-		zb := sh.z[b]
-		if zb == nil {
-			continue
-		}
-		for s := 0; s < ns; s++ {
-			for k, zk := range members[s0+s].blocks[b].modal.z {
-				zb[k*ns+s] = zk
-			}
-		}
-	}
-	// Left endpoints under the (possibly new) drives, exactly as Advance.
-	for s := s0; s < sh.hi; s++ {
-		inputs[s](members[s].Time(), members[s].uNow)
-	}
-	for i := 0; i < n; i++ {
-		for s := s0; s < sh.hi; s++ {
-			st := members[s]
-			st.k++
-			t := float64(st.k) * st.h
-			results[s].T[i] = t
-			inputs[s](t, st.uNext)
-		}
-		for b := range ref.blocks {
-			if zb := sh.z[b]; zb != nil {
-				mst := ref.blocks[b].modal
-				port := mst.input
-				for s := 0; s < ns; s++ {
-					st := members[s0+s]
-					sh.cu0[s] = complex(st.uNow[port], 0)
-					sh.cu1[s] = complex(st.uNext[port], 0)
-				}
-				for k := range mst.expLH {
-					e, f0, f1 := mst.expLH[k], mst.fNow[k], mst.fNxt[k]
-					zrow := zb[k*ns : (k+1)*ns]
-					for s := range zrow {
-						zrow[s] = e*zrow[s] + sh.cu0[s]*f0 + sh.cu1[s]*f1
-					}
-				}
-			} else {
-				for s := s0; s < sh.hi; s++ {
-					st := members[s]
-					im := st.blocks[b].implicit
-					im.step(st.uNow[im.input], st.uNext[im.input])
-				}
-			}
-		}
-		for s := s0; s < sh.hi; s++ {
-			st := members[s]
-			copy(st.uNow, st.uNext)
-		}
-		// Outputs: per session the accumulation order is block-ascending,
-		// mode-ascending, row-ascending with the zₖ = 0 skip — the exact
-		// order outputInto uses, so the sums round identically.
-		for b := range ref.blocks {
-			if zb := sh.z[b]; zb != nil {
-				mst := ref.blocks[b].modal
-				for k := range mst.expLH {
-					row := mst.mb.R.Row(k)
-					zrow := zb[k*ns : (k+1)*ns]
-					for s := range zrow {
-						zk := zrow[s]
-						if zk == 0 {
-							continue
-						}
-						y := results[s0+s].Y[i]
-						for r := range y {
-							y[r] += real(row[r] * zk)
-						}
-					}
-				}
-				if mst.mb.D != nil {
-					port := mst.input
-					for s := s0; s < sh.hi; s++ {
-						if u := members[s].uNow[port]; u != 0 {
-							y := results[s].Y[i]
-							for r := range y {
-								y[r] += real(mst.mb.D[r]) * u
-							}
-						}
-					}
-				}
-			} else {
-				for s := s0; s < sh.hi; s++ {
-					members[s].blocks[b].implicit.addOutput(results[s].Y[i])
-				}
-			}
-		}
-	}
-	// Scatter the advanced coordinates back into the members.
-	for b := range ref.blocks {
-		zb := sh.z[b]
-		if zb == nil {
-			continue
-		}
-		for s := 0; s < ns; s++ {
-			z := members[s0+s].blocks[b].modal.z
-			for k := range z {
-				z[k] = zb[k*ns+s]
-			}
-		}
+	for s := sh.mid; s < sh.hi; s++ {
+		members[s].advanceInto(n, inputs[s], results[s])
 	}
 }
 
-// advanceGroupShardFused is the vectorized path for fully-modal groups: the
+// advanceGroupShardFused advances a shard's fused members [lo, mid): the
 // per-mode coordinates and endpoint drives live in split real/imaginary
 // float arrays with sessions innermost, and the mode-update and
 // residue-accumulation inner loops run through the SIMD-dispatched kernels
@@ -371,7 +261,7 @@ func advanceGroupShard(members []*Stepper, sh *groupShard, n int, inputs []Input
 //pgmor:noalloc
 func advanceGroupShardFused(members []*Stepper, sh *groupShard, n int, inputs []Input, results []*Result) {
 	s0 := sh.lo
-	ns := sh.hi - sh.lo
+	ns := sh.mid - sh.lo
 	ref := members[s0]
 	p := ref.p
 	// Gather the per-mode coordinates into the split mode-major staging.
@@ -385,7 +275,7 @@ func advanceGroupShardFused(members []*Stepper, sh *groupShard, n int, inputs []
 		}
 	}
 	// Left endpoints under the (possibly new) drives, exactly as Advance.
-	for s := s0; s < sh.hi; s++ {
+	for s := s0; s < sh.mid; s++ {
 		inputs[s](members[s].Time(), members[s].uNow) //pgmor:alloc caller-provided input callback; its allocation budget is the caller's
 	}
 	// Stage the left-endpoint drives port-major once; after each step the
@@ -398,7 +288,7 @@ func advanceGroupShardFused(members []*Stepper, sh *groupShard, n int, inputs []
 		}
 	}
 	for i := 0; i < n; i++ {
-		for s := s0; s < sh.hi; s++ {
+		for s := s0; s < sh.mid; s++ {
 			st := members[s]
 			st.k++
 			t := float64(st.k) * st.h
@@ -423,7 +313,7 @@ func advanceGroupShardFused(members []*Stepper, sh *groupShard, n int, inputs []
 					real(e), imag(e), real(f0), imag(f0), real(f1), imag(f1))
 			}
 		}
-		for s := s0; s < sh.hi; s++ {
+		for s := s0; s < sh.mid; s++ {
 			st := members[s]
 			copy(st.uNow, st.uNext)
 		}

@@ -82,13 +82,16 @@ func groupFixtures(t *testing.T, ms *lti.ModalSystem, s int) (members, twins []*
 // waveforms, distinct session clocks, repeated chunks.
 func TestStepperGroupBitIdentical(t *testing.T) {
 	_, ms := modalTestSystem(t)
-	members, twins, inputs := groupFixtures(t, ms, 7)
+	// One more than groupMinLanes: the fused kernels and a member advanced
+	// on its own in the same shard.
+	const size = groupMinLanes + 1
+	members, twins, inputs := groupFixtures(t, ms, size)
 	g, err := NewStepperGroup(members, GroupOptions{})
 	if err != nil {
 		t.Fatalf("NewStepperGroup: %v", err)
 	}
-	if g.Size() != 7 {
-		t.Fatalf("Size = %d, want 7", g.Size())
+	if g.Size() != size {
+		t.Fatalf("Size = %d, want %d", g.Size(), size)
 	}
 	for _, n := range []int{1, 13, 64} {
 		got, err := g.Advance(n, inputs)
@@ -121,14 +124,14 @@ func TestStepperGroupBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStepperGroupImplicitBlocks: groups over implicit-rule steppers fuse
-// too (the per-session serial path), bit-identical as well.
+// TestStepperGroupImplicitBlocks: groups over implicit-rule steppers, which
+// advance member by member at any width, are bit-identical as well.
 func TestStepperGroupImplicitBlocks(t *testing.T) {
 	bd, _ := modalTestSystem(t)
 	input := UniformInput(Pulse{Low: 0, High: 1, Delay: 0.05, Rise: 0.02, Fall: 0.02, Width: 0.2, Period: 0.5})
 	var members []*Stepper
 	var inputs []Input
-	for i := 0; i < 3; i++ {
+	for i := 0; i < groupMinLanes; i++ {
 		st, err := NewImplicitStepper(bd, StepperOptions{Method: Trapezoidal, Dt: 0.005})
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +164,9 @@ func TestStepperGroupImplicitBlocks(t *testing.T) {
 // changes nothing about the per-session arithmetic.
 func TestStepperGroupWorkers(t *testing.T) {
 	_, ms := modalTestSystem(t)
-	members, twins, inputs := groupFixtures(t, ms, 9)
+	// Four shards of 13, 13, 13 and 11 members: three fuse 12 and advance
+	// one on its own, the last is too narrow to fuse.
+	members, twins, inputs := groupFixtures(t, ms, 50)
 	g, err := NewStepperGroup(members, GroupOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -246,13 +251,14 @@ func TestStepperGroupValidation(t *testing.T) {
 	}
 }
 
-// TestStepperGroupMatchesIndependentAllSizes: groups of every width up to
-// past the narrow-shard cut (members advanced one by one) and into the fused
-// kernels (vectorized across sessions) produce the values of independent
-// advances, on a model wide enough for the output chunks of both kernels.
+// TestStepperGroupMatchesIndependentAllSizes: groups of every width from
+// one member, through the narrow shards advanced one by one, to fused
+// shards of one to five vectors with zero to three members left over,
+// produce the values of independent advances, on a model wide enough for
+// the output chunks of both output kernels.
 func TestStepperGroupMatchesIndependentAllSizes(t *testing.T) {
 	ms := wideModalSystem(t, 3, 6, 21)
-	for ns := 1; ns <= 9; ns++ {
+	for ns := 1; ns <= groupMinLanes+2*groupVecLanes+1; ns++ {
 		t.Run(fmt.Sprint(ns), func(t *testing.T) {
 			members, twins, inputs := groupFixtures(t, ms, ns)
 			g, err := NewStepperGroup(members, GroupOptions{})
@@ -279,11 +285,35 @@ func TestStepperGroupMatchesIndependentAllSizes(t *testing.T) {
 	}
 }
 
+// TestFusedLanes: a fully modal shard fuses its largest whole number of
+// vectors once that reaches groupMinLanes, and NewStepperGroup's shards
+// split their members accordingly.
+func TestFusedLanes(t *testing.T) {
+	for ns, want := range map[int]int{1: 0, 3: 0, 4: 0, 8: 0, 11: 0, 12: 12, 13: 12, 15: 12, 16: 16, 19: 16, 20: 20} {
+		if got := fusedLanes(ns); got != want {
+			t.Errorf("fusedLanes(%d) = %d, want %d", ns, got, want)
+		}
+	}
+	_, ms := modalTestSystem(t)
+	members, _, _ := groupFixtures(t, ms, 23)
+	g, err := NewStepperGroup(members, GroupOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][3]int
+	for _, sh := range g.shards {
+		got = append(got, [3]int{sh.lo, sh.mid, sh.hi})
+	}
+	if want := [][3]int{{0, 12, 12}, {12, 12, 23}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("shards [lo mid hi] = %v, want %v", got, want)
+	}
+}
+
 // TestNewStepperGroupAllocBytes: building a fused group allocates staging
 // that scales with sessions × (modes + ports + outputs), never a copy of
 // the model's q×p residues — the kernels read those in place.
 func TestNewStepperGroupAllocBytes(t *testing.T) {
-	const ns = 4 // wide enough for the fused kernels
+	const ns = groupMinLanes // wide enough for the fused kernels
 	bytesFor := func(p int) uint64 {
 		ms := wideModalSystem(t, 3, 6, p)
 		members, _, _ := groupFixtures(t, ms, ns)

@@ -38,7 +38,7 @@ func modalAccum(y []float64, z, r []complex128) {
 
 //pgmor:noalloc
 func stepModes(zr, zi, u0, u1 []float64, er, ei, f0r, f0i, f1r, f1i float64) {
-	if useAVX2 && len(zr) >= 4 {
+	if useAVX2 {
 		stepModesAVX2(zr, zi, u0, u1, er, ei, f0r, f0i, f1r, f1i)
 		return
 	}
@@ -47,7 +47,7 @@ func stepModes(zr, zi, u0, u1 []float64, er, ei, f0r, f0i, f1r, f1i float64) {
 
 //pgmor:noalloc
 func accumBlock(yb, zr, zi []float64, res []complex128, q, p, ns int) {
-	if useAVX2 && ns >= 4 {
+	if useAVX2 {
 		// The assembly walks raw pointers; keep the slice-shape invariants
 		// it assumes checked in one place.
 		if len(zr) < q*ns || len(zi) < q*ns || len(yb) < p*ns || len(res) < q*p {
