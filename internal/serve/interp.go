@@ -312,8 +312,10 @@ func (r *Repository) interpolate(key ModelKey, scales []float64, lo, hi int, tol
 	cfg.RCOnly = key.RCOnly
 	order, _, _ := ms.Dims()
 	modalBlocks, _ := ms.ModalCount()
+	id := key.ID()
 	m := &Model{
-		ID:          key.ID(),
+		ID:          id,
+		idJSON:      jsonString(id),
 		Key:         key,
 		Nodes:       cfg.NumNodes(),
 		Ports:       ms.BD.M,

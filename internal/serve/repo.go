@@ -156,6 +156,10 @@ type Model struct {
 	Packed *lti.ModalPacked `json:"-"`
 	// GridKey fingerprints the generated grid configuration.
 	GridKey string `json:"-"`
+
+	// idJSON is ID encoded once by encoding/json, HTML escaping included,
+	// for the numeric response appenders (encode.go).
+	idJSON []byte
 }
 
 // Outcome classifies how a Repository.Get call obtained its model. It is
@@ -466,8 +470,10 @@ func (r *Repository) loadFromStore(key ModelKey) *Model {
 		}
 	}
 	r.diskHits.Add(1)
+	id := key.ID()
 	m := &Model{
-		ID:         key.ID(),
+		ID:         id,
+		idJSON:     jsonString(id),
 		Key:        key,
 		Nodes:      meta.Nodes,
 		Ports:      meta.Ports,
@@ -757,8 +763,10 @@ func buildModel(key ModelKey, noWard bool, phase func(string, time.Duration)) (*
 
 	n, m, p := sys.Dims()
 	order, _, _ := rom.Dims()
+	id := key.ID()
 	mdl := &Model{
-		ID:             key.ID(),
+		ID:             id,
+		idJSON:         jsonString(id),
 		Key:            key,
 		Nodes:          n,
 		Ports:          m,

@@ -385,9 +385,40 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	json.NewEncoder(w).Encode(body)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON writes v as a 200 JSON response.
+func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
+	writeJSONStatus(w, r, http.StatusOK, v)
+}
+
+// writeJSONStatus writes v as a JSON response with the given status. v is
+// marshaled before anything is written, so a value encoding/json rejects
+// answers 500 rather than an empty success.
+func writeJSONStatus(w http.ResponseWriter, r *http.Request, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeErr(w, r, fmt.Errorf("serve: encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.WriteHeader(code)
+	w.Write(append(b, '\n'))
+}
+
+// writeNumeric writes the buffered numeric response that body appends (see
+// encode.go) from a pooled buffer. A value the appenders reject — NaN or
+// ±Inf — answers 500 naming the model; nothing has been written by then.
+func writeNumeric(w http.ResponseWriter, r *http.Request, m *Model, body func(b []byte) ([]byte, error)) {
+	bp := getBuf()
+	defer putBuf(bp)
+	b, err := body((*bp)[:0])
+	*bp = b
+	if err != nil {
+		writeErr(w, r, fmt.Errorf("serve: encoding response for model %s: %w", m.ID, err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	*bp = append(b, '\n')
+	w.Write(*bp)
 }
 
 // decodeBody reads one JSON document from a size-capped request body.
@@ -474,7 +505,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	noteModel(r, m)
-	writeJSON(w, modelInfo(m, outcome))
+	writeJSON(w, r, modelInfo(m, outcome))
 }
 
 // interpRequest asks for a model at an arbitrary Scale, interpolated from
@@ -506,7 +537,7 @@ func (s *Server) handleInterp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	noteModel(r, m)
-	writeJSON(w, modelInfo(m, outcome))
+	writeJSON(w, r, modelInfo(m, outcome))
 }
 
 // resolveModel turns a request's model reference — an explicit id, or a
@@ -555,18 +586,6 @@ type evalRequest struct {
 	Omegas []float64 `json:"omegas"`
 }
 
-// evalResponse holds, per frequency, the full p×m transfer matrix as
-// H[row][col] = [re, im].
-type evalResponse struct {
-	Model  string       `json:"model"`
-	Points []evalMatrix `json:"points"`
-}
-
-type evalMatrix struct {
-	Omega float64        `json:"omega"`
-	H     [][][2]float64 `json:"h"`
-}
-
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	var req evalRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
@@ -602,20 +621,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	resp := evalResponse{Model: m.ID, Points: make([]evalMatrix, len(mats))}
-	for k, h := range mats {
-		em := evalMatrix{Omega: req.Omegas[k], H: make([][][2]float64, h.Rows)}
-		for i := 0; i < h.Rows; i++ {
-			row := make([][2]float64, h.Cols)
-			for j := 0; j < h.Cols; j++ {
-				z := h.At(i, j)
-				row[j] = [2]float64{real(z), imag(z)}
-			}
-			em.H[i] = row
-		}
-		resp.Points[k] = em
-	}
-	writeJSON(w, resp)
+	writeNumeric(w, r, m, func(b []byte) ([]byte, error) { return appendEval(b, m, req.Omegas, mats) })
 }
 
 type sweepRequest struct {
@@ -679,9 +685,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		switch strings.ToLower(req.Format) {
 		case "", "json":
-			writeJSON(w, map[string]any{"model": m.ID, "entries": sweeps})
+			writeNumeric(w, r, m, func(b []byte) ([]byte, error) { return appendSweepEntries(b, m, sweeps) })
 		case "ndjson":
-			streamNDJSON(w, len(sweeps), func(enc *json.Encoder, i int) error { return enc.Encode(sweeps[i]) })
+			streamNDJSON(w, len(sweeps), func(b []byte, i int) ([]byte, error) { return appendEntrySweep(b, sweeps[i]) })
 		default:
 			writeErr(w, r, badRequest("unknown format %q (want json or ndjson)", req.Format))
 		}
@@ -699,9 +705,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	pts := sweeps[0].Points
 	switch strings.ToLower(req.Format) {
 	case "", "json":
-		writeJSON(w, map[string]any{"model": m.ID, "points": pts})
+		writeNumeric(w, r, m, func(b []byte) ([]byte, error) { return appendSweep(b, m, pts) })
 	case "ndjson":
-		streamNDJSON(w, len(pts), func(enc *json.Encoder, i int) error { return enc.Encode(pts[i]) })
+		streamNDJSON(w, len(pts), func(b []byte, i int) ([]byte, error) { return appendSweepPoint(b, pts[i]) })
 	default:
 		writeErr(w, r, badRequest("unknown format %q (want json or ndjson)", req.Format))
 	}
@@ -724,27 +730,35 @@ func armStreamDeadline(rc *http.ResponseController) {
 }
 func clearStreamDeadline(rc *http.ResponseController) { rc.SetWriteDeadline(time.Time{}) }
 
-// streamNDJSON writes n JSON lines, flushing as it goes so clients see rows
-// as they are produced, under the rolling stream write deadline.
-func streamNDJSON(w http.ResponseWriter, n int, row func(enc *json.Encoder, i int) error) {
+// streamRows is how many rows an NDJSON stream appends per Write and flush.
+const streamRows = 64
+
+// streamNDJSON writes n JSON lines appended by row, one Write and flush per
+// streamRows rows so clients see rows as they are produced, under the rolling
+// stream write deadline. A row that fails to encode ends the stream after the
+// rows before it with the {"error": …} truncation marker; a failed write
+// means the client is gone and ends it quietly.
+func streamNDJSON(w http.ResponseWriter, n int, row func(b []byte, i int) ([]byte, error)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	fl, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	defer clearStreamDeadline(rc)
-	for i := 0; i < n; i++ {
-		if i%64 == 0 {
-			armStreamDeadline(rc)
-		}
-		if err := row(enc, i); err != nil {
+	bp := getBuf()
+	defer putBuf(bp)
+	for lo := 0; lo < n; lo += streamRows {
+		armStreamDeadline(rc)
+		b, _, err := appendLines((*bp)[:0], lo, min(lo+streamRows, n), row)
+		*bp = b
+		if _, werr := w.Write(b); werr != nil {
 			return
 		}
-		if fl != nil && i%64 == 63 {
+		if err != nil {
+			writeStreamError(w, "row encoding failed: "+err.Error())
+			return
+		}
+		if fl != nil {
 			fl.Flush()
 		}
-	}
-	if fl != nil {
-		fl.Flush()
 	}
 }
 
@@ -797,12 +811,6 @@ type transientRequest struct {
 	Format string `json:"format,omitempty"`
 }
 
-// transientRow is one NDJSON row of a transient response.
-type transientRow struct {
-	T float64   `json:"t"`
-	Y []float64 `json:"y"`
-}
-
 func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
 	var req transientRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
@@ -842,10 +850,10 @@ func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
 	}
 	switch strings.ToLower(req.Format) {
 	case "", "json":
-		writeJSON(w, map[string]any{"model": m.ID, "t": res.T, "y": res.Y})
+		writeNumeric(w, r, m, func(b []byte) ([]byte, error) { return appendTransient(b, m, res.T, res.Y) })
 	case "ndjson":
-		streamNDJSON(w, len(res.T), func(enc *json.Encoder, i int) error {
-			return enc.Encode(transientRow{T: res.T[i], Y: res.Y[i]})
+		streamNDJSON(w, len(res.T), func(b []byte, i int) ([]byte, error) {
+			return appendTransientRow(b, res.T[i], res.Y[i])
 		})
 	default:
 		writeErr(w, r, badRequest("unknown format %q (want json or ndjson)", req.Format))
@@ -858,7 +866,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	for i, m := range models {
 		out[i] = modelInfo(m, OutcomeMemHit)
 	}
-	writeJSON(w, out)
+	writeJSON(w, r, out)
 }
 
 // handleHealthz reports liveness plus readiness: while the store preload is
@@ -879,15 +887,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		stats["store"] = s.cfg.Store.Stats()
 	}
 	if nr := s.notReady.Load(); nr != nil {
-		w.Header().Set("Content-Type", "application/json")
 		if nr.retryAfter > 0 {
 			w.Header().Set("Retry-After", retryAfterSeconds(nr.retryAfter))
 		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{
+		writeJSONStatus(w, r, http.StatusServiceUnavailable, map[string]any{
 			"status": "unavailable", "reason": nr.reason, "stats": stats,
 		})
 		return
 	}
-	writeJSON(w, map[string]any{"status": "ok", "stats": stats})
+	writeJSON(w, r, map[string]any{"status": "ok", "stats": stats})
 }

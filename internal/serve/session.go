@@ -3,7 +3,6 @@ package serve
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -458,7 +457,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	writeJSON(w, s.sessionInfo(sess))
+	writeJSON(w, r, s.sessionInfo(sess))
 }
 
 func (s *Server) lookupSession(id string) (*Session, error) {
@@ -476,7 +475,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	noteModel(r, sess.model)
-	writeJSON(w, s.sessionInfo(sess))
+	writeJSON(w, r, s.sessionInfo(sess))
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
@@ -491,7 +490,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store != nil {
 		s.cfg.Store.DeleteSnapshot(id)
 	}
-	writeJSON(w, map[string]string{"deleted": id})
+	writeJSON(w, r, map[string]string{"deleted": id})
 }
 
 // handleSessionAdvance integrates the session forward and streams each
@@ -540,7 +539,6 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	fl, _ := w.(http.Flusher)
 	flush := func() {
 		if fl != nil {
@@ -550,28 +548,35 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 	// Guard each chunk's writes with the rolling stream deadline: a stalled
 	// client — connected but not reading — fails the write within
 	// streamWriteTimeout and frees this goroutine, rather than blocking in
-	// enc.Encode forever (r.Context() fires on disconnect, not on a stall).
+	// Write forever (r.Context() fires on disconnect, not on a stall).
 	rc := http.NewResponseController(w)
 	armWriteDeadline := func() { armStreamDeadline(rc) }
 	defer clearStreamDeadline(rc)
 	armWriteDeadline()
-	// A failed row write normally means the client is gone (broken or
-	// stalled connection) — account it like a context cancellation. An
-	// encode-side failure (NaN/Inf outputs from a diverging integrator) is
-	// not a disconnect: surface the truncation marker so the still-connected
-	// client cannot mistake the partial stream for a complete one.
-	writeRow := func(t float64, y []float64) bool {
-		if err := enc.Encode(transientRow{T: t, Y: y}); err != nil {
-			var uve *json.UnsupportedValueError
-			if errors.As(err, &uve) {
-				armWriteDeadline()
-				enc.Encode(map[string]string{"error": "row encoding failed: " + err.Error()})
-			} else {
-				s.sessions.canceledAdvances.Add(1)
-			}
+	bp := getBuf()
+	defer putBuf(bp)
+	// writeRows streams rows as NDJSON lines in one Write. A failed write
+	// normally means the client is gone (broken or stalled connection) —
+	// account it like a context cancellation. An encoding failure (NaN/Inf
+	// outputs from a diverging integrator) is not a disconnect: the rows
+	// before the bad one go out, then the truncation marker, so the
+	// still-connected client cannot mistake the partial stream for a
+	// complete one. sess.rows counts only the rows written.
+	writeRows := func(ts []float64, ys [][]float64) bool {
+		b, n, err := appendLines((*bp)[:0], 0, len(ts), func(b []byte, i int) ([]byte, error) {
+			return appendTransientRow(b, ts[i], ys[i])
+		})
+		*bp = b
+		if _, werr := w.Write(b); werr != nil {
+			s.sessions.canceledAdvances.Add(1)
 			return false
 		}
-		sess.rows.Add(1)
+		sess.rows.Add(int64(n))
+		if err != nil {
+			armWriteDeadline()
+			writeStreamError(w, "row encoding failed: "+err.Error())
+			return false
+		}
 		return true
 	}
 
@@ -581,7 +586,7 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, r, err)
 			return
 		}
-		if !writeRow(sess.stepper.Time(), y0) {
+		if !writeRows([]float64{sess.stepper.Time()}, [][]float64{y0}) {
 			return // client gone before the first row; emit t=0 on retry
 		}
 		sess.emitted0 = true
@@ -604,7 +609,7 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 			// deadline so the marker is not lost to one that expired while
 			// the chunk waited.
 			armWriteDeadline()
-			enc.Encode(map[string]string{"error": "session closed during advance"})
+			writeStreamError(w, "session closed during advance")
 			return
 		}
 		n := sessionChunkSteps
@@ -624,16 +629,14 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 			// Mid-stream failure: the status line is long gone, so surface
 			// the error as a final NDJSON line (under a fresh write deadline).
 			armWriteDeadline()
-			enc.Encode(map[string]string{"error": err.Error()})
+			writeStreamError(w, err.Error())
 			return
 		}
 		sess.steps.Add(int64(n))
 		s.sessions.stepsTotal.Add(int64(n))
 		armWriteDeadline()
-		for i := range chunk.T {
-			if !writeRow(chunk.T[i], chunk.Y[i]) {
-				return
-			}
+		if !writeRows(chunk.T, chunk.Y) {
+			return
 		}
 		flush()
 		remaining -= n

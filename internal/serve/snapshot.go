@@ -199,5 +199,5 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request, id 
 		}
 		return
 	}
-	writeJSON(w, s.sessionInfo(sess))
+	writeJSON(w, r, s.sessionInfo(sess))
 }
