@@ -1,7 +1,8 @@
 // Package noalloc rejects allocating constructs in functions annotated
 // //pgmor:noalloc — the static half of the repo's zero-alloc contract for
-// the modal evaluation kernels, the fused stepper, and the metrics hot path
-// (the dynamic half is the AllocsPerRun suite; see //pgmor:alloctest).
+// the modal evaluation kernels, the session-advance output kernel, and the
+// metrics hot path (the dynamic half is the AllocsPerRun suite; see
+// //pgmor:alloctest).
 //
 // Flagged constructs: make/new, append that may reallocate (anything but
 // x = append(x, ...)), closure literals, slice/map literals, address-of

@@ -42,6 +42,9 @@ func (bd *BlockDiagSystem) Dims() (n, m, p int) {
 
 // Validate checks internal consistency.
 func (bd *BlockDiagSystem) Validate() error {
+	if bd.M < 0 || bd.P < 0 {
+		return fmt.Errorf("lti: negative port counts %d inputs, %d outputs", bd.M, bd.P)
+	}
 	for i := range bd.Blocks {
 		b := &bd.Blocks[i]
 		l := b.Order()

@@ -54,6 +54,18 @@ func (g *gobMat) validate(what string) error {
 	if len(g.Data) != g.Rows*g.Cols {
 		return fmt.Errorf("lti: %s declares %d×%d but carries %d values", what, g.Rows, g.Cols, len(g.Data))
 	}
+	return checkFinite(g.Data, what)
+}
+
+// checkFinite rejects NaN and ±Inf. No reduction or diagonalization writes
+// one, and a ROM carrying one evaluates to non-finite values, so a stream
+// that does is corrupt whatever its checksum says.
+func checkFinite(vs []float64, what string) error {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("lti: %s carries non-finite value %v", what, v)
+		}
+	}
 	return nil
 }
 
@@ -155,10 +167,14 @@ func cplxToFloats(zs []complex128) []float64 {
 	return out
 }
 
-// floatsToCplx reassembles interleaved (re, im) pairs.
+// floatsToCplx reassembles interleaved (re, im) pairs, rejecting
+// non-finite parts.
 func floatsToCplx(fs []float64, what string) ([]complex128, error) {
 	if len(fs)%2 != 0 {
 		return nil, fmt.Errorf("lti: %s carries %d floats, want an even count", what, len(fs))
+	}
+	if err := checkFinite(fs, what); err != nil {
+		return nil, err
 	}
 	if len(fs) == 0 {
 		return nil, nil
@@ -298,6 +314,9 @@ func LoadROM(r io.Reader) (*BlockDiagSystem, *ModalSystem, error) {
 			if err := m.g.validate(m.what); err != nil {
 				return nil, nil, err
 			}
+		}
+		if err := checkFinite(gb.B, fmt.Sprintf("block %d B", i)); err != nil {
+			return nil, nil, err
 		}
 		bd.Blocks = append(bd.Blocks, Block{
 			C: fromGobMat(gb.C), G: fromGobMat(gb.G), L: fromGobMat(gb.L),

@@ -7,18 +7,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // This file implements request coalescing — the serving half of the batched
-// kernels. Two independent coalescers, one per workload:
+// kernels. SweepCoalescer merges concurrent /sweep requests against the same
+// (model, grid) into one batched kernel call.
 //
-//   - SweepCoalescer merges concurrent /sweep requests against the same
-//     (model, grid) into one batched kernel call.
-//   - advanceCoalescer merges concurrent session-advance chunks of compatible
-//     sessions (same model, dt, method) into one fused sim.StepperGroup pass.
-//
-// Both use natural batching (group commit): the first request under a key
+// It uses natural batching (group commit): the first request under a key
 // executes immediately — an idle server adds no latency window — and
 // requests arriving while an execution is in flight queue up and are taken
 // as one batch by whichever waiter acquires the execution lock next. Batch
@@ -31,7 +26,7 @@ import (
 // work the other members still want, and the work is bounded by the same
 // per-request budgets either way.
 
-// coalesceState is the per-key queue shared by both coalescers: mu guards
+// coalesceState is the per-key queue: mu guards
 // the ticket list, execMu serializes executors. A waiter blocked on execMu
 // either finds its ticket already served by the previous executor, or takes
 // everything queued meanwhile and executes the next batch itself.
@@ -196,169 +191,4 @@ func (c *SweepCoalescer) SweepEntries(ctx context.Context, m *Model, entries []E
 	}
 	st.mu.Unlock()
 	return t.out, t.err
-}
-
-// ---- session advance coalescing ----
-
-// advanceKey identifies session chunks that one fused StepperGroup pass can
-// serve: same model instance, same step size, same integration rule.
-type advanceKey struct {
-	model  *Model
-	dt     float64
-	method sim.Method
-}
-
-// advanceTicket is one session's chunk in a batch. The stepper is owned by
-// the requesting handler (which holds the session lock); handing it to
-// another member's executor is safe because the owner blocks until the
-// ticket is done, and the ticket state is published under the state mutex.
-type advanceTicket struct {
-	stepper *sim.Stepper
-	n       int
-	input   sim.Input
-	done    bool
-	res     *sim.Result
-	err     error
-}
-
-type advanceState struct {
-	coalesceState
-	tickets []*advanceTicket
-}
-
-// advanceCoalescer merges concurrent same-model session advances into fused
-// StepperGroup passes, each batch occupying a single engine slot.
-type advanceCoalescer struct {
-	eng *Engine
-
-	mu   sync.Mutex
-	keys map[advanceKey]*advanceState
-
-	batches         atomic.Int64
-	groupedBatches  atomic.Int64 // batches that fused more than one session
-	groupedSessions atomic.Int64 // sessions advanced via a fused pass
-	groupSize       *obs.Histogram
-}
-
-func newAdvanceCoalescer(eng *Engine) *advanceCoalescer {
-	return &advanceCoalescer{eng: eng, keys: make(map[advanceKey]*advanceState)}
-}
-
-// Instrument attaches the group-size histogram.
-func (c *advanceCoalescer) Instrument(groupSize *obs.Histogram) { c.groupSize = groupSize }
-
-func (c *advanceCoalescer) acquire(key advanceKey) *advanceState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.keys[key]
-	if st == nil {
-		st = &advanceState{}
-		c.keys[key] = st
-	}
-	st.refs++
-	return st
-}
-
-func (c *advanceCoalescer) release(key advanceKey, st *advanceState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st.refs--
-	if st.refs == 0 {
-		delete(c.keys, key)
-	}
-}
-
-// Advance integrates one session chunk, opportunistically fused with other
-// compatible chunks in flight. Exactly one engine slot is occupied per
-// executed batch, so total integration concurrency stays bounded by the
-// worker count just as with per-session dispatch — a batch simply carries
-// more sessions through the slot.
-func (c *advanceCoalescer) Advance(ctx context.Context, m *Model, dt float64, method sim.Method, stepper *sim.Stepper, n int, input sim.Input) (*sim.Result, error) {
-	key := advanceKey{model: m, dt: dt, method: method}
-	st := c.acquire(key)
-	defer c.release(key, st)
-
-	t := &advanceTicket{stepper: stepper, n: n, input: input}
-	st.mu.Lock()
-	st.tickets = append(st.tickets, t)
-	st.mu.Unlock()
-
-	// Same cooperative yield as SweepEntries: let concurrently arriving
-	// compatible chunks enqueue before the next executor takes its batch.
-	runtime.Gosched()
-
-	st.execMu.Lock()
-	defer st.execMu.Unlock()
-	st.mu.Lock()
-	if t.done {
-		st.mu.Unlock()
-		return t.res, t.err
-	}
-	batch := st.tickets
-	st.tickets = nil
-	st.mu.Unlock()
-
-	execCtx := ctx
-	if len(batch) > 1 {
-		//pgmor:detach a grouped advance serves many sessions; one caller's cancellation must not fail the rest
-		execCtx = context.WithoutCancel(ctx)
-		c.groupedBatches.Add(1)
-		c.groupedSessions.Add(int64(len(batch)))
-	}
-	c.batches.Add(1)
-	if c.groupSize != nil {
-		c.groupSize.Observe(float64(len(batch)))
-	}
-
-	// Chunks of equal length fuse into one StepperGroup pass; stragglers
-	// (short final chunks) advance individually inside the same slot.
-	err := c.eng.MapCtx(execCtx, 1, func(int) error {
-		byN := make(map[int][]*advanceTicket)
-		for _, tk := range batch {
-			byN[tk.n] = append(byN[tk.n], tk)
-		}
-		for steps, group := range byN {
-			if len(group) == 1 {
-				tk := group[0]
-				tk.res, tk.err = tk.stepper.Advance(steps, tk.input)
-				continue
-			}
-			members := make([]*sim.Stepper, len(group))
-			inputs := make([]sim.Input, len(group))
-			for i, tk := range group {
-				members[i] = tk.stepper
-				inputs[i] = tk.input
-			}
-			g, gerr := sim.NewStepperGroup(members, sim.GroupOptions{})
-			if gerr != nil {
-				// Incompatible despite the key (distinct stepper shapes are
-				// possible if a model was rebuilt): advance independently.
-				for _, tk := range group {
-					tk.res, tk.err = tk.stepper.Advance(steps, tk.input)
-				}
-				continue
-			}
-			results, gerr := g.Advance(steps, inputs)
-			for i, tk := range group {
-				if gerr != nil {
-					tk.err = gerr
-					continue
-				}
-				tk.res = results[i]
-			}
-		}
-		return nil
-	})
-
-	st.mu.Lock()
-	for _, tk := range batch {
-		if err != nil && tk.err == nil && tk.res == nil {
-			// The engine task itself failed (context canceled before it
-			// ran): every unserved ticket sees that error.
-			tk.err = err
-		}
-		tk.done = true
-	}
-	st.mu.Unlock()
-	return t.res, t.err
 }

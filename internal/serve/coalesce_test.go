@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // sameSweepPoint compares two sweep samples to relative tolerance: a request
@@ -24,9 +22,9 @@ func sameSweepPoint(a, b SweepPoint) bool {
 	return a.Omega == b.Omega && close(a.Re, b.Re) && close(a.Im, b.Im) && close(a.Mag, b.Mag)
 }
 
-// coalesceFixture builds a modal-capable model plus an engine/evaluator pair
-// sized like a small server.
-func coalesceFixture(t testing.TB) (*Model, *Engine, *Evaluator) {
+// coalesceFixture builds a modal-capable model plus an evaluator over an
+// engine sized like a small server.
+func coalesceFixture(t testing.TB) (*Model, *Evaluator) {
 	t.Helper()
 	m, err := buildModel(ModelKey{Benchmark: "ckt1", Scale: 0.1}, false, nil)
 	if err != nil {
@@ -34,14 +32,14 @@ func coalesceFixture(t testing.TB) (*Model, *Engine, *Evaluator) {
 	}
 	eng := NewEngine(4)
 	t.Cleanup(eng.Close)
-	return m, eng, &Evaluator{eng: eng}
+	return m, &Evaluator{eng: eng}
 }
 
 // TestSweepCoalescerPassThrough: an uncontended request behaves exactly like
 // calling the evaluator directly, and malformed requests fail fast without
 // executing a batch.
 func TestSweepCoalescerPassThrough(t *testing.T) {
-	m, _, ev := coalesceFixture(t)
+	m, ev := coalesceFixture(t)
 	c := NewSweepCoalescer(ev)
 	entries := []Entry{{0, 0}, {1, 2}, {0, 0}} // duplicates preserved
 	const points = 16
@@ -98,7 +96,7 @@ func TestSweepCoalescerPassThrough(t *testing.T) {
 // request execute all N in a single kernel call, each caller receiving its
 // own entries in its own order.
 func TestSweepCoalescerSharedBatch(t *testing.T) {
-	m, _, ev := coalesceFixture(t)
+	m, ev := coalesceFixture(t)
 	c := NewSweepCoalescer(ev)
 	const points = 12
 	reqs := [][]Entry{
@@ -187,110 +185,14 @@ func TestSweepCoalescerSharedBatch(t *testing.T) {
 	}
 }
 
-// TestAdvanceCoalescerFusedBatch forces a deterministic fused advance: N
-// compatible session chunks queue behind a held executor lock, then advance
-// as one StepperGroup pass that must be bit-identical to independent
-// steppers.
-func TestAdvanceCoalescerFusedBatch(t *testing.T) {
-	m, eng, ev := coalesceFixture(t)
-	c := newAdvanceCoalescer(eng)
-	const dt = 1e-12
-	const n = 32
-	const sessions = 5
-
-	steppers := make([]*sim.Stepper, sessions)
-	twins := make([]*sim.Stepper, sessions)
-	inputs := make([]sim.Input, sessions)
-	for i := range steppers {
-		var err error
-		if steppers[i], err = ev.Stepper(m, sim.Trapezoidal, dt); err != nil {
-			t.Fatal(err)
-		}
-		if twins[i], err = ev.Stepper(m, sim.Trapezoidal, dt); err != nil {
-			t.Fatal(err)
-		}
-		inputs[i] = sim.UniformInput(sim.Sine{Amplitude: 1 + 0.1*float64(i), Freq: 1e9 * float64(1+i%3)})
-	}
-
-	key := advanceKey{model: m, dt: dt, method: sim.Trapezoidal}
-	st := c.acquire(key)
-	st.execMu.Lock()
-
-	results := make([]*sim.Result, sessions)
-	errs := make([]error, sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = c.Advance(context.Background(), m, dt, sim.Trapezoidal, steppers[i], n, inputs[i])
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st.mu.Lock()
-		queued := len(st.tickets)
-		st.mu.Unlock()
-		if queued == sessions {
-			break
-		}
-		if time.Now().After(deadline) {
-			st.execMu.Unlock()
-			t.Fatalf("only %d/%d tickets queued", queued, sessions)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st.execMu.Unlock()
-	wg.Wait()
-	c.release(key, st)
-
-	for i := 0; i < sessions; i++ {
-		if errs[i] != nil {
-			t.Fatalf("session %d: %v", i, errs[i])
-		}
-		want, err := twins[i].Advance(n, inputs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results[i].T) != len(want.T) {
-			t.Fatalf("session %d: %d rows, want %d", i, len(results[i].T), len(want.T))
-		}
-		for k := range want.T {
-			if results[i].T[k] != want.T[k] {
-				t.Fatalf("session %d row %d: time diverged", i, k)
-			}
-			for r := range want.Y[k] {
-				if results[i].Y[k][r] != want.Y[k][r] {
-					t.Fatalf("session %d row %d output %d: fused %v, independent %v",
-						i, k, r, results[i].Y[k][r], want.Y[k][r])
-				}
-			}
-		}
-	}
-	if n := c.batches.Load(); n != 1 {
-		t.Fatalf("batches = %d, want 1", n)
-	}
-	if n := c.groupedBatches.Load(); n != 1 {
-		t.Fatalf("groupedBatches = %d, want 1", n)
-	}
-	if got := c.groupedSessions.Load(); got != sessions {
-		t.Fatalf("groupedSessions = %d, want %d", got, sessions)
-	}
-	if len(c.keys) != 0 {
-		t.Fatalf("%d key states leaked", len(c.keys))
-	}
-}
-
-// TestCoalesceStress hammers both coalescers from many goroutines with -race
-// in CI: overlapping sweep entry sets against one (model, grid) key, and
-// per-goroutine session steppers advancing in chunks that opportunistically
-// fuse. Every result is cross-checked against an uncoalesced baseline, so a
-// batch that merges or projects wrongly fails even when the race detector
-// stays quiet.
+// TestCoalesceStress hammers the sweep coalescer from many goroutines with
+// -race in CI: overlapping sweep entry sets against one (model, grid) key.
+// Every result is cross-checked against an uncoalesced baseline, so a batch
+// that merges or projects wrongly fails even when the race detector stays
+// quiet.
 func TestCoalesceStress(t *testing.T) {
-	m, eng, ev := coalesceFixture(t)
+	m, ev := coalesceFixture(t)
 	sweeps := NewSweepCoalescer(ev)
-	advances := newAdvanceCoalescer(eng)
 	const points = 10
 
 	entrySets := [][]Entry{
@@ -310,24 +212,11 @@ func TestCoalesceStress(t *testing.T) {
 
 	const goroutines = 8
 	const rounds = 5
-	const dt = 1e-12
-	const chunk = 16
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			stepper, err := ev.Stepper(m, sim.Trapezoidal, dt)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			twin, err := ev.Stepper(m, sim.Trapezoidal, dt)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			input := sim.UniformInput(sim.Sine{Amplitude: 1 + 0.01*float64(g), Freq: 1e9})
 			for r := 0; r < rounds; r++ {
 				entries := entrySets[(g+r)%len(entrySets)]
 				got, err := sweeps.SweepEntries(context.Background(), m, entries, DefaultWMin, DefaultWMax, points)
@@ -344,39 +233,15 @@ func TestCoalesceStress(t *testing.T) {
 						}
 					}
 				}
-
-				res, err := advances.Advance(context.Background(), m, dt, sim.Trapezoidal, stepper, chunk, input)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				wantRes, err := twin.Advance(chunk, input)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for k := range wantRes.T {
-					if res.T[k] != wantRes.T[k] {
-						t.Errorf("goroutine %d round %d: time row %d diverged", g, r, k)
-						return
-					}
-					for c := range wantRes.Y[k] {
-						if res.Y[k][c] != wantRes.Y[k][c] {
-							t.Errorf("goroutine %d round %d: output row %d col %d diverged", g, r, k, c)
-							return
-						}
-					}
-				}
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	if sweeps.batches.Load() == 0 || advances.batches.Load() == 0 {
-		t.Fatalf("no batches recorded: sweeps %d, advances %d",
-			sweeps.batches.Load(), advances.batches.Load())
+	if sweeps.batches.Load() == 0 {
+		t.Fatal("no sweep batches recorded")
 	}
-	if len(sweeps.keys) != 0 || len(advances.keys) != 0 {
-		t.Fatalf("leaked key states: sweeps %d, advances %d", len(sweeps.keys), len(advances.keys))
+	if len(sweeps.keys) != 0 {
+		t.Fatalf("%d key states leaked", len(sweeps.keys))
 	}
 }

@@ -72,7 +72,7 @@ var (
 	taskBuckets = obs.ExpBuckets(1e-6, 4, 12)
 	// buildBuckets spans 1ms to ~250s — grid builds and BDSM reductions.
 	buildBuckets = obs.ExpBuckets(1e-3, 4, 10)
-	// sizeBuckets cover batch/group populations: 1, 2, 4, … 256.
+	// sizeBuckets cover batch populations: 1, 2, 4, … 256.
 	sizeBuckets = obs.ExpBuckets(1, 2, 9)
 )
 
@@ -160,7 +160,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		reg.Histogram("pgserve_batch_kernel_entries",
 			"Transfer-matrix entries per batched kernel call.", sizeBuckets))
 
-	// Request coalescing: sweep batches and fused session advances.
+	// Request coalescing: sweep batches.
 	reg.CounterFunc("pgserve_sweep_coalesced_batches_total",
 		"Sweep batches that merged more than one request.",
 		s.sweeps.sharedBatches.Load)
@@ -170,15 +170,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	s.sweeps.Instrument(
 		reg.Histogram("pgserve_sweep_batch_size",
 			"Requests per executed sweep batch.", sizeBuckets))
-	reg.CounterFunc("pgserve_session_group_advances_total",
-		"Advance batches fused into a StepperGroup pass.",
-		s.advances.groupedBatches.Load)
-	reg.CounterFunc("pgserve_session_grouped_sessions_total",
-		"Session chunks advanced via a fused pass.",
-		s.advances.groupedSessions.Load)
-	s.advances.Instrument(
-		reg.Histogram("pgserve_session_group_size",
-			"Session chunks per executed advance batch.", sizeBuckets))
 
 	// Sessions.
 	sm := s.sessions

@@ -128,7 +128,6 @@ type Server struct {
 	eng      *Engine
 	ev       *Evaluator
 	sweeps   *SweepCoalescer
-	advances *advanceCoalescer
 	sessions *SessionManager
 	cfg      Config
 	start    time.Time
@@ -174,7 +173,6 @@ func New(cfg Config) *Server {
 	}
 	s.ev = &Evaluator{eng: s.eng}
 	s.sweeps = NewSweepCoalescer(s.ev)
-	s.advances = newAdvanceCoalescer(s.eng)
 	s.reg = obs.NewRegistry()
 	s.metrics = newServerMetrics(s.reg, s)
 	if cfg.DisableWard {

@@ -618,9 +618,14 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 		}
 		// Each chunk occupies one evaluation-pool slot, so total integration
 		// concurrency across sessions, sweeps, and transients stays bounded
-		// by the worker count. The coalescer fuses compatible chunks queued
-		// behind the same (model, dt, method) into one StepperGroup pass.
-		chunk, err := s.advances.Advance(ctx, sess.model, sess.dt, sess.method, sess.stepper, n, input)
+		// by the worker count. Sessions share no integration state, so
+		// chunks of different sessions spread over the pool's workers.
+		var chunk *sim.Result
+		err := s.eng.MapCtx(ctx, 1, func(int) error {
+			var aerr error
+			chunk, aerr = sess.stepper.Advance(n, input)
+			return aerr
+		})
 		if err != nil {
 			if ctx.Err() != nil {
 				s.sessions.canceledAdvances.Add(1)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -491,4 +492,131 @@ func TestSessionStress(t *testing.T) {
 	if st.Active > 16 {
 		t.Fatalf("session bound violated: %d active", st.Active)
 	}
+}
+
+// TestConcurrentAdvancesMatchSteppers advances several sessions on one model
+// at once through the handler, on a one-worker and a four-worker server.
+// Their chunks interleave on the engine, so any state shared between
+// session advances would show; every streamed row must equal the row an
+// independent sim.Stepper produces under ==.
+func TestConcurrentAdvancesMatchSteppers(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			srv := New(Config{Workers: workers})
+			ts := newServerForTest(t, srv)
+			info := reduceTestModel(t, ts)
+			m, err := srv.repo.Lookup(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const sessions, dt = 6, 1e-10
+			steps := []int{150, 64, 97} // multi-chunk and ragged advances
+			type run struct {
+				id     string
+				method string
+				spec   sourceSpec
+				rows   []transientRow
+				err    error
+			}
+			runs := make([]*run, sessions)
+			for i := range runs {
+				r := &run{
+					method: []string{"be", "trap"}[i%2],
+					spec:   sourceSpec{Kind: "sine", Amplitude: 1e-3 * float64(1+i), Freq: 1e9 * float64(1+i%3)},
+				}
+				r.id = decode[sessionInfo](t, postJSON(t, ts.URL+"/session",
+					sessionCreateRequest{Model: info.ID, Dt: dt, Method: r.method})).Session
+				runs[i] = r
+			}
+			var wg sync.WaitGroup
+			for _, r := range runs {
+				wg.Add(1)
+				go func(r *run) {
+					defer wg.Done()
+					for _, n := range steps {
+						rows, err := postAdvance(ts.URL, r.id, n, r.spec)
+						if err != nil {
+							r.err = err
+							return
+						}
+						r.rows = append(r.rows, rows...)
+					}
+				}(r)
+			}
+			wg.Wait()
+
+			for i, r := range runs {
+				if r.err != nil {
+					t.Fatalf("session %d: %v", i, r.err)
+				}
+				method, err := parseMethod(r.method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				twin, err := srv.ev.Stepper(m, method, dt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				input, err := buildInput(&r.spec, nil, m.Ports)
+				if err != nil {
+					t.Fatal(err)
+				}
+				y0, err := twin.Output(input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := []transientRow{{T: twin.Time(), Y: y0}}
+				for _, n := range steps {
+					res, err := twin.Advance(n, input)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := range res.T {
+						want = append(want, transientRow{T: res.T[k], Y: res.Y[k]})
+					}
+				}
+				if len(r.rows) != len(want) {
+					t.Fatalf("session %d streamed %d rows, want %d", i, len(r.rows), len(want))
+				}
+				for k, row := range r.rows {
+					if row.T != want[k].T || len(row.Y) != len(want[k].Y) {
+						t.Fatalf("session %d row %d: t=%v with %d outputs, want t=%v with %d", i, k,
+							row.T, len(row.Y), want[k].T, len(want[k].Y))
+					}
+					for o := range row.Y {
+						if row.Y[o] != want[k].Y[o] {
+							t.Fatalf("session %d row %d output %d: served %v, stepper %v", i, k, o, row.Y[o], want[k].Y[o])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// postAdvance is advanceSession for goroutines other than the test's own:
+// it reports failures as errors instead of failing the test.
+func postAdvance(base, id string, steps int, input sourceSpec) ([]transientRow, error) {
+	body, err := json.Marshal(sessionAdvanceRequest{Steps: steps, Input: input})
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Post(base+"/session/"+id+"/advance", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("/advance status = %d", resp.StatusCode)
+	}
+	var rows []transientRow
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var row transientRow
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			return nil, fmt.Errorf("row %d: %v (%s)", len(rows), err, sc.Text())
+		}
+		rows = append(rows, row)
+	}
+	return rows, sc.Err()
 }

@@ -10,7 +10,7 @@ import (
 
 // modalTestSystem is a small RC-flavored ROM (symmetric C SPD, symmetric G
 // negative definite) that modalizes fully.
-func modalTestSystem(t *testing.T) (*lti.BlockDiagSystem, *lti.ModalSystem) {
+func modalTestSystem(t testing.TB) (*lti.BlockDiagSystem, *lti.ModalSystem) {
 	t.Helper()
 	bd := &lti.BlockDiagSystem{
 		M: 2,
