@@ -14,18 +14,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/pglint ./...          # standalone, whole-module fidelity
-//	go vet -vettool=$(which pglint) ./...  # per-package fidelity
+//	go run ./cmd/pglint ./...
 //
-// Standalone mode loads and type-checks the entire module in one process, so
+// pglint loads and type-checks the entire module in one process, so
 // cross-package checks (transitive allocation, global metric uniqueness) see
-// everything. Vettool mode runs under cmd/go's unit-checker protocol with
-// per-package export data; it applies the same rules at package granularity.
-// CI gates on standalone mode.
+// everything.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -40,51 +36,16 @@ import (
 	"repro/internal/analysis/noalloc"
 )
 
-func analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		noalloc.Analyzer,
-		atomicfield.Analyzer,
-		ctxflow.Analyzer,
-		asmpolicy.Analyzer,
-		metrichygiene.Analyzer,
-	}
-}
-
 func main() {
-	// The -V and -flags handshakes come from cmd/go's vettool protocol; they
-	// must answer before normal flag parsing.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		// cmd/go caches vet results keyed on this line; it must end in
-		// "buildID=<hex>". Hash the executable so edits invalidate the cache.
-		id := "unknown"
-		if exe, err := os.Executable(); err == nil {
-			if data, err := os.ReadFile(exe); err == nil {
-				sum := sha256.Sum256(data)
-				id = fmt.Sprintf("%x", sum[:16])
-			}
-		}
-		fmt.Printf("pglint version devel buildID=%s\n", id)
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pglint [packages]\n       pglint <unit>.cfg  (vettool mode)\n")
+		fmt.Fprintf(os.Stderr, "usage: pglint [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	args := flag.Args()
-
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-	os.Exit(standalone(args))
+	os.Exit(run(flag.Args()))
 }
 
-func standalone(patterns []string) int {
+func run(patterns []string) int {
 	root, err := findModuleRoot()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pglint:", err)
@@ -95,7 +56,13 @@ func standalone(patterns []string) int {
 		fmt.Fprintln(os.Stderr, "pglint:", err)
 		return 2
 	}
-	diags, err := analysis.Run(m, analyzers())
+	diags, err := analysis.Run(m, []*analysis.Analyzer{
+		noalloc.Analyzer,
+		atomicfield.Analyzer,
+		ctxflow.Analyzer,
+		asmpolicy.Analyzer,
+		metrichygiene.Analyzer,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pglint:", err)
 		return 2

@@ -66,7 +66,6 @@ func main() {
 	maxModels := flag.Int("max-models", 0, "model repository bound (0 = default)")
 	storeDir := flag.String("store-dir", "", "persistent ROM store directory (empty = in-memory only; reductions are written through and warm restarts skip reducing)")
 	preload := flag.String("preload", "", "comma-separated models to reduce at startup, each name@scale (e.g. ckt1@0.25)")
-	noWard := flag.Bool("no-ward", false, "disable the exact Ward/Schur pre-reduction stage on model builds")
 	interp := flag.Bool("interp", true, "serve unstored Scales by interpolating between stored modal ROM anchors (POST /interp, benchmark+scale on /eval and /sweep); disabled = always reduce")
 	interpTol := flag.Float64("interp-tol", 0, fmt.Sprintf("Δ-scale error budget: leave-one-out check error above which interpolation falls back to a real reduction (0 = default %g)", serve.DefaultInterpTol))
 	maxSessions := flag.Int("max-sessions", 0, fmt.Sprintf("bound on concurrent transient sessions (0 = default %d)", serve.DefaultMaxSessions))
@@ -94,7 +93,7 @@ func main() {
 	}
 
 	cfg := serve.Config{Workers: *workers, MaxModels: *maxModels,
-		DisableWard: *noWard, DisableInterp: !*interp, InterpTol: *interpTol,
+		DisableInterp: !*interp, InterpTol: *interpTol,
 		MaxSessions: *maxSessions, SessionTTL: *sessionTTL, SessionIdle: *sessionIdle,
 		MaxBodyBytes: *maxBodyBytes, Logger: logger, SlowRequest: *slowRequest,
 		SnapshotEvery: *snapshotEvery}

@@ -42,12 +42,6 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, file := range pkg.Files {
-		// Tests drive handlers from outside any request, so a fresh root
-		// context is the norm there, not a detachment. (Standalone mode never
-		// loads _test.go files; vettool mode does.)
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
 		lines := analysis.CollectLineDirectives(pass.Fset, file, "detach")
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

@@ -83,23 +83,3 @@ func TestPackedSweepEntriesIntoAllocBound(t *testing.T) {
 		}
 	}
 }
-
-// TestPackedEvalColumnsIntoAllocs: the point-batched column kernel is
-// allocation-free on a fully-modal system.
-//
-//pgmor:alloctest ModalPacked.EvalColumnsInto
-func TestPackedEvalColumnsIntoAllocs(t *testing.T) {
-	ms := modalFixture(t)
-	mp := ms.Pack()
-	_, _, p := ms.Dims()
-	svals := []complex128{complex(0, 0.5), complex(0, 5), complex(0, 50)}
-	dst := make([]complex128, len(svals)*p)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := mp.EvalColumnsInto(dst, 0, svals); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("EvalColumnsInto allocates %.1f times per call, want 0", allocs)
-	}
-}

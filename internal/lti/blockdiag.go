@@ -69,7 +69,6 @@ func (bd *BlockDiagSystem) Validate() error {
 // the LU reference the modal form is checked against, and the inline path
 // for blocks that fail to diagonalize.
 func blockColumn(b *Block, s complex128) ([]complex128, error) {
-	ctrFactorizations.Add(1)
 	pencil := dense.ToComplex(b.C).Scale(s).Sub(dense.ToComplex(b.G))
 	lu, err := dense.FactorLU(pencil)
 	if err != nil {
@@ -103,7 +102,6 @@ func (bd *BlockDiagSystem) Eval(s complex128) (*dense.Mat[complex128], error) {
 			h.Data[r*h.Cols+j] += v
 		}
 	}
-	ctrFactoredEvals.Add(int64(len(bd.Blocks)))
 	return h, nil
 }
 
@@ -114,7 +112,6 @@ func (bd *BlockDiagSystem) EvalColumn(s complex128, j int) ([]complex128, error)
 		return nil, fmt.Errorf("lti: column %d out of range %d", j, bd.M)
 	}
 	dst := make([]complex128, bd.P)
-	var evaluated int64
 	for i := range bd.Blocks {
 		if bd.Blocks[i].Input != j {
 			continue
@@ -126,10 +123,6 @@ func (bd *BlockDiagSystem) EvalColumn(s complex128, j int) ([]complex128, error)
 		for r, v := range col {
 			dst[r] += v
 		}
-		evaluated++
-	}
-	if evaluated > 0 {
-		ctrFactoredEvals.Add(evaluated)
 	}
 	return dst, nil
 }

@@ -124,20 +124,6 @@ func (ms *ModalSystem) Validate() error {
 	return nil
 }
 
-// MemBytes estimates the memory retained by the modal data (the source
-// system is shared, not counted).
-func (ms *ModalSystem) MemBytes() int64 {
-	var n int64
-	for i := range ms.Blocks {
-		mb := &ms.Blocks[i]
-		n += 16 * int64(len(mb.Poles)+len(mb.D))
-		if mb.R != nil {
-			n += 16 * int64(mb.R.Rows) * int64(mb.R.Cols)
-		}
-	}
-	return n
-}
-
 // Modalize diagonalizes every block pencil once, producing the ModalSystem
 // fast path. Symmetric-definite blocks (RC-grid projections) go through the
 // exact generalized symmetric eigendecomposition; other blocks through a
@@ -424,7 +410,6 @@ func (ms *ModalSystem) EvalColumnInto(dst []complex128, s complex128, j int) err
 	for r := range dst {
 		dst[r] = 0
 	}
-	var modalBlocks int64
 	for i := range ms.Blocks {
 		mb := &ms.Blocks[i]
 		if mb.Input != j {
@@ -432,7 +417,6 @@ func (ms *ModalSystem) EvalColumnInto(dst []complex128, s complex128, j int) err
 		}
 		if mb.Modal {
 			mb.accumulateColumn(dst, s)
-			modalBlocks++
 			continue
 		}
 		//pgmor:alloc non-modal blocks fall back to a one-shot LU; cold by construction
@@ -440,17 +424,12 @@ func (ms *ModalSystem) EvalColumnInto(dst []complex128, s complex128, j int) err
 			return err
 		}
 	}
-	if modalBlocks > 0 {
-		ctrModalEvals.Add(modalBlocks)
-	}
 	return nil
 }
 
-// fallbackColumn adds block i's column at s into dst through a one-shot LU.
-// It counts as one factored (block, frequency) evaluation — the serving-path
-// telemetry for blocks the diagonalization could not cover.
+// fallbackColumn adds block i's column at s into dst through a one-shot LU,
+// the path for blocks the diagonalization could not cover.
 func (ms *ModalSystem) fallbackColumn(dst []complex128, i int, s complex128) error {
-	ctrFactoredEvals.Add(1)
 	col, err := blockColumn(&ms.BD.Blocks[i], s)
 	if err != nil {
 		return fmt.Errorf("lti: modal fallback block %d: %w", i, err)
@@ -478,7 +457,6 @@ func (ms *ModalSystem) EvalColumn(s complex128, j int) ([]complex128, error) {
 func (ms *ModalSystem) Eval(s complex128) (*dense.Mat[complex128], error) {
 	h := dense.NewMat[complex128](ms.BD.P, ms.BD.M) //pgmor:alloc the result matrix is the caller's to keep
 	col := make([]complex128, ms.BD.P)              //pgmor:alloc one column of scratch per call, O(P)
-	var modalBlocks int64
 	for i := range ms.Blocks {
 		mb := &ms.Blocks[i]
 		for r := range col {
@@ -486,7 +464,6 @@ func (ms *ModalSystem) Eval(s complex128) (*dense.Mat[complex128], error) {
 		}
 		if mb.Modal {
 			mb.accumulateColumn(col, s)
-			modalBlocks++
 			//pgmor:alloc non-modal blocks fall back to a one-shot LU; cold by construction
 		} else if err := ms.fallbackColumn(col, i, s); err != nil {
 			return nil, err
@@ -495,9 +472,6 @@ func (ms *ModalSystem) Eval(s complex128) (*dense.Mat[complex128], error) {
 		for r := 0; r < h.Rows; r++ {
 			h.Set(r, j, h.At(r, j)+col[r])
 		}
-	}
-	if modalBlocks > 0 {
-		ctrModalEvals.Add(modalBlocks)
 	}
 	return h, nil
 }
@@ -518,7 +492,6 @@ func (ms *ModalSystem) SweepEntryInto(dst []complex128, row, col int, omegas []f
 	for k := range dst {
 		dst[k] = 0
 	}
-	var modalBlocks int64
 	var scratch []complex128 // lazily sized; only fallback blocks need it
 	for i := range ms.Blocks {
 		mb := &ms.Blocks[i]
@@ -526,7 +499,6 @@ func (ms *ModalSystem) SweepEntryInto(dst []complex128, row, col int, omegas []f
 			continue
 		}
 		if mb.Modal {
-			modalBlocks++
 			for k := range mb.Poles {
 				lam := mb.Poles[k]
 				r := mb.R.At(k, row)
@@ -556,17 +528,5 @@ func (ms *ModalSystem) SweepEntryInto(dst []complex128, row, col int, omegas []f
 			dst[w] += scratch[row]
 		}
 	}
-	if modalBlocks > 0 {
-		ctrModalEvals.Add(modalBlocks * int64(len(omegas)))
-	}
 	return nil
-}
-
-// SweepEntry evaluates H[row][col](jωₖ) over the frequency list.
-func (ms *ModalSystem) SweepEntry(row, col int, omegas []float64) ([]complex128, error) {
-	dst := make([]complex128, len(omegas))
-	if err := ms.SweepEntryInto(dst, row, col, omegas); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }

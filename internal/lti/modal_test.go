@@ -201,10 +201,10 @@ func TestModalSweepEntryMatchesEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	omegas := logOmegas(1e-2, 1e2, 33)
+	sweep := make([]complex128, len(omegas))
 	for row := 0; row < bd.P; row++ {
 		for col := 0; col < bd.M; col++ {
-			sweep, err := ms.SweepEntry(row, col, omegas)
-			if err != nil {
+			if err := ms.SweepEntryInto(sweep, row, col, omegas); err != nil {
 				t.Fatal(err)
 			}
 			for k, w := range omegas {
@@ -239,34 +239,5 @@ func TestModalEvalColumnIntoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("modal EvalColumnInto allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-func TestModalCounters(t *testing.T) {
-	bd := rcBlockDiag()
-	ms, err := bd.Modalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ResetCounters()
-	if _, err := ms.Eval(complex(0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bd.Eval(complex(0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// The unit is one (block, frequency) evaluation: a fully modal Eval
-	// counts every block as modal, a factored Eval counts every block as
-	// factored.
-	blocks := int64(len(bd.Blocks))
-	c := Counters()
-	if c.ModalEvals != blocks {
-		t.Errorf("ModalEvals = %d, want %d", c.ModalEvals, blocks)
-	}
-	if c.FactoredEvals != blocks {
-		t.Errorf("FactoredEvals = %d, want %d", c.FactoredEvals, blocks)
-	}
-	if c.Factorizations != blocks {
-		t.Errorf("Factorizations = %d, want %d", c.Factorizations, blocks)
 	}
 }

@@ -5,35 +5,26 @@ import "fmt"
 // ModalPacked is a structure-of-arrays packing of a ModalSystem, built for
 // batched evaluation. The AoS []ModalBlock layout is right for constructing
 // and validating the modal form, but a batched kernel — many transfer-matrix
-// entries × many frequencies, or one model at many s-points — wants the pole
-// and residue data of each input column contiguous, so one pole-major pass
-// streams straight through memory and the expensive per-(pole, frequency)
-// complex reciprocal is computed once and shared by every entry reading that
-// column.
+// entries × many frequencies — wants the pole and residue data of each input
+// column contiguous, so the expensive per-(pole, frequency) complex
+// reciprocal is computed once and shared by every entry reading that column.
 //
 // Per input column the packing holds the concatenated poles of every modal
-// block driven by that input (in block order), the residues twice — pole-major
-// (res[k·p+r], the layout EvalColumnsInto streams) and entry-major
-// (resT[r·q+k], the layout SweepEntriesInto streams) — the block direct terms
+// block driven by that input (in block order), the residues entry-major
+// (resT[r·q+k], the layout SweepEntriesInto streams), the block direct terms
 // summed into one vector, and the indices of fallback (non-modal) blocks,
-// which batched kernels still evaluate per frequency through a one-shot LU.
-// The duplication costs 2× the residue bytes of the source modal form, which
-// is a few kilobytes per model — nothing next to the ROM itself.
+// which the kernel still evaluates per frequency through a one-shot LU.
 //
 // A ModalPacked is immutable after construction and safe for concurrent use.
 type ModalPacked struct {
 	ms   *ModalSystem
 	m, p int
 	cols []packedColumn
-	// fullyModal reports no column carries a fallback block: every batched
-	// kernel call is then factorization-free.
-	fullyModal bool
 }
 
 // packedColumn is the SoA modal data of one input column.
 type packedColumn struct {
 	poles []complex128 // q' concatenated finite poles, block order
-	res   []complex128 // pole-major residues: res[k*p+r]
 	resT  []complex128 // entry-major residues: resT[r*q'+k]
 	d     []complex128 // summed direct term (length p), nil when absent
 	// fallback indexes the source blocks on this column without a modal
@@ -45,7 +36,7 @@ type packedColumn struct {
 // system is shared, not copied; fallback blocks keep evaluating through it.
 func (ms *ModalSystem) Pack() *ModalPacked {
 	_, m, p := ms.Dims()
-	mp := &ModalPacked{ms: ms, m: m, p: p, cols: make([]packedColumn, m), fullyModal: true}
+	mp := &ModalPacked{ms: ms, m: m, p: p, cols: make([]packedColumn, m)}
 	for j := 0; j < m; j++ {
 		q := 0
 		for i := range ms.Blocks {
@@ -55,7 +46,7 @@ func (ms *ModalSystem) Pack() *ModalPacked {
 		}
 		pc := &mp.cols[j]
 		pc.poles = make([]complex128, 0, q)
-		pc.res = make([]complex128, 0, q*p)
+		pc.resT = make([]complex128, q*p)
 		for i := range ms.Blocks {
 			mb := &ms.Blocks[i]
 			if mb.Input != j {
@@ -63,13 +54,15 @@ func (ms *ModalSystem) Pack() *ModalPacked {
 			}
 			if !mb.Modal {
 				pc.fallback = append(pc.fallback, i)
-				mp.fullyModal = false
 				continue
 			}
-			pc.poles = append(pc.poles, mb.Poles...)
+			k0 := len(pc.poles)
 			for k := range mb.Poles {
-				pc.res = append(pc.res, mb.R.Row(k)...)
+				for r, v := range mb.R.Row(k) {
+					pc.resT[r*q+k0+k] = v
+				}
 			}
+			pc.poles = append(pc.poles, mb.Poles...)
 			if mb.D != nil {
 				if pc.d == nil {
 					pc.d = make([]complex128, p)
@@ -79,34 +72,12 @@ func (ms *ModalSystem) Pack() *ModalPacked {
 				}
 			}
 		}
-		pc.resT = make([]complex128, q*p)
-		for k := 0; k < q; k++ {
-			for r := 0; r < p; r++ {
-				pc.resT[r*q+k] = pc.res[k*p+r]
-			}
-		}
 	}
 	return mp
 }
 
 // Dims returns (Σ block orders, M, P) of the source system.
 func (mp *ModalPacked) Dims() (n, m, p int) { return mp.ms.Dims() }
-
-// FullyModal reports whether every block of every column carries a modal
-// form — batched kernels then perform zero factorizations.
-func (mp *ModalPacked) FullyModal() bool { return mp.fullyModal }
-
-// MemBytes estimates the memory retained by the packed data (the source
-// system is shared, not counted).
-func (mp *ModalPacked) MemBytes() int64 {
-	var n int64
-	for j := range mp.cols {
-		pc := &mp.cols[j]
-		n += 16 * int64(len(pc.poles)+len(pc.res)+len(pc.resT)+len(pc.d))
-		n += 8 * int64(len(pc.fallback))
-	}
-	return n
-}
 
 // SweepEntriesInto evaluates H[row][col](jωₖ) for every requested (row, col)
 // entry over one shared frequency grid, into dst laid out entry-major:
@@ -118,11 +89,6 @@ func (mp *ModalPacked) MemBytes() int64 {
 // column, so e entries on one column cost one division pass plus e
 // multiply-accumulate passes instead of e division passes. Fallback blocks
 // pay one LU per frequency, shared across the entries of their column.
-//
-// Telemetry counts the work actually performed: each modal block contributes
-// len(omegas) modal evals once per call no matter how many entries share it —
-// the batching win made visible — and each fallback block len(omegas)
-// factored evals.
 //
 //pgmor:noalloc
 func (mp *ModalPacked) SweepEntriesInto(dst []complex128, entries [][2]int, omegas []float64) error {
@@ -150,7 +116,6 @@ func (mp *ModalPacked) SweepEntriesInto(dst []complex128, entries [][2]int, omeg
 	}
 	recip := make([]complex128, nw) //pgmor:alloc one reciprocal row per call, O(omegas); amortized over the whole batch
 	var colBuf []complex128         // lazily sized; only fallback blocks need it
-	var modalEvals int64
 	for col, idxs := range byCol {
 		pc := &mp.cols[col]
 		q := len(pc.poles)
@@ -176,9 +141,6 @@ func (mp *ModalPacked) SweepEntriesInto(dst []complex128, entries [][2]int, omeg
 				}
 			}
 		}
-		if modalBlocks := mp.modalBlocksOn(col); modalBlocks > 0 {
-			modalEvals += int64(modalBlocks) * int64(nw)
-		}
 		for _, bi := range pc.fallback {
 			if colBuf == nil {
 				colBuf = make([]complex128, mp.p) //pgmor:alloc lazy fallback scratch; never taken on fully-modal systems
@@ -194,74 +156,6 @@ func (mp *ModalPacked) SweepEntriesInto(dst []complex128, entries [][2]int, omeg
 				for _, e := range idxs {
 					dst[e*nw+w] += colBuf[entries[e][0]]
 				}
-			}
-		}
-	}
-	if modalEvals > 0 {
-		ctrModalEvals.Add(modalEvals)
-	}
-	return nil
-}
-
-// modalBlocksOn counts the modal blocks driven by input col.
-func (mp *ModalPacked) modalBlocksOn(col int) int {
-	n := 0
-	for i := range mp.ms.Blocks {
-		if mb := &mp.ms.Blocks[i]; mb.Input == col && mb.Modal {
-			n++
-		}
-	}
-	return n
-}
-
-// EvalColumnsInto evaluates column col of H at every requested s-point into
-// dst laid out point-major: dst[k·P+r] is output r at svals[k]. One
-// pole-major pass streams each residue row once across all s-points, so the
-// per-pole data is loaded O(1) times instead of O(len(svals)) times.
-//
-//pgmor:noalloc
-func (mp *ModalPacked) EvalColumnsInto(dst []complex128, col int, svals []complex128) error {
-	if col < 0 || col >= mp.m {
-		return fmt.Errorf("lti: column %d out of range %d", col, mp.m)
-	}
-	if len(dst) != len(svals)*mp.p {
-		return fmt.Errorf("lti: packed column-batch dst length %d, want %d points × %d outputs = %d",
-			len(dst), len(svals), mp.p, len(svals)*mp.p)
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	if len(svals) == 0 {
-		return nil
-	}
-	pc := &mp.cols[col]
-	p := mp.p
-	for k, lam := range pc.poles {
-		row := pc.res[k*p : (k+1)*p]
-		for si, s := range svals {
-			c := 1 / (s - lam)
-			out := dst[si*p : (si+1)*p]
-			for r := range out {
-				out[r] += c * row[r]
-			}
-		}
-	}
-	if pc.d != nil {
-		for si := range svals {
-			out := dst[si*p : (si+1)*p]
-			for r, dv := range pc.d {
-				out[r] += dv
-			}
-		}
-	}
-	if modalBlocks := mp.modalBlocksOn(col); modalBlocks > 0 {
-		ctrModalEvals.Add(int64(modalBlocks) * int64(len(svals)))
-	}
-	for _, bi := range pc.fallback {
-		for si, s := range svals {
-			//pgmor:alloc non-modal blocks fall back to one LU per point; cold by construction
-			if err := mp.ms.fallbackColumn(dst[si*p:(si+1)*p], bi, s); err != nil {
-				return err
 			}
 		}
 	}

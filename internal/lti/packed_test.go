@@ -1,6 +1,7 @@
 package lti
 
 import (
+	"math"
 	"math/cmplx"
 	"testing"
 )
@@ -28,6 +29,12 @@ func packedSystems(t *testing.T) map[string]*ModalSystem {
 	demoteBlock(demoted, 1)
 	out["rc-fallback"] = demoted
 	return out
+}
+
+// demoteBlock strips block i's modal form, forcing every evaluation that
+// touches it onto the LU fallback path.
+func demoteBlock(ms *ModalSystem, i int) {
+	ms.Blocks[i] = ModalBlock{Input: ms.BD.Blocks[i].Input}
 }
 
 func allEntries(m, p int) [][2]int {
@@ -104,99 +111,109 @@ func TestPackedSweepSubsetAndDuplicates(t *testing.T) {
 	}
 }
 
-// TestPackedEvalColumnsMatchesScalar pins the s-point batch kernel against
-// per-point EvalColumnInto on every column, fixtures including fallback.
-func TestPackedEvalColumnsMatchesScalar(t *testing.T) {
-	for name, ms := range packedSystems(t) {
-		mp := ms.Pack()
-		_, m, p := ms.Dims()
-		svals := []complex128{complex(0, 0.01), complex(0, 3), complex(0.5, 40), complex(0, 900)}
-		dst := make([]complex128, len(svals)*p)
-		want := make([]complex128, p)
-		for col := 0; col < m; col++ {
-			if err := mp.EvalColumnsInto(dst, col, svals); err != nil {
-				t.Fatalf("%s: EvalColumnsInto(col %d): %v", name, col, err)
+// packedReference evaluates entry (row, col) over omegas straight from the
+// ModalBlocks, in the order the packed layout promises: the column's poles
+// concatenated in block order, each term as residue × reciprocal, the
+// column's direct terms summed in block order and added after every pole,
+// and fallback blocks last, in block order, through their LU column.
+func packedReference(t *testing.T, ms *ModalSystem, row, col int, omegas []float64) []complex128 {
+	t.Helper()
+	out := make([]complex128, len(omegas))
+	var d complex128
+	hasD := false
+	for i := range ms.Blocks {
+		mb := &ms.Blocks[i]
+		if mb.Input != col || !mb.Modal {
+			continue
+		}
+		for k, lam := range mb.Poles {
+			r := mb.R.At(k, row)
+			for w, omega := range omegas {
+				recip := 1 / (complex(0, omega) - lam)
+				out[w] += r * recip
 			}
-			for si, s := range svals {
-				if err := ms.EvalColumnInto(want, s, col); err != nil {
-					t.Fatal(err)
-				}
-				got := dst[si*p : (si+1)*p]
-				for r := range want {
-					if d := cmplx.Abs(got[r] - want[r]); d > 1e-12*(1+cmplx.Abs(want[r])) {
-						t.Fatalf("%s: col %d s=%v row %d: packed %v vs scalar %v",
-							name, col, s, r, got[r], want[r])
-					}
+		}
+		if mb.D != nil {
+			d += mb.D[row]
+			hasD = true
+		}
+	}
+	if hasD {
+		for w := range out {
+			out[w] += d
+		}
+	}
+	buf := make([]complex128, ms.BD.P)
+	for i := range ms.Blocks {
+		if mb := &ms.Blocks[i]; mb.Input != col || mb.Modal {
+			continue
+		}
+		for w, omega := range omegas {
+			c, err := blockColumn(&ms.BD.Blocks[i], complex(0, omega))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range buf {
+				buf[r] = 0
+				buf[r] += c[r]
+			}
+			out[w] += buf[row]
+		}
+	}
+	return out
+}
+
+// TestPackedSweepBitExact pins the packed layout bit for bit: every entry of
+// SweepEntriesInto must equal packedReference under math.Float64bits. A
+// tolerance comparison would not notice a changed summation order or a
+// mis-indexed entry-major residue. The fixtures cover several modal blocks
+// on one column, direct terms on one and on two blocks of a column, a
+// fallback block, and duplicate entries.
+func TestPackedSweepBitExact(t *testing.T) {
+	twoDirect := goldenModalSystem()
+	twoDirect.Blocks[0].D = []complex128{complex(-0.125, 0.5), complex(3e-3, -7)}
+	demoted, err := rcBlockDiag().Modalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	demoteBlock(demoted, 1)
+	golden, err := goldenBlockDiag().Modalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	omegas := logOmegas(1e-2, 1e3, 29)
+	for name, ms := range map[string]*ModalSystem{
+		"golden-modal":      goldenModalSystem(),
+		"golden-two-direct": twoDirect,
+		"rc-fallback":       demoted,
+		"golden":            golden,
+	} {
+		if err := ms.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, m, p := ms.Dims()
+		entries := allEntries(m, p)
+		entries = append(entries, entries[0], entries[len(entries)-1], entries[0])
+		dst := make([]complex128, len(entries)*len(omegas))
+		if err := ms.Pack().SweepEntriesInto(dst, entries, omegas); err != nil {
+			t.Fatalf("%s: SweepEntriesInto: %v", name, err)
+		}
+		for e, ent := range entries {
+			want := packedReference(t, ms, ent[0], ent[1], omegas)
+			got := dst[e*len(omegas) : (e+1)*len(omegas)]
+			for w := range want {
+				if math.Float64bits(real(got[w])) != math.Float64bits(real(want[w])) ||
+					math.Float64bits(imag(got[w])) != math.Float64bits(imag(want[w])) {
+					t.Fatalf("%s: entry %d (%d,%d) ω=%g: packed %v, reference %v",
+						name, e, ent[0], ent[1], omegas[w], got[w], want[w])
 				}
 			}
 		}
 	}
 }
 
-// TestPackedCounters pins the batched-kernel telemetry: modal work is counted
-// once per (block, frequency) no matter how many entries share the column,
-// and fallback blocks count factored evals per frequency.
-func TestPackedCounters(t *testing.T) {
-	ms := packedSystems(t)["rc-fallback"]
-	mp := ms.Pack()
-	if mp.FullyModal() {
-		t.Fatal("fallback fixture reports fully modal")
-	}
-	omegas := logOmegas(1e-1, 1e2, 7)
-	w := int64(len(omegas))
-
-	// Two entries on the modal column share one pole pass: W modal evals,
-	// not 2W — that is the batching win the counters must make visible.
-	entries := [][2]int{{0, 0}, {1, 0}}
-	dst := make([]complex128, len(entries)*len(omegas))
-	ResetCounters()
-	if err := mp.SweepEntriesInto(dst, entries, omegas); err != nil {
-		t.Fatal(err)
-	}
-	c := Counters()
-	if c.ModalEvals != w || c.FactoredEvals != 0 {
-		t.Errorf("shared modal column: (modal, factored) = (%d, %d), want (%d, 0)", c.ModalEvals, c.FactoredEvals, w)
-	}
-
-	// Two entries on the fallback column share one LU per frequency: W
-	// factored evals and W factorizations, not 2W.
-	entries = [][2]int{{0, 1}, {1, 1}}
-	ResetCounters()
-	if err := mp.SweepEntriesInto(dst, entries, omegas); err != nil {
-		t.Fatal(err)
-	}
-	c = Counters()
-	if c.ModalEvals != 0 || c.FactoredEvals != w {
-		t.Errorf("shared fallback column: (modal, factored) = (%d, %d), want (0, %d)", c.ModalEvals, c.FactoredEvals, w)
-	}
-	if c.Factorizations != w {
-		t.Errorf("shared fallback column: Factorizations = %d, want %d", c.Factorizations, w)
-	}
-
-	// Batched s-points on the modal column: one modal eval per point.
-	_, _, p := ms.Dims()
-	svals := []complex128{complex(0, 1), complex(0, 2), complex(0, 3)}
-	cdst := make([]complex128, len(svals)*p)
-	ResetCounters()
-	if err := mp.EvalColumnsInto(cdst, 0, svals); err != nil {
-		t.Fatal(err)
-	}
-	c = Counters()
-	if c.ModalEvals != int64(len(svals)) || c.FactoredEvals != 0 {
-		t.Errorf("batched modal column: (modal, factored) = (%d, %d), want (%d, 0)", c.ModalEvals, c.FactoredEvals, len(svals))
-	}
-
-	fully := packedSystems(t)["rc"].Pack()
-	if !fully.FullyModal() {
-		t.Error("fully modal fixture reports fallback blocks")
-	}
-	if fully.MemBytes() <= 0 {
-		t.Error("MemBytes reports nothing retained")
-	}
-}
-
 // TestPackedValidation covers the defensive paths: mis-sized destinations and
-// out-of-range entries or columns must error, empty batches are no-ops.
+// out-of-range entries must error, empty batches are no-ops.
 func TestPackedValidation(t *testing.T) {
 	ms := packedSystems(t)["rc"]
 	mp := ms.Pack()
@@ -212,14 +229,5 @@ func TestPackedValidation(t *testing.T) {
 	}
 	if err := mp.SweepEntriesInto(nil, nil, omegas); err != nil {
 		t.Errorf("empty entry batch: %v", err)
-	}
-	if err := mp.EvalColumnsInto(make([]complex128, 1), 0, []complex128{1, 2}); err == nil {
-		t.Error("short column-batch dst accepted")
-	}
-	if err := mp.EvalColumnsInto(nil, 99, nil); err == nil {
-		t.Error("out-of-range column accepted")
-	}
-	if err := mp.EvalColumnsInto(nil, 0, nil); err != nil {
-		t.Errorf("empty s-point batch: %v", err)
 	}
 }

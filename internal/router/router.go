@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -253,13 +252,9 @@ func (rt *Router) withObs(mux *http.ServeMux) http.Handler {
 		w.Header().Set("X-Request-Id", tr.ID)
 		r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
 		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &obs.StatusWriter{ResponseWriter: w}
 		mux.ServeHTTP(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		rt.metrics.request(routeOf(mux, r), status, time.Since(t0))
+		rt.metrics.request(obs.Route(mux, r), sw.Code(), time.Since(t0))
 	})
 }
 
@@ -1115,46 +1110,4 @@ func (s *latencySampler) percentile(p float64) time.Duration {
 		idx = len(cp) - 1
 	}
 	return cp[idx]
-}
-
-// statusWriter mirrors serve's: captures status for metrics while preserving
-// Flush for relayed streams.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(p)
-}
-
-func (sw *statusWriter) Flush() {
-	if fl, ok := sw.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
-
-// routeOf mirrors serve's: the mux pattern, method-stripped, for metric
-// labels.
-func routeOf(mux *http.ServeMux, r *http.Request) string {
-	_, pattern := mux.Handler(r)
-	if pattern == "" {
-		return "unmatched"
-	}
-	if i := strings.IndexByte(pattern, ' '); i >= 0 {
-		return pattern[i+1:]
-	}
-	return pattern
 }

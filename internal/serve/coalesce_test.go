@@ -26,7 +26,7 @@ func sameSweepPoint(a, b SweepPoint) bool {
 // engine sized like a small server.
 func coalesceFixture(t testing.TB) (*Model, *Evaluator) {
 	t.Helper()
-	m, err := buildModel(ModelKey{Benchmark: "ckt1", Scale: 0.1}, false, nil)
+	m, err := buildModel(ModelKey{Benchmark: "ckt1", Scale: 0.1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

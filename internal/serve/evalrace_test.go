@@ -15,7 +15,7 @@ import (
 // output without tripping the detector still fails the test.
 func TestEvaluatorConcurrentSweepStress(t *testing.T) {
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.1}
-	full, err := buildModel(key, false, nil)
+	full, err := buildModel(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -134,9 +132,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("pgserve_interp_fallbacks_total",
 		"Δ-scale requests that fell back to a real reduction.",
 		repo.interpFallbacks.Load)
-	reg.CounterFunc("pgserve_ward_reductions_total",
-		"Model builds that ran the Ward/Schur pre-reduction stage.",
-		repo.wardReductions.Load)
 	reg.CounterFunc("pgserve_ward_eliminated_states_total",
 		"Static states eliminated exactly by Ward pre-reduction across builds.",
 		repo.wardEliminated.Load)
@@ -200,52 +195,4 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		func() float64 { return float64(runtime.NumGoroutine()) })
 
 	return m
-}
-
-// statusWriter captures the status code and body bytes of a response while
-// preserving the streaming capabilities handlers rely on: Flush for NDJSON
-// chunking and Unwrap for http.ResponseController write deadlines.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	n, err := sw.ResponseWriter.Write(p)
-	sw.bytes += int64(n)
-	return n, err
-}
-
-func (sw *statusWriter) Flush() {
-	if fl, ok := sw.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
-
-// routeOf resolves the mux pattern a request will match — without serving it
-// — and strips the method prefix, so metric labels stay low-cardinality
-// ("/session/{id}/advance", not one series per session ID). Unroutable
-// requests share one label.
-func routeOf(mux *http.ServeMux, r *http.Request) string {
-	_, pattern := mux.Handler(r)
-	if pattern == "" {
-		return "unmatched"
-	}
-	if i := strings.IndexByte(pattern, ' '); i >= 0 {
-		return pattern[i+1:]
-	}
-	return pattern
 }

@@ -73,7 +73,6 @@ func TestMetricsCoverAllSubsystems(t *testing.T) {
 		{"pgserve_http_requests_total", []string{"route", "/eval", "status", "200"}},
 		{"pgserve_http_requests_total", []string{"route", "/session/{id}/advance", "status", "200"}},
 		{"pgserve_repo_builds_total", nil},
-		{"pgserve_ward_reductions_total", nil},
 		{"pgserve_ward_eliminated_states_total", nil},
 		{"pgserve_evals_modal_total", nil},
 		{"pgserve_sessions_created_total", nil},

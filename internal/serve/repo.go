@@ -212,10 +212,8 @@ type RepoStats struct {
 	InterpModels    int   `json:"interp_models"`
 	InterpServed    int64 `json:"interp_served"`
 	InterpFallbacks int64 `json:"interp_fallbacks"`
-	// WardReductions counts builds that ran the Ward/Schur pre-reduction
-	// stage; WardEliminatedStates sums the static states it removed exactly
-	// across those builds.
-	WardReductions       int64 `json:"ward_reductions"`
+	// WardEliminatedStates sums the static states the Ward/Schur
+	// pre-reduction stage removed exactly across all builds.
 	WardEliminatedStates int64 `json:"ward_eliminated_states"`
 }
 
@@ -239,9 +237,6 @@ type Repository struct {
 	maxModels int
 	buildSem  chan struct{}
 	store     *store.Store
-	// noWard disables the Ward/Schur pre-reduction stage in builds — the
-	// -no-ward escape hatch. The stage is exact and on by default.
-	noWard bool
 
 	// library indexes the Scale points known per benchmark family (resident
 	// models plus store-scanned metadata) — the anchor set Δ-scale
@@ -262,7 +257,7 @@ type Repository struct {
 
 	builds, memHits, diskHits, diskMisses, storeErrors atomic.Int64
 	interpServed, interpFallbacks                      atomic.Int64
-	wardReductions, wardEliminated                     atomic.Int64
+	wardEliminated                                     atomic.Int64
 
 	// buildHist / phases, when set via Instrument, receive end-to-end build
 	// durations and per-phase reduction timings (grid_build, partition,
@@ -283,11 +278,6 @@ type repoEntry struct {
 func NewRepository(maxModels int) *Repository {
 	return NewRepositoryWithStore(maxModels, nil)
 }
-
-// DisableWard makes the repository skip the Ward/Schur pre-reduction stage
-// for every model it builds. Must be called before the repository serves
-// requests.
-func (r *Repository) DisableWard() { r.noWard = true }
 
 // Instrument attaches a build-duration histogram and a per-phase reduction
 // timing histogram vector (label: phase). Must be called before the
@@ -387,16 +377,13 @@ func (r *Repository) get(key ModelKey, allowBuild bool) (*Model, Outcome, error)
 		} else {
 			outcome = OutcomeBuilt
 			var elapsed time.Duration
-			e.model, elapsed, e.err = safeBuild(key, r.buildSem, r.noWard, r.phaseFunc())
+			e.model, elapsed, e.err = safeBuild(key, r.buildSem, r.phaseFunc())
 			if e.err == nil {
 				// elapsed is measured inside the build slot, so the histogram
 				// records build cost, not semaphore queueing.
 				r.buildHist.Observe(elapsed.Seconds())
 				r.builds.Add(1)
-				if !r.noWard {
-					r.wardReductions.Add(1)
-					r.wardEliminated.Add(int64(e.model.WardEliminated))
-				}
+				r.wardEliminated.Add(int64(e.model.WardEliminated))
 				r.writeThrough(key, e.model)
 			}
 		}
@@ -599,7 +586,6 @@ func (r *Repository) Stats() RepoStats {
 		InterpModels:         interpModels,
 		InterpServed:         r.interpServed.Load(),
 		InterpFallbacks:      r.interpFallbacks.Load(),
-		WardReductions:       r.wardReductions.Load(),
 		WardEliminatedStates: r.wardEliminated.Load(),
 	}
 }
@@ -694,7 +680,7 @@ func (r *Repository) Models() []*Model {
 // on a ready channel that never closes. The returned duration is measured
 // after the semaphore is acquired, so it reflects build cost alone, not the
 // time spent queued behind other builds.
-func safeBuild(key ModelKey, sem chan struct{}, noWard bool, phase func(string, time.Duration)) (m *Model, elapsed time.Duration, err error) {
+func safeBuild(key ModelKey, sem chan struct{}, phase func(string, time.Duration)) (m *Model, elapsed time.Duration, err error) {
 	sem <- struct{}{}
 	defer func() { <-sem }()
 	t0 := time.Now()
@@ -704,17 +690,17 @@ func safeBuild(key ModelKey, sem chan struct{}, noWard bool, phase func(string, 
 			m, err = nil, fmt.Errorf("serve: building %s panicked: %v", key.ID(), r)
 		}
 	}()
-	m, err = buildModel(key, noWard, phase)
+	m, err = buildModel(key, phase)
 	return m, 0, err // elapsed is stamped by the deferred closure
 }
 
 // buildModel runs the full pipeline for one key: generate the synthetic
-// grid, stamp it into a descriptor system, and reduce it with BDSM (Ward
-// pre-reduction on unless noWard). phase, when non-nil, receives per-phase
+// grid, stamp it into a descriptor system, and reduce it with BDSM after the
+// exact Ward pre-reduction. phase, when non-nil, receives per-phase
 // wall-clock timings (grid_build, partition, schur, factor, krylov,
 // modalize) so slow reductions are decomposable; every label is reported
 // exactly once per build, as zero when its stage is skipped.
-func buildModel(key ModelKey, noWard bool, phase func(string, time.Duration)) (*Model, error) {
+func buildModel(key ModelKey, phase func(string, time.Duration)) (*Model, error) {
 	cfg, err := grid.Benchmark(key.Benchmark, key.Scale)
 	if err != nil {
 		return nil, err
@@ -741,7 +727,7 @@ func buildModel(key ModelKey, noWard bool, phase func(string, time.Duration)) (*
 		S0:         key.S0,
 		Moments:    key.Moments,
 		Backend:    krylov.BackendAuto,
-		WardReduce: !noWard,
+		WardReduce: true,
 		Stats:      &stats,
 		OnPhase:    phase,
 	})

@@ -58,10 +58,6 @@ type Config struct {
 	// Store, when non-nil, is the persistent ROM store the repository reads
 	// through on miss and writes through on build, enabling warm restarts.
 	Store *store.Store
-	// DisableWard turns off the Ward/Schur pre-reduction stage on builds.
-	// The stage is exact and on by default; the flag exists to measure its
-	// effect and as an operational escape hatch.
-	DisableWard bool
 	// DisableInterp turns off Δ-scale interpolation: /interp is rejected and
 	// benchmark+scale resolution on /eval and /sweep reduces for real.
 	DisableInterp bool
@@ -175,9 +171,6 @@ func New(cfg Config) *Server {
 	s.sweeps = NewSweepCoalescer(s.ev)
 	s.reg = obs.NewRegistry()
 	s.metrics = newServerMetrics(s.reg, s)
-	if cfg.DisableWard {
-		s.repo.DisableWard()
-	}
 	if cfg.InterpTol > 0 {
 		s.repo.interpTol = cfg.InterpTol
 	}
@@ -291,18 +284,15 @@ func (s *Server) withObs(mux *http.ServeMux) http.Handler {
 		tr := obs.NewTrace(r.Header.Get("X-Request-Id"))
 		w.Header().Set("X-Request-Id", tr.ID)
 		r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
-		route := routeOf(mux, r)
+		route := obs.Route(mux, r)
 		t0 := time.Now()
 		s.metrics.requestStart()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &obs.StatusWriter{ResponseWriter: w}
 		mux.ServeHTTP(sw, r)
 		s.metrics.requestEnd()
 		d := time.Since(t0)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		s.metrics.request(route, status, d, r.ContentLength, sw.bytes)
+		status := sw.Code()
+		s.metrics.request(route, status, d, r.ContentLength, sw.Bytes)
 		lvl := slog.LevelInfo
 		if s.cfg.SlowRequest > 0 && d > s.cfg.SlowRequest {
 			lvl = slog.LevelWarn
@@ -314,7 +304,7 @@ func (s *Server) withObs(mux *http.ServeMux) http.Handler {
 			"path", r.URL.Path,
 			"status", status,
 			"duration_ms", float64(d) / 1e6,
-			"bytes", sw.bytes,
+			"bytes", sw.Bytes,
 		}
 		if tr.Model != "" {
 			attrs = append(attrs, "model", tr.Model)

@@ -8,16 +8,11 @@
 // lets a router tier route around a dead or draining replica without losing
 // client state.
 //
-// On-disk format (little-endian), one file per session, named by the first
-// 24 hex digits of SHA-256("snap" NUL session id) with extension ".snap":
-//
-//	magic    [8]byte  "PGSNAPS1"
-//	version  uint32   snapshot file format version (1)
-//	metaLen  uint32   length of the metadata JSON
-//	meta     []byte   SnapshotMeta as JSON
-//	payLen   uint64   length of the payload
-//	payload  []byte   sim.StepperState binary frame (opaque to this package)
-//	sha256   [32]byte digest of every preceding byte
+// On-disk format: one file per session, named by the first 24 hex digits of
+// SHA-256("snap" NUL session id) with extension ".snap", in the frame layout
+// the ROM files use (see frame) with magic "PGSNAPS1", version
+// SnapshotFormatVersion, SnapshotMeta as the metadata and a sim.StepperState
+// binary frame (opaque to this package) as the payload.
 //
 // Writes are atomic (temp + fsync + rename) and corrupt files are
 // quarantined exactly like ROM entries: a snapshot that fails any validation
@@ -27,7 +22,6 @@ package store
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -43,10 +37,7 @@ import (
 // reads and writes.
 const SnapshotFormatVersion = 1
 
-const (
-	snapMagic = "PGSNAPS1"
-	snapExt   = ".snap"
-)
+const snapExt = ".snap"
 
 // SnapshotMeta is the sidecar metadata persisted with each session snapshot —
 // everything a resuming replica needs to rebuild the session's stepper
@@ -99,57 +90,6 @@ func (s *Store) snapPrevPath(sessionID string) string {
 // two retained generations reach.
 var ErrNoSnapshotAtStep = errors.New("store: no snapshot at requested step")
 
-// encodeSnapshot assembles the framed file image for one snapshot.
-func encodeSnapshot(meta SnapshotMeta, payload []byte) ([]byte, error) {
-	metaJSON, err := json.Marshal(meta)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding snapshot metadata: %w", err)
-	}
-	buf := make([]byte, 0, len(snapMagic)+16+len(metaJSON)+len(payload)+sha256.Size)
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, SnapshotFormatVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(metaJSON)))
-	buf = append(buf, metaJSON...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...), nil
-}
-
-// decodeSnapshot verifies the frame (magic, version, lengths, checksum) and
-// returns the metadata and state payload.
-func decodeSnapshot(data []byte) (SnapshotMeta, []byte, error) {
-	const headerLen = len(snapMagic) + 8 // magic + version + metaLen
-	if len(data) < headerLen+8+sha256.Size {
-		return SnapshotMeta{}, nil, fmt.Errorf("store: snapshot file too short (%d bytes)", len(data))
-	}
-	if string(data[:len(snapMagic)]) != snapMagic {
-		return SnapshotMeta{}, nil, errors.New("store: bad snapshot magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[len(snapMagic):]); v != SnapshotFormatVersion {
-		return SnapshotMeta{}, nil, fmt.Errorf("store: snapshot format version %d, this build reads version %d", v, SnapshotFormatVersion)
-	}
-	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if computed := sha256.Sum256(body); string(computed[:]) != string(sum) {
-		return SnapshotMeta{}, nil, errors.New("store: snapshot checksum mismatch")
-	}
-	metaLen := int(binary.LittleEndian.Uint32(data[len(snapMagic)+4:]))
-	rest := body[headerLen:]
-	if metaLen < 0 || metaLen > len(rest)-8 {
-		return SnapshotMeta{}, nil, fmt.Errorf("store: snapshot metadata length %d exceeds file", metaLen)
-	}
-	var meta SnapshotMeta
-	if err := json.Unmarshal(rest[:metaLen], &meta); err != nil {
-		return SnapshotMeta{}, nil, fmt.Errorf("store: decoding snapshot metadata: %w", err)
-	}
-	rest = rest[metaLen:]
-	payLen := binary.LittleEndian.Uint64(rest)
-	if payLen != uint64(len(rest)-8) {
-		return SnapshotMeta{}, nil, fmt.Errorf("store: snapshot payload length %d disagrees with file (%d remaining)", payLen, len(rest)-8)
-	}
-	return meta, rest[8:], nil
-}
-
 // PutSnapshot persists one session snapshot at its address, rotating the
 // current snapshot (if any) into the previous-generation slot first. Keeping
 // two generations is what makes router-tier failover exact even when a
@@ -162,11 +102,12 @@ func (s *Store) PutSnapshot(meta SnapshotMeta, payload []byte) error {
 		s.writeErrors.Add(1)
 		return errors.New("store: PutSnapshot requires meta.SessionID")
 	}
-	data, err := encodeSnapshot(meta, payload)
+	metaJSON, err := json.Marshal(meta)
 	if err != nil {
 		s.writeErrors.Add(1)
-		return err
+		return fmt.Errorf("store: encoding snapshot metadata: %w", err)
 	}
+	data := snapFrame.encode(metaJSON, payload)
 	p := s.snapPath(meta.SessionID)
 	// Rotate before publishing: rename is atomic, and if the new write fails
 	// the previous state survives in the .prev slot (GetSnapshot falls back
@@ -193,7 +134,7 @@ func (s *Store) readSnapshotFile(p, sessionID string) (SnapshotMeta, []byte, err
 	if err != nil {
 		return SnapshotMeta{}, nil, fmt.Errorf("store: reading %s: %w", p, err)
 	}
-	meta, payload, err := decodeSnapshot(data)
+	meta, payload, err := decodeFrame[SnapshotMeta](snapFrame, data)
 	if err == nil && meta.SessionID != sessionID {
 		err = fmt.Errorf("store: snapshot addresses session %q, requested %q", meta.SessionID, sessionID)
 	}
@@ -274,7 +215,7 @@ func (s *Store) ScanSnapshots() ([]SnapshotMeta, error) {
 		if err != nil {
 			continue // racing write/quarantine; skip
 		}
-		meta, _, err := decodeSnapshot(data)
+		meta, _, err := decodeFrame[SnapshotMeta](snapFrame, data)
 		if err == nil && snapAddr(meta.SessionID) != ent.Name() {
 			err = fmt.Errorf("store: snapshot %s does not match its address", ent.Name())
 		}

@@ -12,16 +12,11 @@
 // between binary versions, the address changes with them and the stale file
 // is simply never found.
 //
-// On-disk format (little-endian), one file per ROM, named by the first 24
-// hex digits of SHA-256(id NUL gridKey) with extension ".rom":
-//
-//	magic    [8]byte  "PGROMST1"
-//	version  uint32   store format version (1)
-//	metaLen  uint32   length of the metadata JSON
-//	meta     []byte   Meta as JSON
-//	romLen   uint64   length of the ROM payload
-//	rom      []byte   lti.SaveBlockDiag stream (itself versioned + checksummed)
-//	sha256   [32]byte digest of every preceding byte
+// On-disk format: one file per ROM, named by the first 24 hex digits of
+// SHA-256(id NUL gridKey) with extension ".rom", in the frame layout (see
+// frame) with magic "PGROMST1", version FormatVersion, Meta as the metadata
+// and an lti.SaveModal (or SaveBlockDiag) stream, itself versioned and
+// checksummed, as the payload.
 //
 // Writes are atomic: the file is assembled in a temp file in the same
 // directory, fsynced, and renamed into place, so a reader never observes a
@@ -57,9 +52,6 @@ import (
 // modal (diagonalize-once) form; version-1 files are quarantined and their
 // models rebuilt on first request.
 const FormatVersion = 2
-
-// magic opens every store file; it doubles as a human-greppable signature.
-const magic = "PGROMST1"
 
 // romExt and quarantineExt are the extensions of live and quarantined files.
 const (
@@ -159,6 +151,83 @@ func (s *Store) path(id, gridKey string) string {
 	return filepath.Join(s.dir, addr(id, gridKey))
 }
 
+// frame is the file layout ROM files and session snapshots share
+// (little-endian):
+//
+//	magic    [8]byte  file kind signature, human-greppable
+//	version  uint32   format version of that kind
+//	metaLen  uint32   length of the metadata JSON
+//	meta     []byte   metadata as JSON
+//	payLen   uint64   length of the payload
+//	payload  []byte
+//	sha256   [32]byte digest of every preceding byte
+type frame struct {
+	magic   string
+	version uint32
+	name    string // names the file kind in errors
+}
+
+var (
+	romFrame  = frame{magic: "PGROMST1", version: FormatVersion, name: "ROM"}
+	snapFrame = frame{magic: "PGSNAPS1", version: SnapshotFormatVersion, name: "snapshot"}
+)
+
+// encode assembles the framed file image of the metadata JSON and payload.
+func (f frame) encode(meta, payload []byte) []byte {
+	buf := make([]byte, 0, len(f.magic)+16+len(meta)+len(payload)+sha256.Size)
+	buf = append(buf, f.magic...)
+	buf = binary.LittleEndian.AppendUint32(buf, f.version)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
+	buf = append(buf, meta...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = append(buf, payload...)
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
+}
+
+// decode verifies the frame (magic, version, checksum, lengths) and returns
+// its metadata JSON and payload, both aliasing data.
+func (f frame) decode(data []byte) (meta, payload []byte, err error) {
+	headerLen := len(f.magic) + 8 // magic + version + metaLen
+	if len(data) < headerLen+8+sha256.Size {
+		return nil, nil, fmt.Errorf("store: %s file too short (%d bytes)", f.name, len(data))
+	}
+	if string(data[:len(f.magic)]) != f.magic {
+		return nil, nil, fmt.Errorf("store: bad %s magic", f.name)
+	}
+	if v := binary.LittleEndian.Uint32(data[len(f.magic):]); v != f.version {
+		return nil, nil, fmt.Errorf("store: %s format version %d, this build reads version %d", f.name, v, f.version)
+	}
+	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
+	if computed := sha256.Sum256(body); string(computed[:]) != string(sum) {
+		return nil, nil, fmt.Errorf("store: %s checksum mismatch", f.name)
+	}
+	metaLen := uint64(binary.LittleEndian.Uint32(data[len(f.magic)+4:]))
+	rest := body[headerLen:]
+	if metaLen > uint64(len(rest)-8) {
+		return nil, nil, fmt.Errorf("store: %s metadata length %d exceeds file", f.name, metaLen)
+	}
+	meta, rest = rest[:metaLen], rest[metaLen:]
+	if payLen := binary.LittleEndian.Uint64(rest); payLen != uint64(len(rest)-8) {
+		return nil, nil, fmt.Errorf("store: %s payload length %d disagrees with file (%d remaining)", f.name, payLen, len(rest)-8)
+	}
+	return meta, rest[8:], nil
+}
+
+// decodeFrame verifies one framed file and decodes its metadata into M,
+// returning the payload bytes undecoded.
+func decodeFrame[M any](f frame, data []byte) (M, []byte, error) {
+	var meta M
+	metaJSON, payload, err := f.decode(data)
+	if err != nil {
+		return meta, nil, err
+	}
+	if err := json.Unmarshal(metaJSON, &meta); err != nil {
+		return *new(M), nil, fmt.Errorf("store: decoding %s metadata: %w", f.name, err)
+	}
+	return meta, payload, nil
+}
+
 // encode assembles the framed file image for one ROM, embedding the modal
 // form when one is given.
 func encode(meta Meta, rom *lti.BlockDiagSystem, modal *lti.ModalSystem) ([]byte, error) {
@@ -175,51 +244,7 @@ func encode(meta Meta, rom *lti.BlockDiagSystem, modal *lti.ModalSystem) ([]byte
 	if err != nil {
 		return nil, err
 	}
-	romBytes := romBuf.Bytes()
-
-	buf := make([]byte, 0, len(magic)+16+len(metaJSON)+len(romBytes)+sha256.Size)
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(metaJSON)))
-	buf = append(buf, metaJSON...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(romBytes)))
-	buf = append(buf, romBytes...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...), nil
-}
-
-// decodeMeta verifies the frame (magic, version, lengths, checksum) and
-// returns the metadata and the ROM payload bytes without decoding the ROM.
-func decodeMeta(data []byte) (Meta, []byte, error) {
-	const headerLen = len(magic) + 8 // magic + version + metaLen
-	if len(data) < headerLen+8+sha256.Size {
-		return Meta{}, nil, fmt.Errorf("store: file too short (%d bytes)", len(data))
-	}
-	if string(data[:len(magic)]) != magic {
-		return Meta{}, nil, errors.New("store: bad magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[len(magic):]); v != FormatVersion {
-		return Meta{}, nil, fmt.Errorf("store: file format version %d, this build reads version %d", v, FormatVersion)
-	}
-	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if computed := sha256.Sum256(body); string(computed[:]) != string(sum) {
-		return Meta{}, nil, errors.New("store: checksum mismatch")
-	}
-	metaLen := int(binary.LittleEndian.Uint32(data[len(magic)+4:]))
-	rest := body[headerLen:]
-	if metaLen < 0 || metaLen > len(rest)-8 {
-		return Meta{}, nil, fmt.Errorf("store: metadata length %d exceeds file", metaLen)
-	}
-	var meta Meta
-	if err := json.Unmarshal(rest[:metaLen], &meta); err != nil {
-		return Meta{}, nil, fmt.Errorf("store: decoding metadata: %w", err)
-	}
-	rest = rest[metaLen:]
-	romLen := binary.LittleEndian.Uint64(rest)
-	if romLen != uint64(len(rest)-8) {
-		return Meta{}, nil, fmt.Errorf("store: ROM length %d disagrees with file (%d remaining)", romLen, len(rest)-8)
-	}
-	return meta, rest[8:], nil
+	return romFrame.encode(metaJSON, romBuf.Bytes()), nil
 }
 
 // Put persists one ROM at its content address, atomically replacing any
@@ -264,7 +289,7 @@ func (s *Store) Get(id, gridKey string) (*lti.BlockDiagSystem, *lti.ModalSystem,
 		s.misses.Add(1)
 		return nil, nil, Meta{}, fmt.Errorf("store: reading %s: %w", p, err)
 	}
-	meta, romBytes, err := decodeMeta(data)
+	meta, romBytes, err := decodeFrame[Meta](romFrame, data)
 	if err == nil && (meta.ID != id || meta.GridKey != gridKey) {
 		err = fmt.Errorf("store: file addresses %q/%q, requested %q/%q", meta.ID, meta.GridKey, id, gridKey)
 	}
@@ -340,7 +365,7 @@ func (s *Store) Scan() ([]Meta, error) {
 		if err != nil {
 			continue // racing Put/quarantine; skip
 		}
-		meta, _, err := decodeMeta(data)
+		meta, _, err := decodeFrame[Meta](romFrame, data)
 		if err == nil && addr(meta.ID, meta.GridKey) != ent.Name() {
 			err = fmt.Errorf("store: file %s does not match its address", ent.Name())
 		}
