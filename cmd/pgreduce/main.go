@@ -24,7 +24,7 @@ func main() {
 	s0 := flag.Float64("s0", repro.DefaultS0, "Krylov expansion point (rad/s)")
 	out := flag.String("out", "rom.bin", "output ROM path")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	iterative := flag.Bool("iterative", false, "use the memory-streaming iterative solver instead of sparse LU")
+	iterative := flag.Bool("iterative", false, "use the memory-streaming iterative solver instead of the direct factor")
 	wardOn := flag.Bool("ward", true, "run the exact Ward/Schur pre-reduction before the Krylov projection")
 	flag.Parse()
 

@@ -24,7 +24,6 @@ func main() {
 	dt := flag.Float64("dt", 5e-12, "transient step (s)")
 	tEnd := flag.Float64("T", 4e-9, "transient end time (s)")
 	amp := flag.Float64("pulse", 1e-3, "pulse amplitude (A) applied to all ports")
-	workers := flag.Int("workers", 0, "parallel block workers")
 	row := flag.Int("row", 0, "AC output port (0-based)")
 	col := flag.Int("col", 0, "AC input port (0-based)")
 	wMin := flag.Float64("wmin", 1e5, "AC sweep start (rad/s)")
@@ -47,10 +46,9 @@ func main() {
 	switch {
 	case *tran:
 		res, err := repro.SimulateROM(rom, repro.TransientOptions{
-			Method:  repro.Trapezoidal,
-			Dt:      *dt,
-			T:       *tEnd,
-			Workers: *workers,
+			Method: repro.Trapezoidal,
+			Dt:     *dt,
+			T:      *tEnd,
 			Input: repro.UniformInput(repro.Pulse{
 				Low: 0, High: *amp, Delay: *tEnd / 20, Rise: *tEnd / 40,
 				Width: *tEnd / 4, Fall: *tEnd / 40, Period: *tEnd,

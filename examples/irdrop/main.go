@@ -78,7 +78,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		o.Workers = 2
 		red, err := repro.SimulateROM(rom, o)
 		if err != nil {
 			log.Fatal(err)

@@ -2,8 +2,8 @@
 // last column: BDSM reduces one splitted system at a time, so its working
 // memory does not grow with the port count, while PRIMA's dense basis does —
 // until it no longer fits (the Table II "break down" rows). It also shows
-// the solver backends: sparse LU, the symmetric (signed Cholesky) factor
-// that auto picks for RC and RLC grids alike — on this RC-only grid the
+// the two solver backends: the direct factor — the symmetric (signed
+// Cholesky) factor for RC and RLC grids alike; on this RC-only grid the
 // pencil is SPD and it is plain Cholesky — and the factorization-free
 // iterative mode the paper uses for its largest circuits.
 package main
@@ -36,9 +36,8 @@ func main() {
 		name string
 		b    repro.SolverBackend
 	}{
-		{"sparse LU", repro.BackendLU},
-		{"Cholesky", repro.BackendCholesky},
-		{"auto", repro.BackendAuto},
+		{"direct", repro.BackendAuto},
+		{"iterative", repro.BackendIterative},
 	} {
 		var stats repro.BDSMStats
 		t0 := time.Now()

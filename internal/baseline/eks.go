@@ -103,7 +103,7 @@ func EKS(sys *lti.SparseSystem, u0 []float64, opts Options) (*EKSROM, error) {
 	}
 	tf := time.Now()
 	op, err := krylov.NewOperator(sys, opts.S0, krylov.OperatorOptions{
-		Backend: opts.Backend, LU: opts.LU, Iter: opts.Iter,
+		Backend: opts.Backend, Iter: opts.Iter,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: EKS: %w", err)

@@ -36,7 +36,7 @@ func PRIMAMultipoint(sys *lti.SparseSystem, points []float64, opts Options) (*lt
 	for _, s0 := range points {
 		tf := time.Now()
 		op, err := krylov.NewOperator(sys, s0, krylov.OperatorOptions{
-			Backend: opts.Backend, LU: opts.LU, Iter: opts.Iter,
+			Backend: opts.Backend, Iter: opts.Iter,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("baseline: multipoint PRIMA at s0=%g: %w", s0, err)

@@ -31,9 +31,8 @@ type Options struct {
 	S0 float64
 	// Moments is the matched moment count l (default 6).
 	Moments int
-	// Backend, LU, Iter configure pencil solves as in package core.
+	// Backend and Iter configure pencil solves as in package core.
 	Backend krylov.Backend
-	LU      sparse.LUOptions
 	Iter    sparse.IterOptions
 	// MemoryBudget bounds the dense working set in bytes; 0 means
 	// DefaultMemoryBudget, negative means unlimited.
@@ -87,7 +86,7 @@ func PRIMA(sys *lti.SparseSystem, opts Options) (*lti.DenseSystem, error) {
 	}
 	tf := time.Now()
 	op, err := krylov.NewOperator(sys, opts.S0, krylov.OperatorOptions{
-		Backend: opts.Backend, LU: opts.LU, Iter: opts.Iter,
+		Backend: opts.Backend, Iter: opts.Iter,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: PRIMA: %w", err)

@@ -136,7 +136,7 @@ func Interp(cfg Config) (*InterpResult, error) {
 			ms, rep, err := param.Interpolate(
 				param.Anchor{Scale: tc.lo, Modal: a},
 				param.Anchor{Scale: tc.hi, Modal: b},
-				tc.target, param.Config{})
+				tc.target)
 			interpTime := time.Since(t0)
 			if err != nil {
 				return nil, fmt.Errorf("bench: interpolating %s@%g: %w", tc.name, tc.target, err)

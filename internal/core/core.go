@@ -52,11 +52,10 @@ type Options struct {
 	// the Krylov spaces at each point ("the multi-point scheme
 	// straightforwardly follows", Sec. III).
 	Points []float64
-	// Backend selects LU or iterative pencil solves. The iterative backend
-	// reproduces the paper's memory-saving mode for the largest grids.
+	// Backend selects direct or iterative pencil solves. The iterative
+	// backend reproduces the paper's memory-saving mode for the largest
+	// grids.
 	Backend krylov.Backend
-	// LU configures the direct backend.
-	LU sparse.LUOptions
 	// Iter configures the iterative backend.
 	Iter sparse.IterOptions
 	// Workers bounds the number of concurrent splitted-system reductions;
@@ -170,7 +169,7 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*lti.BlockDiagSystem, error) {
 	// so downstream moment matching is unaffected; a disabled or no-op
 	// stage still reports its phases, as zero, per the OnPhase contract.
 	if opts.WardReduce {
-		wres, err := ward.Reduce(sys, ward.Options{LU: opts.LU, Workers: opts.Workers})
+		wres, err := ward.Reduce(sys, ward.Options{Workers: opts.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("core: ward pre-reduction: %w", err)
 		}
@@ -198,7 +197,7 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*lti.BlockDiagSystem, error) {
 	factorNNZ := 0
 	for k, s0 := range points {
 		op, err := krylov.NewOperator(sys, s0, krylov.OperatorOptions{
-			Backend: opts.Backend, LU: opts.LU, Iter: opts.Iter,
+			Backend: opts.Backend, Iter: opts.Iter,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: expansion point %g: %w", s0, err)

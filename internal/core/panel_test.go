@@ -28,7 +28,7 @@ func referenceReduce(t *testing.T, sys *lti.SparseSystem, opts Options) ([]lti.B
 	ops := make([]*krylov.Operator, len(points))
 	for k, s0 := range points {
 		op, err := krylov.NewOperator(sys, s0, krylov.OperatorOptions{
-			Backend: opts.Backend, LU: opts.LU, Iter: opts.Iter})
+			Backend: opts.Backend, Iter: opts.Iter})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,9 +153,9 @@ func TestReducePanelsMatchSingleVectorReference(t *testing.T) {
 			opts: Options{Points: []float64{1e8, 1e10}, Moments: 6, TruncTol: 1e-3}, mixed: true},
 		{name: "iterative", sys: testGrid(t, 7, 7, 1, 9), opts: Options{Moments: 3,
 			Backend: krylov.BackendIterative, Iter: sparse.IterOptions{Tol: 1e-13, MaxIter: 30 * n}}},
-		{name: "cholesky", sys: rcGrid(t, 11), opts: Options{Moments: 4, Backend: krylov.BackendCholesky}},
+		{name: "cholesky", sys: rcGrid(t, 11), opts: Options{Moments: 4}},
 		{name: "cholesky-multipoint-trunc", sys: rcGrid(t, 11), opts: Options{Points: []float64{1e8, 1e10},
-			Moments: 6, TruncTol: 0.2, Backend: krylov.BackendCholesky}, mixed: true},
+			Moments: 6, TruncTol: 0.2}, mixed: true},
 		// Large enough that congruence runs over several row blocks.
 		{name: "m=17-zero-column-last-panel", sys: withZeroColumn(t, testGrid(t, 16, 12, 2, 17), 16),
 			opts: Options{Moments: 5}},

@@ -59,8 +59,9 @@ type Config struct {
 	Seed int64
 	// RCOnly omits the package inductance: pads become a purely resistive
 	// path to ground and no branch-current states are created. The MNA
-	// pencil (s0·C - G) is then symmetric positive definite, enabling CG;
-	// the symmetric (signed Cholesky) factor serves RC and RLC pencils alike.
+	// pencil (s0·C - G) is then symmetric positive definite and its
+	// symmetric factor is plain Cholesky; the signed Cholesky factor serves
+	// RLC pencils alike.
 	RCOnly bool
 }
 

@@ -1,7 +1,6 @@
 package krylov
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,14 +27,25 @@ func rcSystem(t *testing.T) *lti.SparseSystem {
 	return sys
 }
 
-func TestCholeskyBackendMatchesLUOnRCGrid(t *testing.T) {
-	sys := rcSystem(t)
-	n, _, _ := sys.Dims()
-	lu, err := NewOperator(sys, 1e9, OperatorOptions{Backend: BackendLU})
+// luOperator is the operator on the sparse LU factor of the pencil at s0:
+// the reference the direct backend's symmetric factor is held to.
+func luOperator(t *testing.T, sys *lti.SparseSystem, s0 float64) *Operator {
+	t.Helper()
+	lu, err := sparse.FactorLU(sys.C.Add(s0, sys.G, -1).ToCSC(), sparse.LUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewOperator(sys, 1e9, OperatorOptions{Backend: BackendCholesky})
+	return newDirectOperator(sys, s0, lu)
+}
+
+// TestCholeskyBackendMatchesLUOnRCGrid: the direct backend factors the SPD
+// pencil of an RC grid with Cholesky, with less than LU's fill, and solves
+// as LU does.
+func TestCholeskyBackendMatchesLUOnRCGrid(t *testing.T) {
+	sys := rcSystem(t)
+	n, _, _ := sys.Dims()
+	lu := luOperator(t, sys, 1e9)
+	ch, err := NewOperator(sys, 1e9, OperatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +100,13 @@ func unsignableSystem(t *testing.T) *lti.SparseSystem {
 	return &lti.SparseSystem{C: sys.C, G: g, B: sys.B, L: sys.L}
 }
 
-// TestCholeskyBackendOnRLCGrid: the explicit Cholesky backend factors the
-// RLC pencil through its row signing, with less than LU's fill, and solves
-// as LU does.
+// TestCholeskyBackendOnRLCGrid: the direct backend factors the RLC pencil
+// through its row signing, with less than LU's fill, and solves as LU does.
 func TestCholeskyBackendOnRLCGrid(t *testing.T) {
 	sys := testSystem(t)
 	n, _, _ := sys.Dims()
-	lu, err := NewOperator(sys, 1e9, OperatorOptions{Backend: BackendLU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := NewOperator(sys, 1e9, OperatorOptions{Backend: BackendCholesky})
+	lu := luOperator(t, sys, 1e9)
+	ch, err := NewOperator(sys, 1e9, OperatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +133,32 @@ func TestCholeskyBackendOnRLCGrid(t *testing.T) {
 	}
 }
 
+// TestCholeskyBackendRejectsUnsignablePencil: no row signing makes the
+// pencil symmetric, so the direct backend factors it with LU and solves as
+// the LU operator does.
 func TestCholeskyBackendRejectsUnsignablePencil(t *testing.T) {
-	_, err := NewOperator(unsignableSystem(t), 1e9, OperatorOptions{Backend: BackendCholesky})
-	if !errors.Is(err, sparse.ErrNotSPD) {
-		t.Fatalf("err = %v, want ErrNotSPD for a pencil no row signing makes symmetric", err)
+	sys := unsignableSystem(t)
+	n, _, _ := sys.Dims()
+	op, err := NewOperator(sys, 1e9, OperatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := op.direct.(*sparse.LU[float64]); !ok {
+		t.Fatalf("direct backend picked %T on an unsignable pencil, want *sparse.LU", op.direct)
+	}
+	b := make([]float64, n)
+	b[0] = 1
+	x1, x2 := make([]float64, n), make([]float64, n)
+	if err := op.SolvePencil(x1, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := luOperator(t, sys, 1e9).SolvePencil(x2, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range x1 {
+		if math.Abs(x1[i]-x2[i]) > 1e-12*(1+math.Abs(x2[i])) {
+			t.Fatalf("row %d: %g vs LU %g", i, x1[i], x2[i])
+		}
 	}
 }
 
@@ -138,30 +166,18 @@ func TestAutoBackendSelection(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		sys  *lti.SparseSystem
-		want Backend
+		lu   bool
 	}{
-		{"RC grid", rcSystem(t), BackendCholesky},
-		{"RLC grid", testSystem(t), BackendCholesky},
-		{"unsignable pencil", unsignableSystem(t), BackendLU},
+		{"RC grid", rcSystem(t), false},
+		{"RLC grid", testSystem(t), false},
+		{"unsignable pencil", unsignableSystem(t), true},
 	} {
 		op, err := NewOperator(c.sys, 1e9, OperatorOptions{Backend: BackendAuto})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if op.UsedBackend != c.want {
-			t.Errorf("auto picked %v on %s, want %v", op.UsedBackend, c.name, c.want)
-		}
-	}
-}
-
-func TestBackendStrings(t *testing.T) {
-	cases := map[Backend]string{
-		BackendLU: "lu", BackendIterative: "bicgstab",
-		BackendCholesky: "cholesky", BackendAuto: "auto", Backend(99): "unknown",
-	}
-	for b, want := range cases {
-		if got := b.String(); got != want {
-			t.Errorf("Backend(%d).String() = %q, want %q", b, got, want)
+		if _, lu := op.direct.(*sparse.LU[float64]); lu != c.lu {
+			t.Errorf("auto picked %T on %s", op.direct, c.name)
 		}
 	}
 }

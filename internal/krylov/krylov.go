@@ -6,10 +6,10 @@
 // The two kinds of backend mirror the paper's experimental setup: a direct
 // factor is the fast path, while the iterative backend reproduces the
 // "factorization is skipped … to save memory" regime used for the largest
-// benchmarks (ckt3–ckt5). For MNA grids, RC and RLC alike, the direct
-// factor of choice is one symmetric factor: the signed Cholesky
+// benchmarks (ckt3–ckt5). The direct factor is sparse.Factor's: for MNA
+// grids, RC and RLC alike, one symmetric factor — the signed Cholesky
 // factorization of the pencil with its inductor-current rows negated, a
-// symmetric quasi-definite matrix (sparse.Cholesky). Sparse LU remains for
+// symmetric quasi-definite matrix (sparse.Cholesky) — and sparse LU for
 // pencils that no row signing makes symmetric.
 package krylov
 
@@ -27,42 +27,20 @@ import (
 type Backend int
 
 const (
-	// BackendLU factors the pencil once with sparse LU (default).
-	BackendLU Backend = iota
+	// BackendAuto factors the pencil once with sparse.Factor: the signed
+	// Cholesky factor when a row signing makes the pencil symmetric
+	// quasi-definite (every RC and RLC grid), sparse LU otherwise. The
+	// zero value.
+	BackendAuto Backend = iota
 	// BackendIterative solves with Jacobi-preconditioned BiCGStab,
 	// trading time for memory on very large grids.
 	BackendIterative
-	// BackendCholesky factors the pencil with signed sparse Cholesky —
-	// roughly half the work and fill of LU. Valid for pencils that a row
-	// signing makes symmetric quasi-definite: every RC grid (SPD pencil)
-	// and every RLC grid (inductor-current rows negated); construction
-	// fails otherwise.
-	BackendCholesky
-	// BackendAuto picks the signed Cholesky factor when it applies and LU
-	// otherwise (see sparse.Factor).
-	BackendAuto
 )
-
-func (b Backend) String() string {
-	switch b {
-	case BackendLU:
-		return "lu"
-	case BackendIterative:
-		return "bicgstab"
-	case BackendCholesky:
-		return "cholesky"
-	case BackendAuto:
-		return "auto"
-	}
-	return "unknown"
-}
 
 // OperatorOptions configures construction of a pencil operator.
 type OperatorOptions struct {
-	// Backend selects direct or iterative solves. Default BackendLU.
+	// Backend selects direct or iterative solves. Default BackendAuto.
 	Backend Backend
-	// LU configures the direct backend.
-	LU sparse.LUOptions
 	// Iter configures the iterative backend.
 	Iter sparse.IterOptions
 }
@@ -74,14 +52,11 @@ type Operator struct {
 	sys    *lti.SparseSystem
 	s0     float64
 	solver sparse.Solver[float64]
-	direct sparse.Direct // non-nil for the direct backends
+	direct sparse.Direct // non-nil for the direct backend
 	buf    []float64
 	solves atomic.Int64
 	// FactorNNZ is the direct-factor fill (0 for the iterative backend).
 	FactorNNZ int
-	// UsedBackend is the backend actually selected (relevant for
-	// BackendAuto).
-	UsedBackend Backend
 }
 
 // NewOperator builds the expansion-point operator for sys at s0. The pencil
@@ -90,45 +65,29 @@ type Operator struct {
 // assembly itself is a measurable fraction of factor time, so it is never
 // repeated. No dense n×n intermediate is formed on any path.
 func NewOperator(sys *lti.SparseSystem, s0 float64, opts OperatorOptions) (*Operator, error) {
-	n, _, _ := sys.Dims()
-	op := &Operator{sys: sys, s0: s0, buf: make([]float64, n), UsedBackend: opts.Backend}
 	pencil := sys.C.Add(s0, sys.G, -1)
 	switch opts.Backend {
-	case BackendLU:
-		lu, err := sparse.FactorLU(pencil.ToCSC(), opts.LU)
-		if err != nil {
-			return nil, fmt.Errorf("krylov: factoring pencil at s0=%g: %w", s0, err)
-		}
-		op.direct = lu
-	case BackendCholesky:
-		ch, err := sparse.FactorSymmetric(pencil, opts.LU)
-		if err != nil {
-			return nil, fmt.Errorf("krylov: Cholesky-factoring pencil at s0=%g: %w", s0, err)
-		}
-		op.direct = ch
 	case BackendAuto:
-		f, err := sparse.Factor(pencil, opts.LU)
+		f, err := sparse.Factor(pencil, sparse.LUOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("krylov: factoring pencil at s0=%g: %w", s0, err)
 		}
-		op.direct = f
-		op.UsedBackend = BackendLU
-		if _, ok := f.(*sparse.Cholesky); ok {
-			op.UsedBackend = BackendCholesky
-		}
+		return newDirectOperator(sys, s0, f), nil
 	case BackendIterative:
 		it, err := sparse.NewBiCGStab(pencil, opts.Iter)
 		if err != nil {
 			return nil, fmt.Errorf("krylov: building iterative solver: %w", err)
 		}
-		op.solver = it
-		return op, nil
-	default:
-		return nil, fmt.Errorf("krylov: unknown backend %v", opts.Backend)
+		n, _, _ := sys.Dims()
+		return &Operator{sys: sys, s0: s0, solver: it, buf: make([]float64, n)}, nil
 	}
-	op.solver = op.direct
-	op.FactorNNZ = op.direct.NNZ()
-	return op, nil
+	return nil, fmt.Errorf("krylov: unknown backend %d", opts.Backend)
+}
+
+// newDirectOperator builds the operator over f, a factor of s0·C - G.
+func newDirectOperator(sys *lti.SparseSystem, s0 float64, f sparse.Direct) *Operator {
+	n, _, _ := sys.Dims()
+	return &Operator{sys: sys, s0: s0, solver: f, direct: f, buf: make([]float64, n), FactorNNZ: f.NNZ()}
 }
 
 // N returns the state dimension.
@@ -244,7 +203,7 @@ func (wk *Worker) ApplyLanes(dst, src []float64, live *[sparse.PanelWidth]bool) 
 }
 
 // solveLanes overwrites each live lane of the panel x with its pencil
-// solve, counting one solve per live lane. The direct backends solve all
+// solve, counting one solve per live lane. The direct backend solves all
 // lanes in one pass over the factor; the iterative backend unpacks, solves
 // and packs back lane by lane.
 func (wk *Worker) solveLanes(x []float64, live *[sparse.PanelWidth]bool) error {

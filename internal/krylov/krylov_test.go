@@ -74,7 +74,7 @@ func TestOperatorApplyMatchesDefinition(t *testing.T) {
 		t.Errorf("worker solve not merged into parent count")
 	}
 	if op.FactorNNZ == 0 {
-		t.Error("FactorNNZ not recorded for LU backend")
+		t.Error("FactorNNZ not recorded for the direct backend")
 	}
 }
 
@@ -82,10 +82,7 @@ func TestOperatorBackendsAgree(t *testing.T) {
 	sys := testSystem(t)
 	n, _, _ := sys.Dims()
 	s0 := 1e9
-	lu, err := NewOperator(sys, s0, OperatorOptions{Backend: BackendLU})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lu := luOperator(t, sys, s0)
 	it, err := NewOperator(sys, s0, OperatorOptions{Backend: BackendIterative,
 		Iter: sparse.IterOptions{Tol: 1e-13, MaxIter: 20 * n}})
 	if err != nil {

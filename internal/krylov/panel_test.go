@@ -20,10 +20,11 @@ func TestWorkerPanelsMatchSingleVector(t *testing.T) {
 		name    string
 		rcOnly  bool
 		backend Backend
+		lu      bool // the LU operator instead of NewOperator's
 	}{
-		{"lu", false, BackendLU},
-		{"cholesky", true, BackendCholesky},
-		{"iterative", false, BackendIterative},
+		{"lu", false, BackendAuto, true},
+		{"cholesky", true, BackendAuto, false},
+		{"iterative", false, BackendIterative, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := grid.Config{Name: "p", NX: 8, NY: 7, Layers: 2, Ports: 11, Pads: 2,
@@ -38,9 +39,11 @@ func TestWorkerPanelsMatchSingleVector(t *testing.T) {
 				t.Fatal(err)
 			}
 			n, m, _ := sys.Dims()
-			op, err := NewOperator(sys, 1e9, OperatorOptions{Backend: tc.backend,
-				Iter: sparse.IterOptions{Tol: 1e-13, MaxIter: 30 * n}})
-			if err != nil {
+			var op *Operator
+			if tc.lu {
+				op = luOperator(t, sys, 1e9)
+			} else if op, err = NewOperator(sys, 1e9, OperatorOptions{Backend: tc.backend,
+				Iter: sparse.IterOptions{Tol: 1e-13, MaxIter: 30 * n}}); err != nil {
 				t.Fatal(err)
 			}
 			ref := op.Worker()

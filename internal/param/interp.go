@@ -39,32 +39,16 @@ var ErrIncompatible = errors.New("param: anchors are not interpolation-compatibl
 // should reduce directly instead.
 var ErrAmbiguous = errors.New("param: pole matching is ambiguous")
 
-// Config tunes the interpolation guards. The zero value selects defaults.
-type Config struct {
-	// MaxPoleShift bounds the relative distance |λa−λb| / max(|λa|,|λb|)
-	// a matched pole pair may span; beyond it the anchors are too far apart
-	// to trust a linear pole path. 0 selects DefaultMaxPoleShift.
-	MaxPoleShift float64
-	// StabTol is the relative positive real part above which an interpolated
-	// pole counts as unstable (mirrors the modal construction guard).
-	// 0 selects 1e-8.
-	StabTol float64
-}
-
-// DefaultMaxPoleShift permits matched poles to move by up to 75% of their
+// DefaultMaxPoleShift bounds the relative distance |λa−λb| / max(|λa|,|λb|)
+// a matched pole pair may span: matched poles may move by up to 75% of their
 // magnitude between anchors — generous for within-plateau Δ-scale steps
 // (poles move ∝ scale³ there) while rejecting matchings that pair unrelated
 // poles across a grid re-randomization.
 const DefaultMaxPoleShift = 0.75
 
-func (c *Config) defaults() {
-	if c.MaxPoleShift <= 0 {
-		c.MaxPoleShift = DefaultMaxPoleShift
-	}
-	if c.StabTol <= 0 {
-		c.StabTol = 1e-8
-	}
-}
+// stabTol is the relative positive real part above which an interpolated
+// pole counts as unstable (mirrors the modal construction guard).
+const stabTol = 1e-8
 
 // Anchor is one stored library point: a fully evaluable modal ROM at a known
 // Scale.
@@ -90,8 +74,7 @@ type Report struct {
 // bracketing it. The result carries a full modal form (every block Modal)
 // and a real block-diagonal realization of exactly that form, so modal and
 // factored evaluation paths agree to machine precision.
-func Interpolate(a, b Anchor, scale float64, cfg Config) (*lti.ModalSystem, *Report, error) {
-	cfg.defaults()
+func Interpolate(a, b Anchor, scale float64) (*lti.ModalSystem, *Report, error) {
 	if a.Scale > b.Scale {
 		a, b = b, a
 	}
@@ -114,7 +97,7 @@ func Interpolate(a, b Anchor, scale float64, cfg Config) (*lti.ModalSystem, *Rep
 	_, m, p := a.Modal.Dims()
 	blocks := make([]lti.ModalBlock, len(a.Modal.Blocks))
 	for i := range a.Modal.Blocks {
-		mb, err := interpolateBlock(&a.Modal.Blocks[i], &b.Modal.Blocks[i], t, &cfg, rep)
+		mb, err := interpolateBlock(&a.Modal.Blocks[i], &b.Modal.Blocks[i], t, rep)
 		if err != nil {
 			return nil, nil, fmt.Errorf("block %d: %w", i, err)
 		}
@@ -161,8 +144,8 @@ func compatible(a, b *lti.ModalSystem) error {
 
 // interpolateBlock matches block b's poles to block a's and blends poles,
 // residues, and direct terms at coordinate t.
-func interpolateBlock(a, b *lti.ModalBlock, t float64, cfg *Config, rep *Report) (lti.ModalBlock, error) {
-	match, worst, err := matchPoles(a.Poles, b.Poles, cfg.MaxPoleShift)
+func interpolateBlock(a, b *lti.ModalBlock, t float64, rep *Report) (lti.ModalBlock, error) {
+	match, worst, err := matchPoles(a.Poles, b.Poles, DefaultMaxPoleShift)
 	if err != nil {
 		return lti.ModalBlock{}, err
 	}
@@ -176,7 +159,7 @@ func interpolateBlock(a, b *lti.ModalBlock, t float64, cfg *Config, rep *Report)
 	ct := complex(t, 0)
 	for k := 0; k < q; k++ {
 		lam := (1-ct)*a.Poles[k] + ct*b.Poles[match[k]]
-		if real(lam) > cfg.StabTol*(1+cmplx.Abs(lam)) {
+		if real(lam) > stabTol*(1+cmplx.Abs(lam)) {
 			return lti.ModalBlock{}, fmt.Errorf("%w: interpolated pole %v is unstable", ErrAmbiguous, lam)
 		}
 		poles[k] = lam

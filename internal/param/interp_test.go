@@ -70,7 +70,7 @@ func TestInterpolateMatchesDirectReductionWithinPlateau(t *testing.T) {
 		b := Anchor{Scale: s1, Modal: buildModal(t, "ckt1", s1, rcOnly)}
 		direct := buildModal(t, "ckt1", target, rcOnly)
 
-		ms, rep, err := Interpolate(a, b, target, Config{})
+		ms, rep, err := Interpolate(a, b, target)
 		if err != nil {
 			t.Fatalf("rc=%v: %v", rcOnly, err)
 		}
@@ -93,7 +93,7 @@ func TestInterpolateExactAtAnchors(t *testing.T) {
 		scale float64
 		ref   *lti.ModalSystem
 	}{{s0, a.Modal}, {s1, b.Modal}} {
-		ms, _, err := Interpolate(a, b, tc.scale, Config{})
+		ms, _, err := Interpolate(a, b, tc.scale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestRealizationAgreesWithModalForm(t *testing.T) {
 	const s0, s1 = 0.236, 0.246
 	a := Anchor{Scale: s0, Modal: buildModal(t, "ckt1", s0, false)}
 	b := Anchor{Scale: s1, Modal: buildModal(t, "ckt1", s1, false)}
-	ms, _, err := Interpolate(a, b, 0.24, Config{})
+	ms, _, err := Interpolate(a, b, 0.24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +166,16 @@ func TestInterpolateIncompatibleAnchors(t *testing.T) {
 			[]complex128{-1e9}, [][]complex128{{1}}, []complex128{2})}},
 	}
 	for _, tc := range cases {
-		if _, _, err := Interpolate(a, tc.b, 0.25, Config{}); !errors.Is(err, ErrIncompatible) {
+		if _, _, err := Interpolate(a, tc.b, 0.25); !errors.Is(err, ErrIncompatible) {
 			t.Errorf("%s: got %v, want ErrIncompatible", tc.name, err)
 		}
 	}
 	// Extrapolation and degenerate anchor spacing are incompatible too.
 	b := Anchor{Scale: 0.3, Modal: synthModal([]complex128{-2e9}, [][]complex128{{1}}, nil)}
-	if _, _, err := Interpolate(a, b, 0.4, Config{}); !errors.Is(err, ErrIncompatible) {
+	if _, _, err := Interpolate(a, b, 0.4); !errors.Is(err, ErrIncompatible) {
 		t.Errorf("extrapolation: got %v", err)
 	}
-	if _, _, err := Interpolate(a, Anchor{Scale: 0.2, Modal: a.Modal}, 0.2, Config{}); !errors.Is(err, ErrIncompatible) {
+	if _, _, err := Interpolate(a, Anchor{Scale: 0.2, Modal: a.Modal}, 0.2); !errors.Is(err, ErrIncompatible) {
 		t.Errorf("equal anchors: got %v", err)
 	}
 }
@@ -185,11 +185,11 @@ func TestInterpolateAmbiguousPoleMatch(t *testing.T) {
 	// path exists and the guard must refuse.
 	a := Anchor{Scale: 0.2, Modal: synthModal([]complex128{-1e9}, [][]complex128{{1}}, nil)}
 	b := Anchor{Scale: 0.3, Modal: synthModal([]complex128{-1e10}, [][]complex128{{1}}, nil)}
-	if _, _, err := Interpolate(a, b, 0.25, Config{}); !errors.Is(err, ErrAmbiguous) {
+	if _, _, err := Interpolate(a, b, 0.25); !errors.Is(err, ErrAmbiguous) {
 		t.Fatalf("got %v, want ErrAmbiguous", err)
 	}
 	// A wider guard admits the same pair.
-	if _, _, err := Interpolate(a, b, 0.25, Config{MaxPoleShift: 20}); err != nil {
+	if _, _, err := matchPoles(a.Modal.Blocks[0].Poles, b.Modal.Blocks[0].Poles, 20); err != nil {
 		t.Fatalf("wide guard: %v", err)
 	}
 }

@@ -68,13 +68,13 @@ func BenchmarkSweepRepeatedModal(b *testing.B) {
 	if m.ModalBlocks != m.Blocks {
 		b.Fatalf("test model not fully modal (%d/%d blocks)", m.ModalBlocks, m.Blocks)
 	}
-	if _, err := ev.Sweep(context.Background(), m, 0, 0, 1e5, 1e15, 200); err != nil {
+	if _, err := ev.SweepEntries(context.Background(), m, []Entry{{Row: 0, Col: 0}}, 1e5, 1e15, 200); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.Sweep(context.Background(), m, 0, 0, 1e5, 1e15, 200); err != nil {
+		if _, err := ev.SweepEntries(context.Background(), m, []Entry{{Row: 0, Col: 0}}, 1e5, 1e15, 200); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,9 +80,10 @@ func (e *Engine) TaskCounts() (completed, skipped int64) {
 	return e.completed.Load(), e.skipped.Load()
 }
 
-// Close stops the pool. Safe to call with Maps still in flight (a graceful
-// HTTP shutdown that timed out may leave handlers running): their remaining
-// tasks fall back to the submitting goroutine, so every Map still completes.
+// Close stops the pool. Safe to call with MapCtx calls still in flight (a
+// graceful HTTP shutdown that timed out may leave handlers running): their
+// remaining tasks fall back to the submitting goroutine, so every call still
+// completes.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.done) })
 	e.wg.Wait()
@@ -98,23 +99,16 @@ func (e *Engine) submit(f func()) {
 	}
 }
 
-// Map runs fn(0..n-1) across the pool and blocks until every call returns.
-// All n calls run even after a failure; the first error (by completion
-// order) is returned. Map must not be called from inside a pool task — that
-// would deadlock a fully-loaded pool.
-func (e *Engine) Map(n int, fn func(i int) error) error {
-	//pgmor:detach Map is the explicitly non-cancelable variant; callers that have a request context use MapCtx
-	return e.MapCtx(context.Background(), n, fn)
-}
-
-// MapCtx is Map with cooperative cancellation: tasks that have not started
-// when ctx is canceled are skipped (they still occupy the queue, but return
-// immediately when a worker picks them up), so a disconnected client's
-// remaining work drains in O(queue) channel operations instead of running
-// every evaluation to completion. A task already inside fn finishes — fn
-// should check ctx itself between chunks when its own work is long. When any
-// task was skipped and no harder error occurred, the context's error is
-// returned.
+// MapCtx runs fn(0..n-1) across the pool and blocks until every call
+// returns; the first error (by completion order) is returned. It must not be
+// called from inside a pool task — that would deadlock a fully-loaded pool.
+// Cancellation is cooperative: tasks that have not started when ctx is
+// canceled are skipped (they still occupy the queue, but return immediately
+// when a worker picks them up), so a disconnected client's remaining work
+// drains in O(queue) channel operations instead of running every evaluation
+// to completion. A task already inside fn finishes — fn should check ctx
+// itself between chunks when its own work is long. When any task was skipped
+// and no harder error occurred, the context's error is returned.
 func (e *Engine) MapCtx(ctx context.Context, n int, fn func(i int) error) error {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -123,7 +117,7 @@ func (e *Engine) MapCtx(ctx context.Context, n int, fn func(i int) error) error 
 	done := ctx.Done()
 	// One timestamp for the whole batch, taken only when timing is on: tasks
 	// submitted together share their enqueue instant, so the wait histogram
-	// costs one time.Now per Map, not per task.
+	// costs one time.Now per MapCtx call, not per task.
 	instrumented := e.waitHist != nil || e.runHist != nil
 	var enqueued time.Time
 	if instrumented {
@@ -146,7 +140,7 @@ func (e *Engine) MapCtx(ctx context.Context, n int, fn func(i int) error) error 
 				e.waitHist.Observe(start.Sub(enqueued).Seconds())
 			}
 			// A panicking task must not kill the shared worker (and with
-			// it the process); surface it as this Map's error instead.
+			// it the process); surface it as this call's error instead.
 			defer func() {
 				if r := recover(); r != nil {
 					mu.Lock()

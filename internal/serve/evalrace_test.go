@@ -74,7 +74,7 @@ func TestEvaluatorConcurrentSweepStress(t *testing.T) {
 							}
 						}
 					}
-					if _, err := ev.Sweep(context.Background(), m, g%m.Outputs, g%m.Ports, 1e6, 1e12, 10); err != nil {
+					if _, err := ev.SweepEntries(context.Background(), m, []Entry{{Row: g % m.Outputs, Col: g % m.Ports}}, 1e6, 1e12, 10); err != nil {
 						errc <- err
 						return
 					}

@@ -88,17 +88,6 @@ func (ev *Evaluator) finish(ctx context.Context, err error) error {
 	return err
 }
 
-// Sweep evaluates H[row][col](jω) of the model's ROM over a logarithmic
-// grid as a single residue pass. Cancelling ctx aborts before the pass
-// starts.
-func (ev *Evaluator) Sweep(ctx context.Context, m *Model, row, col int, wMin, wMax float64, points int) ([]SweepPoint, error) {
-	sweeps, err := ev.SweepEntries(ctx, m, []Entry{{Row: row, Col: col}}, wMin, wMax, points)
-	if err != nil {
-		return nil, err
-	}
-	return sweeps[0].Points, nil
-}
-
 // SweepEntries evaluates several transfer-matrix entries over one shared
 // frequency grid as a single engine task. Cancelling ctx skips the task if
 // it has not started.
@@ -179,13 +168,6 @@ func (ev *Evaluator) EvalBatch(ctx context.Context, m *Model, omegas []float64) 
 // pool slot within one chunk, large enough that the check is noise.
 const transientChunkSteps = 256
 
-// Stepper builds a resumable integrator over the model's modal form: modal
-// blocks advance by exact per-mode exponentials, the rest by the implicit
-// rule of method. Sessions call this once and then Advance incrementally.
-func (ev *Evaluator) Stepper(m *Model, method sim.Method, dt float64) (*sim.Stepper, error) {
-	return sim.NewStepper(m.Modal, sim.StepperOptions{Method: method, Dt: dt})
-}
-
 // Transient runs a transient on the model's ROM as a single engine task, so
 // the pool's worker count bounds total evaluation concurrency across sweeps,
 // evals, and transients alike. Modal blocks integrate each mode exactly
@@ -200,7 +182,7 @@ func (ev *Evaluator) Transient(ctx context.Context, m *Model, opts sim.Transient
 	}
 	var res *sim.Result
 	err := ev.eng.MapCtx(ctx, 1, func(int) error {
-		st, err := ev.Stepper(m, opts.Method, opts.Dt)
+		st, err := sim.NewStepper(m.Modal, sim.StepperOptions{Method: opts.Method, Dt: opts.Dt})
 		if err != nil {
 			return err
 		}

@@ -267,7 +267,7 @@ func (r *Repository) interpolate(key ModelKey, scales []float64, lo, hi int, tol
 		pred, _, err := param.Interpolate(
 			param.Anchor{Scale: outer.Key.Scale, Modal: outer.Modal},
 			param.Anchor{Scale: c.outerWith.Key.Scale, Modal: c.outerWith.Modal},
-			c.heldOut.Key.Scale, param.Config{})
+			c.heldOut.Key.Scale)
 		if err != nil {
 			checkErr = err
 			continue
@@ -298,7 +298,7 @@ func (r *Repository) interpolate(key ModelKey, scales []float64, lo, hi int, tol
 	ms, rep, err := param.Interpolate(
 		param.Anchor{Scale: a.Key.Scale, Modal: a.Modal},
 		param.Anchor{Scale: b.Key.Scale, Modal: b.Modal},
-		key.Scale, param.Config{})
+		key.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -310,27 +310,11 @@ func (r *Repository) interpolate(key ModelKey, scales []float64, lo, hi int, tol
 		return nil, err
 	}
 	cfg.RCOnly = key.RCOnly
-	order, _, _ := ms.Dims()
-	modalBlocks, _ := ms.ModalCount()
-	id := key.ID()
-	m := &Model{
-		ID:          id,
-		idJSON:      jsonString(id),
-		Key:         key,
-		Nodes:       cfg.NumNodes(),
-		Ports:       ms.BD.M,
-		Outputs:     ms.BD.P,
-		Order:       order,
-		Blocks:      len(ms.BD.Blocks),
-		ReduceTime:  time.Since(t0),
-		Created:     time.Now(),
-		ModalBlocks: modalBlocks,
-		Interp:      &info,
-		ROM:         ms.BD,
-		Modal:       ms,
-		Packed:      ms.Pack(),
-		GridKey:     cfg.Key(),
-	}
+	interpTime := time.Since(t0)
+	m := newModel(key, ms, cfg.Key(), cfg.NumNodes())
+	m.ReduceTime = interpTime
+	m.Created = time.Now()
+	m.Interp = &info
 	r.interpInsert(key, m)
 	return m, nil
 }

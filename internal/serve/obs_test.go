@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -383,7 +384,7 @@ func (sb *syncBuffer) Bytes() []byte {
 }
 
 // TestInstrumentedEngineAddsNoAllocs: attaching the task wait/run
-// histograms leaves Engine.Map's allocations per call unchanged — recording
+// histograms leaves Engine.MapCtx's allocations per call unchanged — recording
 // is clock reads and atomic arithmetic on pre-registered instruments.
 func TestInstrumentedEngineAddsNoAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -398,14 +399,14 @@ func TestInstrumentedEngineAddsNoAllocs(t *testing.T) {
 	noop := func(int) error { return nil }
 	allocs := func(e *Engine, n int) float64 {
 		return testing.AllocsPerRun(200, func() {
-			if err := e.Map(n, noop); err != nil {
+			if err := e.MapCtx(context.Background(), n, noop); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	for _, n := range []int{1, 4} {
 		if b, i := allocs(bare, n), allocs(instr, n); b != i {
-			t.Errorf("Map(%d): %v allocs/call bare, %v instrumented", n, b, i)
+			t.Errorf("MapCtx(%d): %v allocs/call bare, %v instrumented", n, b, i)
 		}
 	}
 }

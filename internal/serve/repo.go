@@ -145,7 +145,7 @@ type Model struct {
 	// ReduceTime then records the interpolation cost.
 	Interp *InterpInfo `json:"interp,omitempty"`
 
-	// ROM is the block-diagonal reduced model (immutable).
+	// ROM is the block-diagonal reduced model (immutable): always Modal.BD.
 	ROM *lti.BlockDiagSystem `json:"-"`
 	// Modal is the diagonalize-once form of ROM that every evaluation runs
 	// through; never nil. Blocks that failed to diagonalize keep Modal ==
@@ -457,26 +457,11 @@ func (r *Repository) loadFromStore(key ModelKey) *Model {
 		}
 	}
 	r.diskHits.Add(1)
-	id := key.ID()
-	m := &Model{
-		ID:         id,
-		idJSON:     jsonString(id),
-		Key:        key,
-		Nodes:      meta.Nodes,
-		Ports:      meta.Ports,
-		Outputs:    meta.Outputs,
-		Order:      meta.Order,
-		Blocks:     meta.Blocks,
-		BuildTime:  time.Duration(meta.BuildNS),
-		ReduceTime: time.Duration(meta.ReduceNS),
-		Created:    meta.Created,
-		FromStore:  true,
-		ROM:        rom,
-		Modal:      modal,
-		Packed:     modal.Pack(),
-		GridKey:    gridKey,
-	}
-	m.ModalBlocks, _ = modal.ModalCount()
+	m := newModel(key, modal, gridKey, meta.Nodes)
+	m.BuildTime = time.Duration(meta.BuildNS)
+	m.ReduceTime = time.Duration(meta.ReduceNS)
+	m.Created = meta.Created
+	m.FromStore = true
 	if rediagonalized {
 		// Upgrade the stored file in place so the diagonalization is paid
 		// once, not on every restart.
@@ -747,27 +732,37 @@ func buildModel(key ModelKey, phase func(string, time.Duration)) (*Model, error)
 		phase("modalize", time.Since(tModal))
 	}
 
-	n, m, p := sys.Dims()
-	order, _, _ := rom.Dims()
-	id := key.ID()
-	mdl := &Model{
-		ID:             id,
-		idJSON:         jsonString(id),
-		Key:            key,
-		Nodes:          n,
-		Ports:          m,
-		Outputs:        p,
-		Order:          order,
-		Blocks:         len(rom.Blocks),
-		BuildTime:      buildTime,
-		ReduceTime:     reduceTime,
-		Created:        time.Now(),
-		WardEliminated: stats.Ward.External,
-		ROM:            rom,
-		Modal:          modal,
-		Packed:         modal.Pack(),
-		GridKey:        cfg.Key(),
-	}
-	mdl.ModalBlocks, _ = modal.ModalCount()
+	n, _, _ := sys.Dims()
+	mdl := newModel(key, modal, cfg.Key(), n)
+	mdl.BuildTime = buildTime
+	mdl.ReduceTime = reduceTime
+	mdl.Created = time.Now()
+	mdl.WardEliminated = stats.Ward.External
 	return mdl, nil
+}
+
+// newModel wraps the modal form of a ROM for serving under key, deriving in
+// one place everything that follows from the two: the ID and its JSON
+// encoding, the ROM's dimensions and block counts, and the packed sweep
+// form. nodes is the unreduced grid's state count; the caller fills in the
+// timings and provenance it knows.
+func newModel(key ModelKey, modal *lti.ModalSystem, gridKey string, nodes int) *Model {
+	id := key.ID()
+	order, ports, outputs := modal.Dims()
+	modalBlocks, _ := modal.ModalCount()
+	return &Model{
+		ID:          id,
+		idJSON:      jsonString(id),
+		Key:         key,
+		Nodes:       nodes,
+		Ports:       ports,
+		Outputs:     outputs,
+		Order:       order,
+		Blocks:      len(modal.BD.Blocks),
+		ModalBlocks: modalBlocks,
+		ROM:         modal.BD,
+		Modal:       modal,
+		Packed:      modal.Pack(),
+		GridKey:     gridKey,
+	}
 }

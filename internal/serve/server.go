@@ -41,15 +41,16 @@ const (
 	DefaultSweepPoints = 60
 )
 
+// maxSweepPoints caps the frequencies of one sweep or eval request and the
+// steps of one transient or session advance.
+const maxSweepPoints = 10000
+
 // Config sizes a Server.
 type Config struct {
 	// Workers is the evaluation pool size; 0 means runtime.NumCPU().
 	Workers int
 	// MaxModels bounds the model repository; 0 selects DefaultMaxModels.
 	MaxModels int
-	// MaxSweepPoints caps the per-request sweep/eval batch size; 0 means
-	// the default of 10000.
-	MaxSweepPoints int
 	// MaxEvalEntries caps the total complex entries (frequencies × p × m)
 	// one /eval request may return, bounding response memory for
 	// many-port models; 0 means the default of 1<<22 (~128 MB of
@@ -65,9 +66,6 @@ type Config struct {
 	// error above which an interpolation request falls back to a real
 	// reduction. 0 selects DefaultInterpTol.
 	InterpTol float64
-	// MaxInterpModels bounds the resident interpolated-model LRU; 0 selects
-	// DefaultMaxInterpModels.
-	MaxInterpModels int
 	// MaxBodyBytes caps the request body size every endpoint will read; 0
 	// selects DefaultMaxBodyBytes. Oversized bodies get 413.
 	MaxBodyBytes int64
@@ -147,9 +145,6 @@ type notReadyState struct {
 
 // New assembles a Server. Call Close to stop its worker pool.
 func New(cfg Config) *Server {
-	if cfg.MaxSweepPoints <= 0 {
-		cfg.MaxSweepPoints = 10000
-	}
 	if cfg.MaxEvalEntries <= 0 {
 		cfg.MaxEvalEntries = 1 << 22
 	}
@@ -173,9 +168,6 @@ func New(cfg Config) *Server {
 	s.metrics = newServerMetrics(s.reg, s)
 	if cfg.InterpTol > 0 {
 		s.repo.interpTol = cfg.InterpTol
-	}
-	if cfg.MaxInterpModels > 0 {
-		s.repo.maxInterp = cfg.MaxInterpModels
 	}
 	return s
 }
@@ -586,8 +578,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	noteModel(r, m)
-	if len(req.Omegas) == 0 || len(req.Omegas) > s.cfg.MaxSweepPoints {
-		writeErr(w, r, badRequest("omegas must have 1..%d entries, got %d", s.cfg.MaxSweepPoints, len(req.Omegas)))
+	if len(req.Omegas) == 0 || len(req.Omegas) > maxSweepPoints {
+		writeErr(w, r, badRequest("omegas must have 1..%d entries, got %d", maxSweepPoints, len(req.Omegas)))
 		return
 	}
 	// Budget the response by total entries, not frequency count: each
@@ -654,8 +646,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Points == 0 {
 		req.Points = DefaultSweepPoints
 	}
-	if req.Points > s.cfg.MaxSweepPoints {
-		writeErr(w, r, badRequest("points %d exceeds limit %d", req.Points, s.cfg.MaxSweepPoints))
+	if req.Points > maxSweepPoints {
+		writeErr(w, r, badRequest("points %d exceeds limit %d", req.Points, maxSweepPoints))
 		return
 	}
 	if len(req.Entries) > 0 {
@@ -825,8 +817,8 @@ func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, badRequest("dt and t must be positive, got %g, %g", req.Dt, req.T))
 		return
 	}
-	if req.T/req.Dt > float64(s.cfg.MaxSweepPoints) {
-		writeErr(w, r, badRequest("step count %g exceeds limit %d", req.T/req.Dt, s.cfg.MaxSweepPoints))
+	if req.T/req.Dt > float64(maxSweepPoints) {
+		writeErr(w, r, badRequest("step count %g exceeds limit %d", req.T/req.Dt, maxSweepPoints))
 		return
 	}
 	res, err := s.ev.Transient(r.Context(), m, sim.TransientOptions{

@@ -444,7 +444,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, badRequest("dt must be positive, got %g", req.Dt))
 		return
 	}
-	st, err := s.ev.Stepper(m, method, req.Dt)
+	st, err := sim.NewStepper(m.Modal, sim.StepperOptions{Method: method, Dt: req.Dt})
 	if err != nil {
 		writeErr(w, r, err) // integrator pencil failure: server-side, 500
 		return
@@ -514,8 +514,8 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	if req.Steps < 1 || req.Steps > s.cfg.MaxSweepPoints {
-		writeErr(w, r, badRequest("steps must be in 1..%d, got %d", s.cfg.MaxSweepPoints, req.Steps))
+	if req.Steps < 1 || req.Steps > maxSweepPoints {
+		writeErr(w, r, badRequest("steps must be in 1..%d, got %d", maxSweepPoints, req.Steps))
 		return
 	}
 	input, err := buildInput(&req.Input, req.Ports, sess.model.Ports)

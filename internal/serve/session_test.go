@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // advanceSession POSTs one advance and decodes the NDJSON stream.
@@ -321,7 +323,7 @@ func TestSessionAdvanceCancellation(t *testing.T) {
 	barrierDone := make(chan struct{})
 	go func() {
 		defer close(barrierDone)
-		srv.eng.Map(1, func(int) error {
+		srv.eng.MapCtx(context.Background(), 1, func(int) error {
 			close(started)
 			<-release
 			return nil
@@ -377,7 +379,7 @@ func TestSessionClosedMidAdvance(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go srv.eng.Map(1, func(int) error { close(started); <-release; return nil })
+	go srv.eng.MapCtx(context.Background(), 1, func(int) error { close(started); <-release; return nil })
 	<-started
 
 	type advanceOut struct {
@@ -553,7 +555,7 @@ func TestConcurrentAdvancesMatchSteppers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				twin, err := srv.ev.Stepper(m, method, dt)
+				twin, err := sim.NewStepper(m.Modal, sim.StepperOptions{Method: method, Dt: dt})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -169,7 +169,7 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request, id 
 		notFound("snapshot for session %q has unknown method %q", id, meta.Method)
 		return
 	}
-	st, err := s.ev.Stepper(m, method, meta.Dt)
+	st, err := sim.NewStepper(m.Modal, sim.StepperOptions{Method: method, Dt: meta.Dt})
 	if err != nil {
 		writeErr(w, r, err) // integrator pencil failure: server-side, 500
 		return

@@ -39,10 +39,11 @@ func TestSweepEntriesMatchesSingle(t *testing.T) {
 				t.Fatalf("got %d sweeps, want %d", len(sweeps), len(entries))
 			}
 			for i, e := range entries {
-				single, err := srv.ev.Sweep(context.Background(), m, e.Row, e.Col, 1e6, 1e12, 25)
+				one, err := srv.ev.SweepEntries(context.Background(), m, []Entry{e}, 1e6, 1e12, 25)
 				if err != nil {
 					t.Fatal(err)
 				}
+				single := one[0].Points
 				if sweeps[i].Row != e.Row || sweeps[i].Col != e.Col {
 					t.Fatalf("sweep %d labeled (%d,%d), want (%d,%d)", i, sweeps[i].Row, sweeps[i].Col, e.Row, e.Col)
 				}
@@ -201,7 +202,7 @@ func TestModalServeStress(t *testing.T) {
 			for it := 0; it < 10; it++ {
 				switch (g + it) % 3 {
 				case 0:
-					if _, err := srv.ev.Sweep(context.Background(), m, it%m.Outputs, it%m.Ports, 1e5, 1e15, 30); err != nil {
+					if _, err := srv.ev.SweepEntries(context.Background(), m, []Entry{{Row: it % m.Outputs, Col: it % m.Ports}}, 1e5, 1e15, 30); err != nil {
 						errs <- err
 						return
 					}

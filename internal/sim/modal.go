@@ -83,13 +83,12 @@ func (st *modalBlockState) addOutput(y []float64, u float64) {
 // SimulateModal integrates a modal-form ROM. Modal blocks advance by exact
 // per-mode exponentials (factorization-free, exact for piecewise-linear
 // inputs); blocks without a modal form fall back to the implicit rule
-// selected by opts.Method, exactly as SimulateBlockDiag steps them. With
-// Workers > 1 the blocks are sharded across goroutines.
+// selected by opts.Method, exactly as SimulateBlockDiag steps them.
 func SimulateModal(ms *lti.ModalSystem, opts TransientOptions) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	st, err := NewStepper(ms, StepperOptions{Method: opts.Method, Dt: opts.Dt, Workers: opts.Workers})
+	st, err := NewStepper(ms, StepperOptions{Method: opts.Method, Dt: opts.Dt})
 	if err != nil {
 		return nil, err
 	}

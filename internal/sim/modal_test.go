@@ -175,25 +175,3 @@ func TestSimulateModalMixedFallback(t *testing.T) {
 		t.Fatalf("mixed vs implicit max error %g (scale %g)", maxErr, scale)
 	}
 }
-
-// TestSimulateModalWorkers: sharding blocks across goroutines must not
-// change the result bit-for-bit.
-func TestSimulateModalWorkers(t *testing.T) {
-	_, ms := modalTestSystem(t)
-	input := UniformInput(Pulse{Low: 0, High: 1, Delay: 0.1, Rise: 0.05, Fall: 0.05, Width: 0.3, Period: 1})
-	serial, err := SimulateModal(ms, TransientOptions{Dt: 0.01, T: 1, Input: input, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := SimulateModal(ms, TransientOptions{Dt: 0.01, T: 1, Input: input, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range serial.Y {
-		for r := range serial.Y[k] {
-			if serial.Y[k][r] != parallel.Y[k][r] {
-				t.Fatalf("worker sharding changed the result at step %d output %d", k, r)
-			}
-		}
-	}
-}

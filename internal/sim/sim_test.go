@@ -155,38 +155,6 @@ func TestROMTransientMatchesFull(t *testing.T) {
 	}
 }
 
-func TestBlockDiagParallelMatchesSerial(t *testing.T) {
-	sys := gridSystem(t)
-	rom, err := core.Reduce(sys, core.Options{Moments: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := TransientOptions{
-		Dt:    1e-11,
-		T:     5e-10,
-		Input: UniformInput(Step{Amplitude: 1e-3, Delay: 1e-10}),
-	}
-	serialOpts := base
-	serialOpts.Workers = 1
-	parallelOpts := base
-	parallelOpts.Workers = 4
-	serial, err := SimulateBlockDiag(rom, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := SimulateBlockDiag(rom, parallelOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range serial.Y {
-		for j := range serial.Y[k] {
-			if serial.Y[k][j] != parallel.Y[k][j] {
-				t.Fatalf("parallel transient differs at step %d output %d", k, j)
-			}
-		}
-	}
-}
-
 func TestDenseVsBlockDiagTransient(t *testing.T) {
 	sys := gridSystem(t)
 	rom, err := core.Reduce(sys, core.Options{Moments: 4})

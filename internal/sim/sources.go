@@ -1,8 +1,7 @@
 // Package sim provides the time- and frequency-domain simulation engine of
 // the library: fixed-step backward-Euler and trapezoidal transient
 // integration for full sparse models, dense ROMs and block-diagonal BDSM
-// ROMs (with optional per-block parallelism), plus standard source
-// waveforms and an AC sweep driver.
+// ROMs, plus standard source waveforms and an AC sweep driver.
 package sim
 
 import (

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/lti"
 )
@@ -17,9 +15,6 @@ type StepperOptions struct {
 	// Dt is the fixed time step (required, > 0). It is baked into the
 	// per-block propagators at construction and cannot change mid-session.
 	Dt float64
-	// Workers shards the per-block stepping across goroutines; 0 or 1 means
-	// serial.
-	Workers int
 }
 
 // stepperBlock is one block of a Stepper: exactly one of the two states is
@@ -45,11 +40,6 @@ type Stepper struct {
 	h           float64
 	k           int // current step index; time = k·h
 	m, p        int
-	workers     int
-	// shards holds the persistent worker goroutines when workers > 1,
-	// created lazily on the first sharded step. nil in the common
-	// single-worker case, which spawns no goroutines at all.
-	shards *shardWorkers
 }
 
 func (o *StepperOptions) validate() error {
@@ -114,18 +104,13 @@ func NewImplicitStepper(bd *lti.BlockDiagSystem, opts StepperOptions) (*Stepper,
 }
 
 func newStepper(blocks []stepperBlock, opts StepperOptions, m, p int) *Stepper {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	return &Stepper{
-		blocks:  blocks,
-		uNow:    make([]float64, m),
-		uNext:   make([]float64, m),
-		h:       opts.Dt,
-		m:       m,
-		p:       p,
-		workers: workers,
+		blocks: blocks,
+		uNow:   make([]float64, m),
+		uNext:  make([]float64, m),
+		h:      opts.Dt,
+		m:      m,
+		p:      p,
 	}
 }
 
@@ -169,111 +154,17 @@ func (st *Stepper) output() []float64 {
 	return y
 }
 
-// stepBlock advances one block one step with the staged endpoint inputs. A
-// free function over the stepper's stable slices so shard workers can run it
-// without holding the *Stepper itself alive (which would defeat the
-// runtime.AddCleanup leak backstop).
-//
-//pgmor:noalloc
-func stepBlock(b *stepperBlock, uNow, uNext []float64) {
-	if b.modal != nil {
-		b.modal.step(uNow[b.modal.input], uNext[b.modal.input])
-	} else {
-		b.implicit.step(uNow[b.implicit.input], uNext[b.implicit.input])
-	}
-}
-
-// shardWorkers is a set of persistent goroutines, each owning a fixed block
-// range, signaled once per step. Spawning fresh goroutines per step (the old
-// scheme) costs a goroutine create + schedule + join per worker per step —
-// at nanosecond-scale block work the overhead dwarfs the stepping; here the
-// per-step cost is one channel send/receive pair per worker.
-type shardWorkers struct {
-	start []chan struct{}
-	done  chan struct{}
-	quit  chan struct{}
-	once  sync.Once
-}
-
-func newShardWorkers(blocks []stepperBlock, uNow, uNext []float64, workers int) *shardWorkers {
-	sw := &shardWorkers{
-		done: make(chan struct{}, workers),
-		quit: make(chan struct{}),
-	}
-	chunk := (len(blocks) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(blocks) {
-			hi = len(blocks)
-		}
-		if lo >= hi {
-			break
-		}
-		start := make(chan struct{}, 1)
-		sw.start = append(sw.start, start)
-		go func(lo, hi int) {
-			for {
-				select {
-				case <-sw.quit:
-					return
-				case <-start:
-					for i := lo; i < hi; i++ {
-						stepBlock(&blocks[i], uNow, uNext)
-					}
-					sw.done <- struct{}{}
-				}
-			}
-		}(lo, hi)
-	}
-	return sw
-}
-
-// step signals every shard and waits for all of them; the channel
-// send/receive pairs give the same happens-before edges the per-step
-// WaitGroup used to.
-func (sw *shardWorkers) step() {
-	for _, c := range sw.start {
-		c <- struct{}{}
-	}
-	for range sw.start {
-		<-sw.done
-	}
-}
-
-func (sw *shardWorkers) close() {
-	sw.once.Do(func() { close(sw.quit) })
-}
-
-// stepAll advances every block one step, sharded across the persistent
-// workers when configured.
+// stepAll advances every block one step with the staged endpoint inputs,
+// one block after another.
 //
 //pgmor:noalloc
 func (st *Stepper) stepAll() {
-	if st.workers == 1 {
-		for i := range st.blocks {
-			stepBlock(&st.blocks[i], st.uNow, st.uNext)
+	for i := range st.blocks {
+		if b := &st.blocks[i]; b.modal != nil {
+			b.modal.step(st.uNow[b.modal.input], st.uNext[b.modal.input])
+		} else {
+			b.implicit.step(st.uNow[b.implicit.input], st.uNext[b.implicit.input])
 		}
-		return
-	}
-	if st.shards == nil {
-		st.shards = newShardWorkers(st.blocks, st.uNow, st.uNext, st.workers) //pgmor:alloc one-time lazy shard-worker spawn on the first sharded step
-		// Backstop for steppers dropped without Close: the workers hold
-		// only the block/input slices, so an unreachable Stepper triggers
-		// the cleanup and the goroutines exit.
-		//pgmor:alloc one-time leak-backstop registration alongside the shard spawn
-		runtime.AddCleanup(st, func(sw *shardWorkers) { sw.close() }, st.shards)
-	}
-	st.shards.step()
-}
-
-// Close stops the persistent shard workers, if any were started. It is safe
-// to call multiple times and to keep using the Stepper afterwards — the next
-// sharded step simply restarts the workers. Single-worker steppers have
-// nothing to release.
-func (st *Stepper) Close() {
-	if st.shards != nil {
-		st.shards.close()
-		st.shards = nil
 	}
 }
 

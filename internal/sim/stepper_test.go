@@ -235,70 +235,12 @@ func TestStepperValidation(t *testing.T) {
 	}
 }
 
-// TestStepperWorkersExact: sharded stepping is bit-identical to serial, also
-// when resumed mid-run.
-func TestStepperWorkersExact(t *testing.T) {
-	_, ms := modalTestSystem(t)
-	input := UniformInput(Sine{Amplitude: 1, Freq: 0.5})
-	serial, err := NewStepper(ms, StepperOptions{Dt: 0.01, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := NewStepper(ms, StepperOptions{Dt: 0.01, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parallel.Close()
-	a := advanceChunked(t, serial, 100, 17, input)
-	b := advanceChunked(t, parallel, 100, 23, input)
-	requireSameResult(t, b, a, 0)
-}
-
-// TestStepperCloseRestart: Close stops the persistent shard workers but does
-// not poison the stepper — the next Advance restarts them and the trajectory
-// stays bit-identical to an uninterrupted serial run.
-func TestStepperCloseRestart(t *testing.T) {
-	_, ms := modalTestSystem(t)
-	input := UniformInput(Sine{Amplitude: 1, Freq: 0.5})
-	serial, err := NewStepper(ms, StepperOptions{Dt: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := NewStepper(ms, StepperOptions{Dt: 0.01, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := advanceChunked(t, serial, 80, 80, input)
-	res := &Result{}
-	y0, err := parallel.Output(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.T = append(res.T, 0)
-	res.Y = append(res.Y, y0)
-	a, err := parallel.Advance(40, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel.Close()
-	parallel.Close()                      // idempotent
-	b, err := parallel.Advance(40, input) // restarts the shards
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel.Close()
-	res.T = append(append(res.T, a.T...), b.T...)
-	res.Y = append(append(res.Y, a.Y...), b.Y...)
-	requireSameResult(t, res, want, 0)
-}
-
 // TestStepperAdvanceAllocs pins the hot-loop allocation fix: Advance(n)
 // performs O(1) allocations — one Result, its T and Y headers, one shared
 // row backing array — independent of n, where it used to allocate one row
 // per step.
 //
 //pgmor:alloctest Stepper.stepAll
-//pgmor:alloctest stepBlock
 //pgmor:alloctest Stepper.outputInto
 func TestStepperAdvanceAllocs(t *testing.T) {
 	_, ms := modalTestSystem(t)

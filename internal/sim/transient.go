@@ -41,9 +41,6 @@ type TransientOptions struct {
 	T float64
 	// Input drives the ports (required).
 	Input Input
-	// Workers parallelizes per-block solves for block-diagonal ROMs;
-	// 0 means serial. Ignored by the other simulators.
-	Workers int
 }
 
 func (o *TransientOptions) Validate() error {
@@ -237,13 +234,12 @@ func (st *implicitBlockState) addOutput(y []float64) {
 
 // SimulateBlockDiag integrates a BDSM block-diagonal ROM: each l×l block is
 // factored once and solved independently per step, at O(m·l²) per step
-// versus O(m²l²) for the dense ROM. With Workers > 1 the blocks are sharded
-// across goroutines — the parallelism the block-diagonal structure buys.
+// versus O(m²l²) for the dense ROM.
 func SimulateBlockDiag(bd *lti.BlockDiagSystem, opts TransientOptions) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	st, err := NewImplicitStepper(bd, StepperOptions{Method: opts.Method, Dt: opts.Dt, Workers: opts.Workers})
+	st, err := NewImplicitStepper(bd, StepperOptions{Method: opts.Method, Dt: opts.Dt})
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +249,6 @@ func SimulateBlockDiag(bd *lti.BlockDiagSystem, opts TransientOptions) (*Result,
 // runStepper drives a freshly built Stepper through one complete transient:
 // the t = 0 row, then every remaining step in a single Advance.
 func runStepper(st *Stepper, opts TransientOptions) (*Result, error) {
-	defer st.Close()
 	steps := opts.Steps()
 	res := &Result{T: make([]float64, 0, steps+1), Y: make([][]float64, 0, steps+1)}
 	y0, err := st.Output(opts.Input)

@@ -74,17 +74,6 @@ func Factor(a *CSR[float64], opts LUOptions) (Direct, error) {
 	return lu, nil
 }
 
-// FactorSymmetric computes the signed Cholesky factorization of a (see
-// Cholesky). Returns ErrNotSPD when no row signing makes a symmetric or
-// when a pivot's sign disagrees with its row's sign.
-func FactorSymmetric(a *CSR[float64], opts LUOptions) (*Cholesky, error) {
-	sa, s := signedCSC(a)
-	if s == nil {
-		return nil, fmt.Errorf("%w: not symmetric up to a row signing", ErrNotSPD)
-	}
-	return factorCholesky(sa, s, opts)
-}
-
 // IsSymmetric reports whether A equals Aᵀ within the given relative
 // tolerance on each entry. It looks each entry's mirror up by binary search
 // in the mirror row (CSR rows are strictly increasing) instead of building
@@ -209,22 +198,11 @@ func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 // factorCholesky factors the symmetric matrix sa = S·A, with S = diag(s),
 // as P·sa·Pᵀ = L·Σ·Lᵀ, and certifies Σ = P·S·Pᵀ pivot by pivot.
 func factorCholesky(a *CSC[float64], s []float64, opts LUOptions) (*Cholesky, error) {
-	opts.defaults()
 	n, m := a.Dims()
 	if n != m {
 		return nil, fmt.Errorf("sparse: cannot Cholesky-factor non-square %d×%d matrix", n, m)
 	}
-	q := IdentityPerm(n)
-	switch opts.Ordering {
-	case OrderRCM:
-		q = RCM(a)
-	case OrderAMD:
-		q = AMD(a)
-	}
-	aq := a
-	if opts.Ordering != OrderNatural {
-		aq = a.PermuteSym(q)
-	}
+	q, aq := orderSym(a, opts.Ordering)
 	sig := make([]float64, n)
 	for k, old := range q {
 		sig[k] = s[old]

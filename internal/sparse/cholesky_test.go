@@ -11,7 +11,7 @@ import (
 
 func TestCholeskySolvesLaplacian(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+	for _, ord := range []Ordering{OrderNatural, OrderAMD} {
 		a := laplacian2D(17, 13, 0.3)
 		ch, err := FactorCholesky(a, LUOptions{Ordering: ord})
 		if err != nil {

@@ -7,7 +7,7 @@ import (
 )
 
 // Solver abstracts "apply A⁻¹" so that model reduction code can run either
-// on a direct LU factorization (fast, memory-hungry) or on an iterative
+// on a direct factorization (fast, memory-hungry) or on an iterative
 // Krylov solver (slow, streaming) — mirroring the paper's note that the
 // sparse LU "is skipped in ckts3-5 to save memory, at the cost of more
 // simulation time".
@@ -37,88 +37,6 @@ func (o *IterOptions) defaults(n int) {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 4 * n
 	}
-}
-
-// CG is a Jacobi-preconditioned conjugate-gradient solver for symmetric
-// positive definite systems, such as (s0·C - G) of an RC power grid at a
-// real expansion point s0 ≥ 0 in the paper's sign convention.
-type CG struct {
-	a    *CSR[float64]
-	dinv []float64
-	opts IterOptions
-	// iterations accumulates the total iteration count across Solve calls.
-	iterations atomic.Int64
-}
-
-// Iterations reports the total iteration count across all Solve calls.
-func (s *CG) Iterations() int { return int(s.iterations.Load()) }
-
-// NewCG builds a CG solver for the SPD matrix a.
-func NewCG(a *CSR[float64], opts IterOptions) (*CG, error) {
-	n, m := a.Dims()
-	if n != m {
-		return nil, fmt.Errorf("sparse: CG requires a square matrix, got %d×%d", n, m)
-	}
-	opts.defaults(n)
-	dinv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d := a.At(i, i)
-		if d == 0 {
-			return nil, fmt.Errorf("sparse: CG requires nonzero diagonal (row %d)", i)
-		}
-		dinv[i] = 1 / d
-	}
-	return &CG{a: a, dinv: dinv, opts: opts}, nil
-}
-
-// N returns the system dimension.
-func (s *CG) N() int { n, _ := s.a.Dims(); return n }
-
-// Solve runs preconditioned CG from a zero initial guess.
-func (s *CG) Solve(dst, b []float64) error {
-	n := s.N()
-	if len(dst) != n || len(b) != n {
-		return fmt.Errorf("sparse: CG Solve length mismatch (n=%d)", n)
-	}
-	x := make([]float64, n)
-	r := append([]float64(nil), b...)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-
-	bnorm := Nrm2(r)
-	if bnorm == 0 {
-		ZeroVec(dst)
-		return nil
-	}
-	for i := range z {
-		z[i] = s.dinv[i] * r[i]
-	}
-	copy(p, z)
-	rz := Dot(r, z)
-	for it := 0; it < s.opts.MaxIter; it++ {
-		s.a.MatVec(ap, p)
-		alpha := rz / Dot(p, ap)
-		Axpy(x, alpha, p)
-		Axpy(r, -alpha, ap)
-		s.iterations.Add(1)
-		if Nrm2(r)/bnorm <= s.opts.Tol {
-			copy(dst, x)
-			return nil
-		}
-		for i := range z {
-			z[i] = s.dinv[i] * r[i]
-		}
-		rzNew := Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	copy(dst, x)
-	return fmt.Errorf("%w: CG after %d iterations (rel res %.3e)",
-		ErrNoConvergence, s.opts.MaxIter, Nrm2(r)/bnorm)
 }
 
 // BiCGStab is a Jacobi-preconditioned stabilized bi-conjugate gradient

@@ -1,74 +1,10 @@
 package sparse
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
-
-func TestCGSolvesLaplacian(t *testing.T) {
-	a := laplacian2D(15, 15, 0.2).ToCSR()
-	n, _ := a.Dims()
-	cg, err := NewCG(a, IterOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	want := mustVec(rng, n)
-	b := make([]float64, n)
-	a.MatVec(b, want)
-	got := make([]float64, n)
-	if err := cg.Solve(got, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-7 {
-			t.Fatalf("CG error at %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-	if cg.Iterations() == 0 {
-		t.Error("CG iteration counter not incremented")
-	}
-}
-
-func TestCGZeroRHS(t *testing.T) {
-	a := laplacian2D(5, 5, 0.2).ToCSR()
-	cg, err := NewCG(a, IterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 25)
-	if err := cg.Solve(x, make([]float64, 25)); err != nil {
-		t.Fatal(err)
-	}
-	if Nrm2(x) != 0 {
-		t.Error("CG with zero RHS must return zero")
-	}
-}
-
-func TestCGNoConvergenceReported(t *testing.T) {
-	a := laplacian2D(12, 12, 1e-8).ToCSR()
-	cg, err := NewCG(a, IterOptions{Tol: 1e-15, MaxIter: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, 144)
-	b[0] = 1
-	x := make([]float64, 144)
-	if err := cg.Solve(x, b); !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("err = %v, want ErrNoConvergence", err)
-	}
-}
-
-func TestCGRejectsZeroDiagonal(t *testing.T) {
-	c := NewCOO[float64](2, 2)
-	c.Add(0, 1, 1)
-	c.Add(1, 0, 1)
-	if _, err := NewCG(c.ToCSR(), IterOptions{}); err == nil {
-		t.Fatal("zero diagonal must be rejected")
-	}
-}
 
 func TestBiCGStabUnsymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -155,7 +91,6 @@ func TestBiCGStabZeroDiagonalFallback(t *testing.T) {
 func TestSolverInterfaceSatisfied(t *testing.T) {
 	var _ Solver[float64] = (*LU[float64])(nil)
 	var _ Solver[complex128] = (*LU[complex128])(nil)
-	var _ Solver[float64] = (*CG)(nil)
 	var _ Solver[float64] = (*BiCGStab[float64])(nil)
 	var _ Solver[complex128] = (*BiCGStab[complex128])(nil)
 }

@@ -202,7 +202,7 @@ func avx2Factors(t *testing.T, rng *rand.Rand) (names []string, factors []*Chole
 		names, factors = append(names, "spd/"+name), append(factors, spd)
 		for _, n := range []int{1, 40, 200} {
 			a, s := quasiDefinite(rng, n, true)
-			signed, err := FactorSymmetric(a, LUOptions{Ordering: ord})
+			signed, err := factorSigned(a, LUOptions{Ordering: ord})
 			if err != nil {
 				t.Fatal(err)
 			}

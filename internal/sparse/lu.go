@@ -10,25 +10,19 @@ import (
 // the chosen expansion point) is numerically singular.
 var ErrSingular = errors.New("sparse: matrix is numerically singular")
 
-// LUOptions configures sparse LU factorization.
+// LUOptions configures a sparse direct factorization.
 type LUOptions struct {
 	// Ordering selects the fill-reducing pre-ordering applied symmetrically
 	// to rows and columns before factorization. The zero value is OrderAMD,
 	// so every factorization is ordered unless it asks for OrderNatural.
 	Ordering Ordering
-	// PivotTol is the threshold-partial-pivoting relative tolerance in
-	// (0, 1]: the diagonal entry is kept as pivot whenever its magnitude is
-	// at least PivotTol times the column maximum, which preserves the
-	// fill-reducing ordering on the nearly-symmetric MNA matrices of power
-	// grids. Default: 0.1.
-	PivotTol float64
 }
 
-func (o *LUOptions) defaults() {
-	if o.PivotTol <= 0 || o.PivotTol > 1 {
-		o.PivotTol = 0.1
-	}
-}
+// pivotTol is the threshold-partial-pivoting relative tolerance: the
+// diagonal entry is kept as pivot whenever its magnitude is at least
+// pivotTol times the column maximum, which preserves the fill-reducing
+// ordering on the nearly-symmetric MNA matrices of power grids.
+const pivotTol = 0.1
 
 // LU holds a sparse factorization Pr · A(q,q) = L·U with unit lower
 // triangular L and upper triangular U, where q is the fill-reducing
@@ -44,22 +38,11 @@ type LU[T Scalar] struct {
 
 // FactorLU computes a sparse LU factorization of the square matrix a.
 func FactorLU[T Scalar](a *CSC[T], opts LUOptions) (*LU[T], error) {
-	opts.defaults()
 	n, m := a.Dims()
 	if n != m {
 		return nil, fmt.Errorf("sparse: cannot LU-factor non-square %d×%d matrix", n, m)
 	}
-	q := IdentityPerm(n)
-	switch opts.Ordering {
-	case OrderRCM:
-		q = RCM(a)
-	case OrderAMD:
-		q = AMD(a)
-	}
-	aq := a
-	if opts.Ordering != OrderNatural {
-		aq = a.PermuteSym(q)
-	}
+	q, aq := orderSym(a, opts.Ordering)
 
 	nnzEst := 4*a.NNZ() + n
 	lp := make([]int, n+1)
@@ -135,7 +118,7 @@ func FactorLU[T Scalar](a *CSC[T], opts LUOptions) (*LU[T], error) {
 		if ipiv < 0 || maxAbs == 0 {
 			return nil, fmt.Errorf("%w: zero pivot column %d", ErrSingular, j)
 		}
-		if diagFound && diagAbs >= opts.PivotTol*maxAbs {
+		if diagFound && diagAbs >= pivotTol*maxAbs {
 			ipiv = j
 		}
 		pivot := x[ipiv]

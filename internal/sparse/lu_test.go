@@ -161,7 +161,7 @@ func TestLUNonSquareRejected(t *testing.T) {
 
 func TestLUSolveRandomAllOrderings(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+	for _, ord := range []Ordering{OrderNatural, OrderAMD} {
 		for trial := 0; trial < 10; trial++ {
 			n := 5 + rng.Intn(60)
 			a := randomSquareCSC(rng, n, 0.1)
@@ -179,7 +179,7 @@ func TestLUSolveRandomAllOrderings(t *testing.T) {
 func TestLUSolveLaplacian(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a := laplacian2D(20, 17, 0.05)
-	for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+	for _, ord := range []Ordering{OrderNatural, OrderAMD} {
 		lu, err := FactorLU(a, LUOptions{Ordering: ord})
 		if err != nil {
 			t.Fatalf("%v: %v", ord, err)

@@ -99,7 +99,7 @@ func panelCases[T Scalar](t *testing.T, s panelSolver[T], rng *rand.Rand, draw f
 func TestLUSolvePanelMatchesSolveBuf(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, n := range []int{1, 2, 7, 30, 120} {
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+		for _, ord := range []Ordering{OrderNatural, OrderAMD} {
 			lu, err := FactorLU(randomSquareCSC(rng, n, 0.08), LUOptions{Ordering: ord})
 			if err != nil {
 				t.Fatal(err)

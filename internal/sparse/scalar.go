@@ -1,9 +1,11 @@
 // Package sparse implements the sparse linear algebra kernel used by the
 // power-grid model order reduction library: triplet (COO), CSR and CSC
 // storage, sparse matrix-vector and matrix-matrix products, symmetric
-// permutations, fill-reducing orderings (RCM and minimum degree), a
-// left-looking Gilbert–Peierls sparse LU factorization with partial
-// pivoting, and Krylov iterative solvers (CG, BiCGStab).
+// permutations, the approximate-minimum-degree fill-reducing ordering, a
+// signed sparse Cholesky factorization for pencils that a row signing makes
+// symmetric quasi-definite, a left-looking Gilbert–Peierls sparse LU
+// factorization with threshold partial pivoting for the rest, and the
+// BiCGStab iterative solver.
 //
 // All matrix types are generic over the Scalar constraint so the same
 // factorization code serves both the real expansions (s0 real) used during

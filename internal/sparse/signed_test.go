@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,7 +80,7 @@ func TestSignedCholeskyMatchesLU(t *testing.T) {
 			t.Fatalf("trial %d: S·A is not symmetric", trial)
 		}
 		b := mustVec(rng, n)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+		for _, ord := range []Ordering{OrderNatural, OrderAMD} {
 			f, err := Factor(a, LUOptions{Ordering: ord})
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, ord, err)
@@ -119,7 +120,7 @@ func TestSignedCholeskyMatchesCholeskyOnSPD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := FactorSymmetric(a.ToCSR(), LUOptions{})
+	sc, err := factorSigned(a.ToCSR(), LUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +145,8 @@ func TestSignedCholeskySolvePanelMatchesSolveBuf(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for _, n := range []int{1, 3, 25, 90} {
 		a, _ := quasiDefinite(rng, n, true)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
-			ch, err := FactorSymmetric(a, LUOptions{Ordering: ord})
+		for _, ord := range []Ordering{OrderNatural, OrderAMD} {
+			ch, err := factorSigned(a, LUOptions{Ordering: ord})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,8 +177,8 @@ func TestSignedCholeskyRejectsIndefinite(t *testing.T) {
 			}
 		}
 		a := c.ToCSR()
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
-			if _, err := FactorSymmetric(a, LUOptions{Ordering: ord}); !errors.Is(err, ErrNotSPD) {
+		for _, ord := range []Ordering{OrderNatural, OrderAMD} {
+			if _, err := factorSigned(a, LUOptions{Ordering: ord}); !errors.Is(err, ErrNotSPD) {
 				t.Fatalf("trial %d %v: err = %v, want ErrNotSPD", trial, ord, err)
 			}
 			checkFallsBackToLU(t, a, ord)
@@ -188,13 +189,23 @@ func TestSignedCholeskyRejectsIndefinite(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		a, _ := quasiDefinite(rng, 2+rng.Intn(40), trial%2 == 1)
 		a.Scale(-1)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
-			if _, err := FactorSymmetric(a, LUOptions{Ordering: ord}); !errors.Is(err, ErrNotSPD) {
+		for _, ord := range []Ordering{OrderNatural, OrderAMD} {
+			if _, err := factorSigned(a, LUOptions{Ordering: ord}); !errors.Is(err, ErrNotSPD) {
 				t.Fatalf("negated trial %d %v: err = %v, want ErrNotSPD", trial, ord, err)
 			}
 			checkFallsBackToLU(t, a, ord)
 		}
 	}
+}
+
+// factorSigned is Factor's signed Cholesky path alone: ErrNotSPD when no
+// row signing makes a symmetric or a pivot's sign disagrees with its row's.
+func factorSigned(a *CSR[float64], opts LUOptions) (*Cholesky, error) {
+	sa, s := signedCSC(a)
+	if s == nil {
+		return nil, fmt.Errorf("%w: not symmetric up to a row signing", ErrNotSPD)
+	}
+	return factorCholesky(sa, s, opts)
 }
 
 // checkFallsBackToLU requires Factor to pick LU for a and to solve a.
@@ -244,7 +255,7 @@ func TestSigningRejectsUnsymmetric(t *testing.T) {
 		if _, s := signedCSC(a); s != nil {
 			t.Errorf("%s: signing %v found", name, s)
 		}
-		if _, err := FactorSymmetric(a, LUOptions{}); !errors.Is(err, ErrNotSPD) {
+		if _, err := factorSigned(a, LUOptions{}); !errors.Is(err, ErrNotSPD) {
 			t.Errorf("%s: err = %v, want ErrNotSPD", name, err)
 		}
 		checkFallsBackToLU(t, a, OrderAMD)
@@ -263,7 +274,7 @@ func TestSigningRejectsUnsymmetric(t *testing.T) {
 //pgmor:alloctest Cholesky.SolvePanel
 func TestSignedCholeskySolvePanelAllocs(t *testing.T) {
 	a, _ := quasiDefinite(rand.New(rand.NewSource(69)), 150, true)
-	ch, err := FactorSymmetric(a, LUOptions{})
+	ch, err := factorSigned(a, LUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func columnSchurG(t *testing.T, sys *lti.SparseSystem, part *Partition, opts Opt
 			}
 		}
 	}
-	solver, err := sparse.Factor(negEE.ToCSR(), opts.LU)
+	solver, err := sparse.Factor(negEE.ToCSR(), sparse.LUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

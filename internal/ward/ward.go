@@ -147,10 +147,6 @@ func PartitionSystem(sys *lti.SparseSystem) *Partition {
 
 // Options configures a Ward reduction.
 type Options struct {
-	// LU sets the fill-reducing ordering and pivot tolerance of the external
-	// factorization. The zero value selects AMD ordering, the right default
-	// for mesh-like grids.
-	LU sparse.LUOptions
 	// Workers bounds concurrent Schur solves; 0 means GOMAXPROCS. Columns of
 	// the correction are independent, so the solve phase is embarrassingly
 	// parallel like BDSM's splitted systems.
@@ -370,7 +366,7 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 	// fill of LU), LU otherwise. A singular block means some external island
 	// has no path to ground or boundary; elimination is then impossible and
 	// the caller gets the input back unchanged.
-	solver, err := sparse.Factor(negEE.ToCSR(), opts.LU)
+	solver, err := sparse.Factor(negEE.ToCSR(), sparse.LUOptions{})
 	if err != nil {
 		res.Stats.Fallback = fmt.Sprintf("external block singular: %v", err)
 		res.Stats.Backend = "none"

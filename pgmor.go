@@ -256,8 +256,8 @@ func SimulateFull(sys *SparseModel, opts TransientOptions) (*TransientResult, er
 	return sim.SimulateSparse(sys, opts)
 }
 
-// SimulateROM runs a fixed-step transient on a block-diagonal ROM with
-// optional per-block parallelism (opts.Workers).
+// SimulateROM runs a fixed-step transient on a block-diagonal ROM, stepping
+// its blocks one after another.
 func SimulateROM(rom *BlockDiagROM, opts TransientOptions) (*TransientResult, error) {
 	return sim.SimulateBlockDiag(rom, opts)
 }
@@ -295,17 +295,16 @@ func Moments(sys *SparseModel, s0 float64, count int) ([]*MomentMatrix, error) {
 	return sys.Moments(s0, count)
 }
 
-// SolverBackend selects direct (sparse LU or the symmetric signed-Cholesky
-// factor) or iterative (memory-streaming) pencil solves inside the reduction
-// algorithms; BackendAuto picks the symmetric factor for RC and RLC grids.
+// SolverBackend selects direct or iterative (memory-streaming) pencil
+// solves inside the reduction algorithms. The direct backend, BackendAuto
+// (the zero value), factors the pencil with the symmetric signed-Cholesky
+// factor on RC and RLC grids and with sparse LU otherwise.
 type SolverBackend = krylov.Backend
 
 // Solver backends.
 const (
-	BackendLU        = krylov.BackendLU
-	BackendIterative = krylov.BackendIterative
-	BackendCholesky  = krylov.BackendCholesky
 	BackendAuto      = krylov.BackendAuto
+	BackendIterative = krylov.BackendIterative
 )
 
 // ReducePRIMAMultipoint runs PRIMA with rational multi-point projection,
