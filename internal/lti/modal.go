@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dense"
 )
@@ -131,13 +134,35 @@ func (ms *ModalSystem) Validate() error {
 // accuracy self-check against the block's own LU evaluation. Blocks that
 // fail either route are kept as LU fallbacks — Modalize degrades per block,
 // never fails the whole system, so the only error is an invalid source.
+//
+// The blocks are independent, so min(GOMAXPROCS, blocks) goroutines take
+// them by an atomic next index, each writing only the modal blocks it took.
+// Every block's arithmetic is the serial one, so the result does not depend
+// on the core count. A panic in a block is raised again on the caller's
+// goroutine once every worker has stopped.
 func (bd *BlockDiagSystem) Modalize() (*ModalSystem, error) {
 	if err := bd.Validate(); err != nil {
 		return nil, err
 	}
 	ms := &ModalSystem{BD: bd, Blocks: make([]ModalBlock, len(bd.Blocks))}
-	for i := range bd.Blocks {
-		ms.Blocks[i] = modalizeBlock(&bd.Blocks[i], bd.P)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	panics := make([]any, min(runtime.GOMAXPROCS(0), len(bd.Blocks)))
+	for w := range panics {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[w] = recover() }()
+			for i := int(next.Add(1)) - 1; i < len(bd.Blocks); i = int(next.Add(1)) - 1 {
+				ms.Blocks[i] = modalizeBlock(&bd.Blocks[i], bd.P)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
 	}
 	return ms, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // ErrNotSPD is returned when the Cholesky factorization cannot certify its
@@ -75,20 +74,34 @@ func Factor(a *CSR[float64], opts LUOptions) (Direct, error) {
 }
 
 // IsSymmetric reports whether A equals Aᵀ within the given relative
-// tolerance on each entry. It looks each entry's mirror up by binary search
-// in the mirror row (CSR rows are strictly increasing) instead of building
-// Aᵀ, so it allocates nothing.
+// tolerance on each entry. It walks the rows in order with one cursor per
+// row instead of building Aᵀ: row i matches each entry aᵢⱼ above the
+// diagonal with the next unmatched entry of row j, which must be aⱼᵢ
+// because CSR rows are strictly increasing, and every entry below the
+// diagonal must have been matched that way before its row is reached. It
+// allocates the n cursors and nothing else.
 func IsSymmetric(a *CSR[float64], tol float64) bool {
 	n, m := a.Dims()
 	if n != m {
 		return false
 	}
+	cur := append([]int(nil), a.RowPtr[:n]...)
 	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			lo, hi := a.RowPtr[a.ColIdx[k]], a.RowPtr[a.ColIdx[k]+1]
-			p, found := slices.BinarySearch(a.ColIdx[lo:hi], i)
-			if !found || !near(a.Val[k], a.Val[lo+p], tol) {
+		for k := cur[i]; k < a.RowPtr[i+1]; k++ {
+			j := a.ColIdx[k]
+			switch {
+			case j < i: // an entry below the diagonal without its mirror
 				return false
+			case j == i:
+				if !near(a.Val[k], a.Val[k], tol) {
+					return false
+				}
+			default:
+				c := cur[j]
+				if c == a.RowPtr[j+1] || a.ColIdx[c] != i || !near(a.Val[k], a.Val[c], tol) {
+					return false
+				}
+				cur[j] = c + 1
 			}
 		}
 	}

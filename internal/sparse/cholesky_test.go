@@ -157,7 +157,8 @@ func TestIsSymmetric(t *testing.T) {
 
 // TestIsSymmetricMatchesTranspose pins IsSymmetric to its definition,
 // A = Aᵀ entry by entry within tol, on random matrices that are symmetric,
-// symmetric but for one value, or symmetric but for one entry.
+// symmetric but for one value, symmetric but for one entry, or symmetric
+// with a NaN on the diagonal (which no tolerance accepts).
 func TestIsSymmetricMatchesTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	byTranspose := func(a *CSR[float64], tol float64) bool {
@@ -183,12 +184,15 @@ func TestIsSymmetricMatchesTranspose(t *testing.T) {
 				c.Add(j, i, v*(1+float64(rng.Intn(3)-1)*1e-13))
 			}
 		}
-		switch trial % 3 {
+		switch trial % 4 {
 		case 1:
 			i, j := rng.Intn(n), rng.Intn(n)
 			c.Add(i, j, 1e-3)
 		case 2:
 			c.Add(rng.Intn(n), rng.Intn(n), 0)
+		case 3:
+			i := rng.Intn(n)
+			c.Add(i, i, math.NaN())
 		}
 		a := c.ToCSR()
 		for _, tol := range []float64{1e-12, 1e-14} {

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"sort"
 )
 
 // COO is a coordinate-format (triplet) sparse matrix builder. Entries may be
@@ -10,14 +12,15 @@ import (
 // circuit elements contribute to the same matrix position.
 type COO[T Scalar] struct {
 	rows, cols int
-	ri, ci     []int
+	ri, ci     []int32
 	v          []T
 }
 
-// NewCOO returns an empty rows×cols triplet builder.
+// NewCOO returns an empty rows×cols triplet builder. Triplet indices are
+// stored as int32, so neither dimension may exceed math.MaxInt32.
 func NewCOO[T Scalar](rows, cols int) *COO[T] {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("sparse: negative COO dimensions %d×%d", rows, cols))
+	if rows < 0 || cols < 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: COO dimensions %d×%d out of range", rows, cols))
 	}
 	return &COO[T]{rows: rows, cols: cols}
 }
@@ -27,16 +30,15 @@ func (a *COO[T]) Dims() (rows, cols int) { return a.rows, a.cols }
 
 // Reserve grows the triplet storage to hold at least n entries without
 // further reallocation. Assembly code that knows its stamp count up front
-// (grid generators, Schur accumulation) uses it to avoid append growth on
-// million-entry builds.
+// (grid generators) uses it to avoid append growth on million-entry builds.
 func (a *COO[T]) Reserve(n int) {
 	if n <= cap(a.v) {
 		return
 	}
-	ri := make([]int, len(a.ri), n)
+	ri := make([]int32, len(a.ri), n)
 	copy(ri, a.ri)
 	a.ri = ri
-	ci := make([]int, len(a.ci), n)
+	ci := make([]int32, len(a.ci), n)
 	copy(ci, a.ci)
 	a.ci = ci
 	v := make([]T, len(a.v), n)
@@ -54,8 +56,8 @@ func (a *COO[T]) Add(i, j int, v T) {
 	if i < 0 || i >= a.rows || j < 0 || j >= a.cols {
 		panic(fmt.Sprintf("sparse: COO index (%d,%d) out of range %d×%d", i, j, a.rows, a.cols))
 	}
-	a.ri = append(a.ri, i)
-	a.ci = append(a.ci, j)
+	a.ri = append(a.ri, int32(i))
+	a.ci = append(a.ci, int32(j))
 	a.v = append(a.v, v)
 }
 
@@ -63,11 +65,15 @@ func (a *COO[T]) Add(i, j int, v T) {
 // zeros, returning the compressed arrays. major selects row-major (CSR) or
 // column-major (CSC) compilation.
 //
-// Ordering is a two-pass stable counting sort — O(nnz + rows + cols) instead
-// of the O(nnz·log nnz) of a comparison sort, which matters when assembling
-// million-node grids — and its stability makes duplicate summation follow
-// insertion (stamping) order, so compiled values are reproducible
-// bit-for-bit from the stamping sequence alone.
+// One stable counting sort by major index writes the triplets straight into
+// the output arrays, O(nnz + rows + cols) where a comparison sort would be
+// O(nnz·log nnz) on million-node grids. Each line is then compacted in
+// place: a marker over the minor dimension sends every duplicate to the
+// line's first occurrence of its index, where the values are summed from
+// zero in insertion (stamping) order, so compiled values are reproducible
+// bit for bit from the stamping sequence alone. Exact zeros are dropped and
+// the line is sorted by minor index. Besides the output it allocates one
+// marker slice over the minor dimension.
 func (a *COO[T]) compile(rowMajor bool) (ptr []int, idx []int, val []T) {
 	n := len(a.v)
 	maj, min := a.ri, a.ci
@@ -77,62 +83,89 @@ func (a *COO[T]) compile(rowMajor bool) (ptr []int, idx []int, val []T) {
 		majDim, minDim = a.cols, a.rows
 	}
 
-	// Pass 1: stable counting sort by minor index.
-	count := make([]int, max(majDim, minDim)+1)
-	for _, j := range min {
-		count[j+1]++
-	}
-	for j := 0; j < minDim; j++ {
-		count[j+1] += count[j]
-	}
-	byMinor := make([]int, n)
-	for t := 0; t < n; t++ {
-		j := min[t]
-		byMinor[count[j]] = t
-		count[j]++
-	}
-
-	// Pass 2: stable counting sort by major index over the minor-sorted
-	// sequence, yielding (major, minor, insertion)-ordered triplets.
-	clear(count)
-	for _, i := range maj {
-		count[i+1]++
-	}
-	for i := 0; i < majDim; i++ {
-		count[i+1] += count[i]
-	}
-	order := make([]int, n)
-	for _, t := range byMinor {
-		i := maj[t]
-		order[count[i]] = t
-		count[i]++
-	}
-
+	// Counting sort by major index, filled back to front so that it is
+	// stable and leaves ptr[m] at the start of line m.
 	ptr = make([]int, majDim+1)
-	idx = make([]int, 0, n)
-	val = make([]T, 0, n)
-	for k := 0; k < n; {
-		t := order[k]
-		m, mi := maj[t], min[t]
-		var sum T
-		for k < n {
-			t = order[k]
-			if maj[t] != m || min[t] != mi {
-				break
+	for _, m := range maj {
+		ptr[m]++
+	}
+	for m := 1; m <= majDim; m++ {
+		ptr[m] += ptr[m-1]
+	}
+	idx = make([]int, n)
+	val = make([]T, n)
+	for t := n - 1; t >= 0; t-- {
+		m := maj[t]
+		ptr[m]--
+		idx[ptr[m]] = int(min[t])
+		val[ptr[m]] = a.v[t]
+	}
+
+	// mark[j]-1 is where minor index j was last placed. Dropped zeros move
+	// later lines back over earlier placements, so a mark counts for the
+	// current line only when it points into the line's placed entries and
+	// finds j there.
+	mark := make([]int, minDim)
+	var zero T
+	w := 0
+	for m := 0; m < majDim; m++ {
+		lo, hi := ptr[m], ptr[m+1]
+		start := w
+		ptr[m] = start
+		for r := lo; r < hi; r++ {
+			j := idx[r]
+			if p := mark[j] - 1; p >= start && p < w && idx[p] == j {
+				val[p] += val[r]
+				continue
 			}
-			sum += a.v[t]
-			k++
+			mark[j] = w + 1
+			idx[w] = j
+			val[w] = zero + val[r]
+			w++
 		}
-		if !IsZero(sum) {
-			idx = append(idx, mi)
-			val = append(val, sum)
-			ptr[m+1]++
+		end := start
+		for r := start; r < w; r++ {
+			if !IsZero(val[r]) {
+				idx[end], val[end] = idx[r], val[r]
+				end++
+			}
 		}
+		w = end
+		sortLine(idx[start:w], val[start:w])
 	}
-	for i := 0; i < majDim; i++ {
-		ptr[i+1] += ptr[i]
+	ptr[majDim] = w
+	return ptr, idx[:w], val[:w]
+}
+
+// sortLine orders one compiled line by its distinct minor indices. MNA lines
+// hold a handful of entries, where an insertion sort is the cheapest; a long
+// line falls back to a comparison sort so that it cannot go quadratic.
+func sortLine[T Scalar](idx []int, val []T) {
+	if len(idx) > 64 {
+		sort.Sort(line[T]{idx, val})
+		return
 	}
-	return ptr, idx, val
+	for i := 1; i < len(idx); i++ {
+		j, v := idx[i], val[i]
+		k := i
+		for ; k > 0 && idx[k-1] > j; k-- {
+			idx[k], val[k] = idx[k-1], val[k-1]
+		}
+		idx[k], val[k] = j, v
+	}
+}
+
+// line sorts a compiled line's index and value slices together.
+type line[T Scalar] struct {
+	idx []int
+	val []T
+}
+
+func (l line[T]) Len() int           { return len(l.idx) }
+func (l line[T]) Less(i, j int) bool { return l.idx[i] < l.idx[j] }
+func (l line[T]) Swap(i, j int) {
+	l.idx[i], l.idx[j] = l.idx[j], l.idx[i]
+	l.val[i], l.val[j] = l.val[j], l.val[i]
 }
 
 // ToCSR compiles the triplets into a CSR matrix, summing duplicates.

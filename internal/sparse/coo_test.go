@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -269,4 +270,197 @@ func TestIsStructurallySymmetric(t *testing.T) {
 	if c.ToCSR().IsStructurallySymmetric() {
 		t.Error("asymmetric pattern reported symmetric")
 	}
+}
+
+// compileTwoPass is the two-pass counting-sort compile the one-pass compile
+// replaced, kept as its reference: a stable sort by minor index, then a
+// stable sort by major index over that sequence, then duplicate summation
+// from zero in (major, minor, insertion) order with exact zeros dropped.
+func compileTwoPass[T Scalar](a *COO[T], rowMajor bool) (ptr []int, idx []int, val []T) {
+	n := len(a.v)
+	maj, min := a.ri, a.ci
+	majDim, minDim := a.rows, a.cols
+	if !rowMajor {
+		maj, min = a.ci, a.ri
+		majDim, minDim = a.cols, a.rows
+	}
+	count := make([]int, max(majDim, minDim)+1)
+	for _, j := range min {
+		count[j+1]++
+	}
+	for j := 0; j < minDim; j++ {
+		count[j+1] += count[j]
+	}
+	byMinor := make([]int, n)
+	for t := 0; t < n; t++ {
+		j := min[t]
+		byMinor[count[j]] = t
+		count[j]++
+	}
+	clear(count)
+	for _, i := range maj {
+		count[i+1]++
+	}
+	for i := 0; i < majDim; i++ {
+		count[i+1] += count[i]
+	}
+	order := make([]int, n)
+	for _, t := range byMinor {
+		i := maj[t]
+		order[count[i]] = t
+		count[i]++
+	}
+	ptr = make([]int, majDim+1)
+	idx = make([]int, 0, n)
+	val = make([]T, 0, n)
+	for k := 0; k < n; {
+		t := order[k]
+		m, mi := maj[t], min[t]
+		var sum T
+		for k < n {
+			t = order[k]
+			if maj[t] != m || min[t] != mi {
+				break
+			}
+			sum += a.v[t]
+			k++
+		}
+		if !IsZero(sum) {
+			idx = append(idx, int(mi))
+			val = append(val, sum)
+			ptr[m+1]++
+		}
+	}
+	for i := 0; i < majDim; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	return ptr, idx, val
+}
+
+// adversarialCOO fills a rows×cols builder with triplets that stress the
+// compile: duplicates that cancel to exactly zero, −0 stamps, rows and
+// columns left empty, and long lines in both directions (past the
+// insertion-sort cut-off as well as under it), all in scrambled order.
+func adversarialCOO[T Scalar](rng *rand.Rand, rows, cols int, val func() T) *COO[T] {
+	c := NewCOO[T](rows, cols)
+	// Leave about a third of the rows and columns empty.
+	var liveR, liveC []int
+	for i := 0; i < rows; i++ {
+		if rng.Intn(3) > 0 {
+			liveR = append(liveR, i)
+		}
+	}
+	for j := 0; j < cols; j++ {
+		if rng.Intn(3) > 0 {
+			liveC = append(liveC, j)
+		}
+	}
+	if len(liveR) == 0 || len(liveC) == 0 {
+		return c
+	}
+	negZero := FromFloat[T](math.Copysign(0, -1))
+	for k, n := 0, rng.Intn(4*(rows+cols)); k < n; k++ {
+		i, j := liveR[rng.Intn(len(liveR))], liveC[rng.Intn(len(liveC))]
+		switch v := val(); rng.Intn(6) {
+		case 0: // a pair that cancels exactly, possibly next to other stamps
+			c.Add(i, j, v)
+			c.Add(i, j, -v)
+		case 1:
+			c.Add(i, j, negZero)
+		case 2: // −0 in front of a value
+			c.Add(i, j, negZero)
+			c.Add(i, j, v)
+		default:
+			c.Add(i, j, v)
+		}
+	}
+	// One long row and one long column, each stamped in a random order with
+	// some duplicates.
+	long := 1 + rng.Intn(3*len(liveC))
+	i := liveR[rng.Intn(len(liveR))]
+	for k := 0; k < long; k++ {
+		c.Add(i, liveC[rng.Intn(len(liveC))], val())
+	}
+	long = 1 + rng.Intn(3*len(liveR))
+	j := liveC[rng.Intn(len(liveC))]
+	for k := 0; k < long; k++ {
+		c.Add(liveR[rng.Intn(len(liveR))], j, val())
+	}
+	return c
+}
+
+// sameCompiled reports whether two compiled arrays are identical, values
+// compared bit for bit.
+func sameCompiled[T Scalar](p1, i1 []int, v1 []T, p2, i2 []int, v2 []T) bool {
+	if !slices.Equal(p1, p2) || !slices.Equal(i1, i2) || len(v1) != len(v2) {
+		return false
+	}
+	for k := range v1 {
+		if !scalarBits(v1[k], v2[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// scalarBits reports whether x and y are the same scalar bit for bit, the
+// sign of a zero part included.
+func scalarBits[T Scalar](x, y T) bool {
+	switch a := any(x).(type) {
+	case float64:
+		return math.Float64bits(a) == math.Float64bits(any(y).(float64))
+	case complex128:
+		b := any(y).(complex128)
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	panic("sparse: unreachable scalar type")
+}
+
+func checkCompileAgainstTwoPass[T Scalar](t *testing.T, val func(*rand.Rand) T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		rows, cols := rng.Intn(120), rng.Intn(120)
+		if trial%10 == 0 {
+			rows = 1 + rng.Intn(3) // short and wide: long rows
+		}
+		c := adversarialCOO(rng, rows, cols, func() T { return val(rng) })
+		csr := c.ToCSR()
+		p, i, v := compileTwoPass(c, true)
+		if !sameCompiled(csr.RowPtr, csr.ColIdx, csr.Val, p, i, v) {
+			t.Fatalf("trial %d (%d×%d, %d triplets): ToCSR differs from the two-pass compile", trial, rows, cols, c.NNZ())
+		}
+		csc := c.ToCSC()
+		p, i, v = compileTwoPass(c, false)
+		if !sameCompiled(csc.ColPtr, csc.RowIdx, csc.Val, p, i, v) {
+			t.Fatalf("trial %d (%d×%d, %d triplets): ToCSC differs from the two-pass compile", trial, rows, cols, c.NNZ())
+		}
+	}
+}
+
+// TestCOOCompileMatchesTwoPass pins the one-pass compile to the two-pass
+// reference: same pointers and indices, values equal bit for bit.
+func TestCOOCompileMatchesTwoPass(t *testing.T) {
+	// Small integers make exact cancellation and repeated sums common;
+	// normal draws exercise rounding in the summation order.
+	t.Run("float64", func(t *testing.T) {
+		checkCompileAgainstTwoPass(t, func(rng *rand.Rand) float64 {
+			if rng.Intn(2) == 0 {
+				return float64(rng.Intn(7) - 3)
+			}
+			return rng.NormFloat64()
+		})
+	})
+	t.Run("complex128", func(t *testing.T) {
+		checkCompileAgainstTwoPass(t, func(rng *rand.Rand) complex128 {
+			switch rng.Intn(3) {
+			case 0:
+				return complex(float64(rng.Intn(5)-2), float64(rng.Intn(5)-2))
+			case 1: // a −0 part next to a nonzero one
+				return complex(math.Copysign(0, -1), rng.NormFloat64())
+			}
+			return complex(rng.NormFloat64(), rng.NormFloat64())
+		})
+	})
 }

@@ -12,7 +12,7 @@ import (
 //pgmor:alloctest schurScatter
 func TestSchurScatterAllocs(t *testing.T) {
 	x := make([]float64, 64*sparse.PanelWidth)
-	rows := []int32{1, 5, 9, 33, 5}
+	rows := []int{1, 5, 9, 33, 5}
 	vals := []float64{0.5, -1, 2, 3, 0.25}
 	const k = 3
 	allocs := testing.AllocsPerRun(100, func() {

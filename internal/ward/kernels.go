@@ -15,8 +15,8 @@ import "repro/internal/sparse"
 //
 //go:noinline
 //pgmor:noalloc
-func schurScatter(x []float64, rows []int32, vals []float64) {
+func schurScatter(x []float64, rows []int, vals []float64) {
 	for i, r := range rows {
-		x[int(r)*sparse.PanelWidth] += vals[i]
+		x[r*sparse.PanelWidth] += vals[i]
 	}
 }

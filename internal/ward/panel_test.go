@@ -1,6 +1,7 @@
 package ward
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -95,29 +96,53 @@ func columnSchurG(t *testing.T, sys *lti.SparseSystem, part *Partition, opts Opt
 	return gOut.ToCSR()
 }
 
-// TestSchurPanelsMatchColumnSolves pins the panelled Schur solves: on the
-// multiscale grid (Cholesky external block, dozens of boundary columns) and
-// on RLC ckt1 (pad midpoints), Reduce's G′ equals the column-at-a-time
-// elimination bit for bit, in the dense and in the streaming path.
+// TestSchurPanelsMatchColumnSolves pins the panelled Schur solves and the
+// direct assembly of the reduced system: Reduce's C′, G′, B′ and L′ have
+// the pointers, indices and bit-identical values of cooReduced, which
+// solves one column at a time and compiles triplets. It runs in the dense
+// and in the streaming correction path, on the multiscale grids (Cholesky
+// external block, dozens of boundary columns) and on ckt1–ckt3 (pad
+// midpoints; the RC-only variants eliminate nothing).
 func TestSchurPanelsMatchColumnSolves(t *testing.T) {
-	ms, err := grid.MultiscaleBenchmark(50000)
-	if err != nil {
-		t.Fatal(err)
+	type instance struct {
+		name string
+		m    *grid.Model
 	}
-	msModel, err := ms.Build()
-	if err != nil {
-		t.Fatal(err)
+	var cases []instance
+	for _, nodes := range []int{5000, 50000} {
+		cfg, err := grid.MultiscaleBenchmark(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, instance{fmt.Sprintf("multiscale%d", nodes), m})
 	}
-	ckt1, err := grid.Benchmark("ckt1", 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		scale  float64
+		rcOnly bool
+	}{
+		{grid.Ckt1, 1, false},
+		{grid.Ckt1, 0.25, false}, {grid.Ckt1, 0.25, true},
+		{grid.Ckt2, 0.25, false}, {grid.Ckt2, 0.25, true},
+		{grid.Ckt3, 0.25, false}, {grid.Ckt3, 0.25, true},
+	} {
+		cfg, err := grid.Benchmark(c.name, c.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.RCOnly = c.rcOnly
+		m, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, instance{fmt.Sprintf("%s@%g rc=%v", c.name, c.scale, c.rcOnly), m})
 	}
-	ckt1Model, err := ckt1.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range map[string]*grid.Model{"multiscale": msModel, "ckt1": ckt1Model} {
-		sys, err := lti.NewSparseSystem(m.C, m.G, m.B, m.L)
+	for _, c := range cases {
+		sys, err := lti.NewSparseSystem(c.m.C, c.m.G, c.m.B, c.m.L)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,16 +154,34 @@ func TestSchurPanelsMatchColumnSolves(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Stats.Fallback != "" || res.Stats.Solves == 0 {
-				t.Fatalf("%s: no Schur solves (stats %+v)", name, res.Stats)
+			if res.Stats.Fallback != "" {
+				t.Fatalf("%s: fallback %s", c.name, res.Stats.Fallback)
 			}
-			want := columnSchurG(t, sys, res.Part, opts)
-			got := res.Sys.G
-			if !equalCSRBits(got, want) {
-				t.Fatalf("%s (dense boundary ≤ %d): panelled G′ differs from column-at-a-time G′",
-					name, opts.MaxDenseBoundary)
+			if res.Stats.External == 0 {
+				if res.Sys != sys {
+					t.Fatalf("%s: nothing eliminated, but the input was not returned", c.name)
+				}
+				continue
 			}
-			t.Logf("%s: %d boundary columns, %d solves, backend %s", name,
+			if res.Stats.Solves == 0 {
+				t.Fatalf("%s: no Schur solves (stats %+v)", c.name, res.Stats)
+			}
+			want := cooReduced(t, sys, res.Part, opts)
+			for _, mat := range []struct {
+				name      string
+				got, want *sparse.CSR[float64]
+			}{
+				{"C′", res.Sys.C, want.C},
+				{"G′", res.Sys.G, want.G},
+				{"B′ᵀ", cscAsCSR(res.Sys.B), cscAsCSR(want.B)},
+				{"L′", res.Sys.L, want.L},
+			} {
+				if !equalCSRBits(mat.got, mat.want) {
+					t.Fatalf("%s (dense boundary ≤ %d): %s differs from the column-at-a-time COO assembly",
+						c.name, opts.MaxDenseBoundary, mat.name)
+				}
+			}
+			t.Logf("%s: %d boundary columns, %d solves, backend %s", c.name,
 				res.Stats.Boundary, res.Stats.Solves, res.Stats.Backend)
 		}
 	}
@@ -161,4 +204,52 @@ func equalCSRBits(a, b *sparse.CSR[float64]) bool {
 		}
 	}
 	return true
+}
+
+// cooReduced assembles the reduced system the way the elimination did
+// through triplet builders: G′ from columnSchurG, and C′, B′, L′ by stamping
+// every kept entry, renumbered, into a COO and compiling it.
+func cooReduced(t *testing.T, sys *lti.SparseSystem, part *Partition, opts Options) *lti.SparseSystem {
+	t.Helper()
+	n, m, p := sys.Dims()
+	keep := make([]int, n)
+	for i := range keep {
+		keep[i] = -1
+	}
+	for k, i := range part.Keep {
+		keep[i] = k
+	}
+	nK := len(part.Keep)
+	c := sparse.NewCOO[float64](nK, nK)
+	for i := 0; i < n; i++ {
+		if keep[i] < 0 {
+			continue
+		}
+		for k := sys.C.RowPtr[i]; k < sys.C.RowPtr[i+1]; k++ {
+			c.Add(keep[i], keep[sys.C.ColIdx[k]], sys.C.Val[k])
+		}
+	}
+	b := sparse.NewCOO[float64](nK, m)
+	for j := 0; j < m; j++ {
+		for k := sys.B.ColPtr[j]; k < sys.B.ColPtr[j+1]; k++ {
+			b.Add(keep[sys.B.RowIdx[k]], j, sys.B.Val[k])
+		}
+	}
+	l := sparse.NewCOO[float64](p, nK)
+	for i := 0; i < p; i++ {
+		for k := sys.L.RowPtr[i]; k < sys.L.RowPtr[i+1]; k++ {
+			l.Add(i, keep[sys.L.ColIdx[k]], sys.L.Val[k])
+		}
+	}
+	red, err := lti.NewSparseSystem(c.ToCSR(), columnSchurG(t, sys, part, opts), b.ToCSR(), l.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return red
+}
+
+// cscAsCSR views a CSC matrix's arrays as the CSR of its transpose.
+func cscAsCSR(a *sparse.CSC[float64]) *sparse.CSR[float64] {
+	r, c := a.Dims()
+	return sparse.NewCSR(c, r, a.ColPtr, a.RowIdx, a.Val)
 }

@@ -21,6 +21,7 @@ package ward
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -230,19 +231,25 @@ func Reduce(sys *lti.SparseSystem, opts Options) (*Result, error) {
 	}
 
 	tSchur := time.Now()
-	err := schurEliminate(sys, part, opts, res)
+	schurEliminate(sys, part, opts, res)
 	res.Stats.SchurTime = time.Since(tSchur)
-	if err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
 // schurEliminate performs the elimination proper, filling res.Sys and the
 // Schur fields of res.Stats. On a singular external block it records a
-// fallback (res keeps aliasing the input) and returns nil; only structural
-// impossibilities return an error.
-func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *Result) error {
+// fallback and leaves res aliasing the input.
+//
+// Every output matrix is assembled straight into compressed arrays. Keep and
+// External are ascending, so restricting a sorted CSR row to either set and
+// renumbering it keeps it sorted: −G_EE, C′, B′ and L′ are such re-indexed
+// copies, and G′ is G_KK merged row by row with the Schur correction, G_KK
+// first and the correction second. Exact zeros are dropped throughout. These
+// are the values a COO compile of the same stamps gives, bit for bit: each
+// position holds at most one G_KK and one correction term, and a compile
+// sums them from zero in that order. A zero dropped from G_EK or G_KE would
+// only have added an exact zero to a solve's right-hand side or product.
+func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *Result) {
 	n, m, p := sys.Dims()
 	nE, nK, nB := len(part.External), len(part.Keep), len(part.Boundary)
 
@@ -267,110 +274,33 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 		bSlot[keepIdx[i]] = int32(b)
 	}
 
-	// Split G into the four blocks the Schur complement needs. N = −G_EE is
+	// Split G into the blocks the Schur complement needs. N = −G_EE is
 	// assembled directly (paper convention G = −G_std makes N the standard
-	// SPD conductance block for resistive externals). G_EK is built in
-	// column-compressed form over boundary columns; G_KE in row-compressed
-	// form over boundary rows; G_KK goes straight into the output COO.
+	// SPD conductance block for resistive externals). G_EK is kept in
+	// column-compressed form over the kept columns (the transpose of its
+	// rows), G_KE in row-compressed form over boundary rows. G_KK is read
+	// from G again when G′ is merged.
 	g := sys.G
-	nnzEE, nnzEK, nnzKE, nnzKK := 0, 0, 0, 0
-	for i := 0; i < n; i++ {
-		rowExt := extIdx[i] >= 0
-		for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-			colExt := extIdx[g.ColIdx[k]] >= 0
-			switch {
-			case rowExt && colExt:
-				nnzEE++
-			case rowExt:
-				nnzEK++
-			case colExt:
-				nnzKE++
-			default:
-				nnzKK++
-			}
-		}
+	eePtr, eeIdx, eeVal := restrict(g.RowPtr, g.ColIdx, g.Val, part.External, extIdx)
+	for k := range eeVal {
+		eeVal[k] = -eeVal[k]
 	}
-	negEE := sparse.NewCOO[float64](nE, nE)
-	negEE.Reserve(nnzEE)
-	gOut := sparse.NewCOO[float64](nK, nK)
-	gOut.Reserve(nnzKK + nB*nB)
-
-	// G_EK columns: count → prefix → fill, CSC over the kept index space.
-	ekPtr := make([]int, nK+1)
-	ekRow := make([]int32, nnzEK)
-	ekVal := make([]float64, nnzEK)
-	// G_KE rows over boundary slots: kePtr[b]..kePtr[b+1] spans row b.
-	kePtr := make([]int, nB+1)
-	keCol := make([]int, nnzKE)
-	keVal := make([]float64, nnzKE)
-
-	for i := 0; i < n; i++ {
-		if extIdx[i] >= 0 {
-			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-				if kj := keepIdx[g.ColIdx[k]]; kj >= 0 {
-					ekPtr[kj+1]++
-				}
-			}
-		} else {
-			b := bSlot[keepIdx[i]]
-			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-				if extIdx[g.ColIdx[k]] >= 0 {
-					if b < 0 {
-						return fmt.Errorf("ward: internal state %d has external coupling; partition is inconsistent", i)
-					}
-					kePtr[b+1]++
-				}
-			}
-		}
-	}
-	for k := 0; k < nK; k++ {
-		ekPtr[k+1] += ekPtr[k]
-	}
-	for b := 0; b < nB; b++ {
-		kePtr[b+1] += kePtr[b]
-	}
-	ekFill := make([]int, nK)
-	copy(ekFill, ekPtr[:nK])
-	keFill := make([]int, nB)
-	copy(keFill, kePtr[:nB])
-	for i := 0; i < n; i++ {
-		ki := keepIdx[i]
-		if e := extIdx[i]; e >= 0 {
-			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-				j := g.ColIdx[k]
-				if ej := extIdx[j]; ej >= 0 {
-					negEE.Add(int(e), int(ej), -g.Val[k])
-				} else if kj := keepIdx[j]; kj >= 0 {
-					ekRow[ekFill[kj]] = e
-					ekVal[ekFill[kj]] = g.Val[k]
-					ekFill[kj]++
-				}
-			}
-		} else {
-			b := bSlot[ki]
-			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-				j := g.ColIdx[k]
-				if ej := extIdx[j]; ej >= 0 {
-					keCol[keFill[b]] = int(ej)
-					keVal[keFill[b]] = g.Val[k]
-					keFill[b]++
-				} else {
-					gOut.Add(int(ki), int(keepIdx[j]), g.Val[k])
-				}
-			}
-		}
-	}
+	ekRows, ekCols, ekVals := restrict(g.RowPtr, g.ColIdx, g.Val, part.External, keepIdx)
+	gEK := sparse.NewCSR(nE, nK, ekRows, ekCols, ekVals).Transpose()
+	ekPtr, ekRow, ekVal := gEK.RowPtr, gEK.ColIdx, gEK.Val
+	kePtr, keCol, keVal := restrict(g.RowPtr, g.ColIdx, g.Val, part.Boundary, extIdx)
+	nnzKK := g.NNZ() - len(eeVal) - len(ekVal) - len(keVal) // at least the G_KK count
 
 	// Factor N = −G_EE with the symmetric factor when a row signing makes
 	// the block symmetric (the resistive common case — half the work and
 	// fill of LU), LU otherwise. A singular block means some external island
 	// has no path to ground or boundary; elimination is then impossible and
 	// the caller gets the input back unchanged.
-	solver, err := sparse.Factor(negEE.ToCSR(), sparse.LUOptions{})
+	solver, err := sparse.Factor(sparse.NewCSR(nE, nE, eePtr, eeIdx, eeVal), sparse.LUOptions{})
 	if err != nil {
 		res.Stats.Fallback = fmt.Sprintf("external block singular: %v", err)
 		res.Stats.Backend = "none"
-		return nil
+		return
 	}
 	res.Stats.Backend = "lu"
 	if _, ok := solver.(*sparse.Cholesky); ok {
@@ -386,15 +316,18 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 	// product, so batching leaves G′ bit for bit as solving column by column.
 	// When the boundary is small enough the correction accumulates into a
 	// dense |B|×|B| panel so a symmetric input can be symmetrized exactly;
-	// otherwise each column is stamped as computed.
+	// otherwise each column keeps only its nonzeros. Either way a worker
+	// writes only the columns of its own jobs.
 	const pw = sparse.PanelWidth
 	gKE := sparse.NewCSR(nB, nE, kePtr, keCol, keVal)
 	useDense := nB <= opts.MaxDenseBoundary
 	var corr []float64
+	var cols []corrColumn
 	if useDense {
 		corr = make([]float64, nB*nB)
+	} else {
+		cols = make([]corrColumn, nB)
 	}
-	var mu sync.Mutex // guards gOut in the streaming (non-dense) path
 	solves := 0
 	type colJob struct{ kj, b int32 }
 	jobs := make([]colJob, 0, nB)
@@ -426,7 +359,7 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 				// x_E = N⁻¹·G_EK·x_K, so delta adds into G'.
 				gKE.MulPanel(delta, x)
 				for k, job := range batch {
-					kj, b := int(job.kj), int(job.b)
+					b := int(job.b)
 					if useDense {
 						col := corr[b*nB : (b+1)*nB]
 						for bi := range col {
@@ -434,13 +367,7 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 						}
 						continue
 					}
-					mu.Lock()
-					for bi := 0; bi < nB; bi++ {
-						if v := delta[bi*pw+k]; v != 0 {
-							gOut.Add(int(keepIdx[part.Boundary[bi]]), kj, v)
-						}
-					}
-					mu.Unlock()
+					cols[b] = newCorrColumn(delta[k:], nB)
 				}
 			}
 		}()
@@ -452,65 +379,167 @@ func schurEliminate(sys *lti.SparseSystem, part *Partition, opts Options, res *R
 	wg.Wait()
 	res.Stats.Solves = solves
 
-	if useDense {
+	if useDense && sparse.IsSymmetric(g, 1e-12) {
 		// A symmetric G yields a symmetric correction in exact arithmetic;
 		// averaging restores the symmetry the independent solves lose to
 		// roundoff, keeping the reduced pencil eligible for Cholesky.
-		if sparse.IsSymmetric(g, 1e-12) {
-			for b := 0; b < nB; b++ {
-				for bi := 0; bi < b; bi++ {
-					avg := (corr[b*nB+bi] + corr[bi*nB+b]) / 2
-					corr[b*nB+bi] = avg
-					corr[bi*nB+b] = avg
-				}
-			}
-		}
 		for b := 0; b < nB; b++ {
-			kj := int(keepIdx[part.Boundary[b]])
-			for bi := 0; bi < nB; bi++ {
-				if v := corr[b*nB+bi]; v != 0 {
-					gOut.Add(int(keepIdx[part.Boundary[bi]]), kj, v)
-					res.Stats.CorrectionNNZ++
-				}
+			for bi := 0; bi < b; bi++ {
+				avg := (corr[b*nB+bi] + corr[bi*nB+b]) / 2
+				corr[b*nB+bi] = avg
+				corr[bi*nB+b] = avg
 			}
 		}
-	} else {
-		res.Stats.CorrectionNNZ = gOut.NNZ() - nnzKK
+	}
+	// The correction's nonzeros column by column over boundary slots,
+	// transposed into rows; each row's slots come out ascending.
+	colPtr := make([]int, nB+1)
+	var colRow []int
+	var colVal []float64
+	for b := 0; b < nB; b++ {
+		if useDense {
+			for bi, v := range corr[b*nB : (b+1)*nB] {
+				if v != 0 {
+					colRow = append(colRow, bi)
+					colVal = append(colVal, v)
+				}
+			}
+		} else {
+			colRow = append(colRow, cols[b].slot...)
+			colVal = append(colVal, cols[b].val...)
+		}
+		colPtr[b+1] = len(colVal)
+	}
+	cr := sparse.NewCSR(nB, nB, colPtr, colRow, colVal).Transpose()
+	corrPtr, corrSlot, corrVal := cr.RowPtr, cr.ColIdx, cr.Val
+	res.Stats.CorrectionNNZ = len(corrVal)
+	bKeep := make([]int32, nB) // boundary slot → kept index
+	for b, i := range part.Boundary {
+		bKeep[b] = keepIdx[i]
 	}
 
-	// Restrict C, B, L to the kept states. External rows and columns are
-	// empty there by construction of the partition, so this is a pure
-	// reindexing.
-	cOut := sparse.NewCOO[float64](nK, nK)
-	cOut.Reserve(sys.C.NNZ())
-	for i := 0; i < n; i++ {
-		ki := keepIdx[i]
-		if ki < 0 {
-			continue
+	// G′ row by row: the row's G_KK entries, renumbered, merged with its
+	// correction row; where both hold a column, G_KK comes first.
+	gPtr := make([]int, nK+1)
+	gIdx := make([]int, 0, nnzKK+len(corrVal))
+	gVal := make([]float64, 0, nnzKK+len(corrVal))
+	for ki, i := range part.Keep {
+		k, kEnd := g.RowPtr[i], g.RowPtr[i+1]
+		c, cEnd := 0, 0
+		if b := bSlot[ki]; b >= 0 {
+			c, cEnd = corrPtr[b], corrPtr[b+1]
 		}
-		for k := sys.C.RowPtr[i]; k < sys.C.RowPtr[i+1]; k++ {
-			cOut.Add(int(ki), int(keepIdx[sys.C.ColIdx[k]]), sys.C.Val[k])
+		for {
+			for k < kEnd && keepIdx[g.ColIdx[k]] < 0 {
+				k++
+			}
+			if k == kEnd && c == cEnd {
+				break
+			}
+			gj, cj := int32(math.MaxInt32), int32(math.MaxInt32)
+			if k < kEnd {
+				gj = keepIdx[g.ColIdx[k]]
+			}
+			if c < cEnd {
+				cj = bKeep[corrSlot[c]]
+			}
+			var v float64
+			switch {
+			case gj < cj:
+				v = g.Val[k]
+				k++
+			case cj < gj:
+				v = corrVal[c]
+				c++
+			default:
+				v = g.Val[k] + corrVal[c]
+				k++
+				c++
+			}
+			if v != 0 {
+				gIdx = append(gIdx, int(min(gj, cj)))
+				gVal = append(gVal, v)
+			}
 		}
-	}
-	bOut := sparse.NewCOO[float64](nK, m)
-	bOut.Reserve(sys.B.NNZ())
-	for j := 0; j < m; j++ {
-		for k := sys.B.ColPtr[j]; k < sys.B.ColPtr[j+1]; k++ {
-			bOut.Add(int(keepIdx[sys.B.RowIdx[k]]), j, sys.B.Val[k])
-		}
-	}
-	lOut := sparse.NewCOO[float64](p, nK)
-	lOut.Reserve(sys.L.NNZ())
-	for i := 0; i < p; i++ {
-		for k := sys.L.RowPtr[i]; k < sys.L.RowPtr[i+1]; k++ {
-			lOut.Add(i, int(keepIdx[sys.L.ColIdx[k]]), sys.L.Val[k])
-		}
+		gPtr[ki+1] = len(gVal)
 	}
 
-	reduced, err := lti.NewSparseSystem(cOut.ToCSR(), gOut.ToCSR(), bOut.ToCSR(), lOut.ToCSR())
-	if err != nil {
-		return fmt.Errorf("ward: assembling reduced system: %w", err)
+	// C, B and L have no entry in an external row or column, so restricting
+	// them to the kept states is a pure renumbering.
+	cPtr, cIdx, cVal := restrict(sys.C.RowPtr, sys.C.ColIdx, sys.C.Val, part.Keep, keepIdx)
+	bPtr, bIdx, bVal := restrict(sys.B.ColPtr, sys.B.RowIdx, sys.B.Val, nil, keepIdx)
+	lPtr, lIdx, lVal := restrict(sys.L.RowPtr, sys.L.ColIdx, sys.L.Val, nil, keepIdx)
+	res.Sys = &lti.SparseSystem{
+		C: sparse.NewCSR(nK, nK, cPtr, cIdx, cVal),
+		G: sparse.NewCSR(nK, nK, gPtr, gIdx, gVal),
+		B: sparse.NewCSC(nK, m, bPtr, bIdx, bVal),
+		L: sparse.NewCSR(p, nK, lPtr, lIdx, lVal),
 	}
-	res.Sys = reduced
-	return nil
+}
+
+// restrict copies the lines of a compressed matrix (ptr, idx, val) listed in
+// lines, or every line when lines is nil. It keeps the entries whose index j
+// has to[j] ≥ 0, renumbered to to[j], and drops exact zeros. to increases
+// wherever it is defined, so sorted lines stay sorted.
+func restrict(ptr, idx []int, val []float64, lines []int, to []int32) (outPtr, outIdx []int, outVal []float64) {
+	nl := len(lines)
+	if lines == nil {
+		nl = len(ptr) - 1
+	}
+	line := func(l int) (lo, hi int) {
+		if lines != nil {
+			l = lines[l]
+		}
+		return ptr[l], ptr[l+1]
+	}
+	nnz := 0
+	for l := 0; l < nl; l++ {
+		lo, hi := line(l)
+		for k := lo; k < hi; k++ {
+			if to[idx[k]] >= 0 && val[k] != 0 {
+				nnz++
+			}
+		}
+	}
+	outPtr = make([]int, nl+1)
+	outIdx = make([]int, 0, nnz)
+	outVal = make([]float64, 0, nnz)
+	for l := 0; l < nl; l++ {
+		lo, hi := line(l)
+		for k := lo; k < hi; k++ {
+			if j := to[idx[k]]; j >= 0 && val[k] != 0 {
+				outIdx = append(outIdx, int(j))
+				outVal = append(outVal, val[k])
+			}
+		}
+		outPtr[l+1] = len(outVal)
+	}
+	return outPtr, outIdx, outVal
+}
+
+// corrColumn holds the nonzeros of one streamed correction column by
+// boundary slot.
+type corrColumn struct {
+	slot []int
+	val  []float64
+}
+
+// newCorrColumn keeps the nonzeros of lane 0 of the nB-row panel delta
+// (pass delta[k:] for lane k).
+func newCorrColumn(delta []float64, nB int) corrColumn {
+	const pw = sparse.PanelWidth
+	nnz := 0
+	for bi := 0; bi < nB; bi++ {
+		if delta[bi*pw] != 0 {
+			nnz++
+		}
+	}
+	c := corrColumn{slot: make([]int, 0, nnz), val: make([]float64, 0, nnz)}
+	for bi := 0; bi < nB; bi++ {
+		if v := delta[bi*pw]; v != 0 {
+			c.slot = append(c.slot, bi)
+			c.val = append(c.val, v)
+		}
+	}
+	return c
 }
