@@ -20,12 +20,26 @@ type LU[T sparse.Scalar] struct {
 
 // FactorLU computes the LU factorization of the square matrix a.
 func FactorLU[T sparse.Scalar](a *Mat[T]) (*LU[T], error) {
+	f := new(LU[T])
+	if err := f.Factor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factor computes the LU factorization of the square matrix a into f,
+// reusing f's storage when a has the size f last factored. After an error f
+// holds no usable factorization.
+func (f *LU[T]) Factor(a *Mat[T]) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("dense: cannot LU-factor non-square %d×%d matrix", a.Rows, a.Cols)
+		return fmt.Errorf("dense: cannot LU-factor non-square %d×%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	if f.lu == nil || f.lu.Rows != n {
+		f.lu, f.piv = NewMat[T](n, n), make([]int, n)
+	}
+	lu, piv := f.lu, f.piv
+	copy(lu.Data, a.Data)
 	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest magnitude in column k at or below the diagonal.
@@ -39,7 +53,7 @@ func FactorLU[T sparse.Scalar](a *Mat[T]) (*LU[T], error) {
 		}
 		piv[k] = p
 		if maxAbs == 0 {
-			return nil, fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
+			return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
 		}
 		if p != k {
 			rk, rp := lu.Row(k), lu.Row(p)
@@ -61,7 +75,8 @@ func FactorLU[T sparse.Scalar](a *Mat[T]) (*LU[T], error) {
 			}
 		}
 	}
-	return &LU[T]{lu: lu, piv: piv, sign: sign}, nil
+	f.sign = sign
+	return nil
 }
 
 // N returns the system dimension.

@@ -69,20 +69,47 @@ func (bd *BlockDiagSystem) Validate() error {
 // the LU reference the modal form is checked against, and the inline path
 // for blocks that fail to diagonalize.
 func blockColumn(b *Block, s complex128) ([]complex128, error) {
-	pencil := dense.ToComplex(b.C).Scale(s).Sub(dense.ToComplex(b.G))
-	lu, err := dense.FactorLU(pencil)
-	if err != nil {
+	return newBlockLU(b).column(s)
+}
+
+// blockLU evaluates one block's column as blockColumn does, at as many s
+// as the caller likes: it converts C, G and L to complex once and reuses the
+// pencil, its LU and the vectors across calls.
+type blockLU struct {
+	c, g, l, pencil *dense.Mat[complex128]
+	lu              dense.LU[complex128]
+	bz, x, col      []complex128
+}
+
+func newBlockLU(b *Block) *blockLU {
+	e := &blockLU{
+		c: dense.ToComplex(b.C), g: dense.ToComplex(b.G), l: dense.ToComplex(b.L),
+		pencil: dense.NewMat[complex128](b.C.Rows, b.C.Cols),
+		bz:     make([]complex128, len(b.B)),
+		x:      make([]complex128, len(b.B)),
+		col:    make([]complex128, b.L.Rows),
+	}
+	for k, v := range b.B {
+		e.bz[k] = complex(v, 0)
+	}
+	return e
+}
+
+// column returns the block's column at s in a slice the next call reuses.
+func (e *blockLU) column(s complex128) ([]complex128, error) {
+	for i, c := range e.c.Data {
+		e.pencil.Data[i] = complex128(c*s) - e.g.Data[i] // rounded as C·s, then − G
+	}
+	if err := e.lu.Factor(e.pencil); err != nil {
 		return nil, fmt.Errorf("lti: block pencil singular at s=%v: %w", s, err)
 	}
-	bz := make([]complex128, len(b.B))
-	for k, v := range b.B {
-		bz[k] = complex(v, 0)
-	}
-	x := make([]complex128, len(bz))
-	if err := lu.Solve(x, bz); err != nil {
+	if err := e.lu.Solve(e.x, e.bz); err != nil {
 		return nil, err
 	}
-	return dense.ToComplex(b.L).MulVec(x), nil
+	for r := range e.col {
+		e.col[r] = sparse.Dot(e.l.Row(r), e.x)
+	}
+	return e.col, nil
 }
 
 // Eval computes Hr(s) block by block: column Inputᵢ accumulates

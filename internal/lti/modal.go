@@ -345,14 +345,16 @@ func shrinkRows(r *dense.Mat[complex128], keep int) *dense.Mat[complex128] {
 // magnitudes (plus the serving sweep range). A block whose relative error
 // exceeds modalCheckTol anywhere — or that cannot be compared at any probe
 // at all — is rejected: correctness beats speed, and an unverifiable
-// candidate is an unaccepted one.
+// candidate is an unaccepted one. The probes share one blockLU: C, G and L
+// are converted, and the buffers made, once per check rather than per probe.
 func selfCheck(b *Block, mb *ModalBlock) bool {
 	p := mb.R.Cols
 	probes := probeFrequencies(mb.Poles)
 	modal := make([]complex128, p)
+	lu := newBlockLU(b)
 	compared := 0
 	for _, s := range probes {
-		ref, err := blockColumn(b, s)
+		ref, err := lu.column(s)
 		if err != nil {
 			continue // the pencil is singular at this probe; skip it
 		}

@@ -87,24 +87,27 @@ func TestExporterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParserRejectsMalformed pins the failure modes the CI smoke check
-// relies on catching.
+// malformedScrapes are payloads ParseText must reject: the failure modes
+// the CI smoke check relies on catching.
+var malformedScrapes = map[string]string{
+	"no TYPE":             "# HELP x h\nx 1\n",
+	"no HELP":             "# TYPE x counter\nx 1\n",
+	"bad metric name":     "# HELP 9x h\n# TYPE 9x counter\n9x 1\n",
+	"bad value":           "# HELP x h\n# TYPE x counter\nx nope\n",
+	"unterminated labels": "# HELP x h\n# TYPE x counter\nx{a=\"b 1\n",
+	"duplicate TYPE":      "# TYPE x counter\n# TYPE x gauge\n",
+	"non-cumulative buckets": "# HELP h h\n# TYPE h histogram\n" +
+		"h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
+	"missing +Inf bucket": "# HELP h h\n# TYPE h histogram\n" +
+		"h_bucket{le=\"1\"} 5\nh_sum 1\nh_count 5\n",
+	"count mismatch": "# HELP h h\n# TYPE h histogram\n" +
+		"h_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 7\n",
+	"duplicate series":       "# HELP x h\n# TYPE x gauge\nx{a=\"1\",b=\"2\"} 1\nx{b=\"2\",a=\"1\"} 2\n",
+	"empty label duplicates": "# HELP x h\n# TYPE x gauge\nx 1\nx{a=\"\"} 2\n",
+}
+
 func TestParserRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"no TYPE":             "# HELP x h\nx 1\n",
-		"no HELP":             "# TYPE x counter\nx 1\n",
-		"bad metric name":     "# HELP 9x h\n# TYPE 9x counter\n9x 1\n",
-		"bad value":           "# HELP x h\n# TYPE x counter\nx nope\n",
-		"unterminated labels": "# HELP x h\n# TYPE x counter\nx{a=\"b 1\n",
-		"duplicate TYPE":      "# TYPE x counter\n# TYPE x gauge\n",
-		"non-cumulative buckets": "# HELP h h\n# TYPE h histogram\n" +
-			"h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
-		"missing +Inf bucket": "# HELP h h\n# TYPE h histogram\n" +
-			"h_bucket{le=\"1\"} 5\nh_sum 1\nh_count 5\n",
-		"count mismatch": "# HELP h h\n# TYPE h histogram\n" +
-			"h_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 7\n",
-	}
-	for name, payload := range cases {
+	for name, payload := range malformedScrapes {
 		if _, err := ParseText(strings.NewReader(payload)); err == nil {
 			t.Errorf("%s: parser accepted malformed payload:\n%s", name, payload)
 		}

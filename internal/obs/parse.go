@@ -14,9 +14,9 @@ import (
 // used by the exporter's own tests, by serving-layer tests that assert
 // counters move, and by cmd/promcheck (the CI scrape smoke check). It
 // validates the invariants a real Prometheus scrape relies on — metric name
-// charset, HELP/TYPE pairing, monotone cumulative histogram buckets with an
-// le="+Inf" terminal bucket matching _count — and rejects anything
-// malformed instead of guessing.
+// charset, HELP/TYPE pairing, one sample per series, monotone cumulative
+// histogram buckets with an le="+Inf" terminal bucket matching _count — and
+// rejects anything malformed instead of guessing.
 
 // Sample is one parsed series sample.
 type Sample struct {
@@ -68,6 +68,7 @@ func ParseText(r io.Reader) (*Scrape, error) {
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	out := &Scrape{Types: make(map[string]string)}
 	help := make(map[string]bool)
+	series := make(map[string]bool)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -92,6 +93,13 @@ func ParseText(r io.Reader) (*Scrape, error) {
 		if !help[fam] {
 			return nil, fmt.Errorf("line %d: sample %s has no preceding # HELP", lineNo, sm.Name)
 		}
+		// Prometheus rejects a scrape that repeats a series; a label with an
+		// empty value is the same series as the label left out.
+		key := sm.Name + "{" + labelsKey(sm.Labels, "") + "}"
+		if series[key] {
+			return nil, fmt.Errorf("line %d: duplicate series %s", lineNo, key)
+		}
+		series[key] = true
 		out.Samples = append(out.Samples, sm)
 	}
 	if err := sc.Err(); err != nil {
@@ -294,7 +302,7 @@ func validateHistograms(s *Scrape) error {
 		if s.Types[base] != "histogram" || base == sm.Name {
 			continue
 		}
-		k := histKey{name: base, labels: labelsKeyExceptLe(sm.Labels)}
+		k := histKey{name: base, labels: labelsKey(sm.Labels, "le")}
 		h := get(k)
 		switch {
 		case strings.HasSuffix(sm.Name, "_bucket"):
@@ -348,11 +356,12 @@ func validateHistograms(s *Scrape) error {
 	return nil
 }
 
-// labelsKeyExceptLe renders a stable key of every label but le.
-func labelsKeyExceptLe(labels map[string]string) string {
+// labelsKey renders a stable key of every label with a non-empty value
+// except the one named skip.
+func labelsKey(labels map[string]string, skip string) string {
 	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		if k != "le" {
+	for k, v := range labels {
+		if k != skip && v != "" {
 			keys = append(keys, k)
 		}
 	}
@@ -361,7 +370,7 @@ func labelsKeyExceptLe(labels map[string]string) string {
 	for _, k := range keys {
 		b.WriteString(k)
 		b.WriteByte('=')
-		b.WriteString(labels[k])
+		b.WriteString(strconv.Quote(labels[k]))
 		b.WriteByte(',')
 	}
 	return b.String()

@@ -47,25 +47,13 @@ func writeStreamError(w io.Writer, msg string) {
 	w.Write(append(b, '\n'))
 }
 
-// appendFloat appends f formatted as encoding/json formats a float64: the
-// shortest round-tripping digits, in exponent form below 1e-6 and from 1e21
-// on, with a single-digit negative exponent written e-7, not e-07.
+// appendFloat appends f formatted as encoding/json formats a float64 (see
+// appendJSONFloat), or rejects NaN and ±Inf with encoding/json's error.
 func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
+	return appendJSONFloat(b, f), nil
 }
 
 // appendArray appends v as a JSON array of elem's encodings; nil is null, as

@@ -61,7 +61,8 @@ func (lu *LU[T]) SolvePanel(x, w []T) {
 	n := lu.n
 	// w = Pr · b(q), lane by lane.
 	for i := 0; i < n; i++ {
-		copy(w[lu.pinv[i]*pw:][:pw], x[lu.q[i]*pw:][:pw])
+		r := *(*[pw]T)(x[lu.q[i]*pw:])
+		*(*[pw]T)(w[lu.pinv[i]*pw:]) = r
 	}
 	// Forward solve L z = w (unit diagonal first per column).
 	l := lu.l
@@ -114,9 +115,12 @@ func (lu *LU[T]) SolvePanel(x, w []T) {
 			r[7] -= v * y7
 		}
 	}
-	// Undo the symmetric pre-ordering: x[q[i]] = y[i].
+	// Undo the symmetric pre-ordering: x[q[i]] = y[i]. Each row moves as an
+	// array through a local, which the compiler copies inline; a copy call
+	// (or a direct array assignment, which may overlap) is a memmove call.
 	for i := 0; i < n; i++ {
-		copy(x[lu.q[i]*pw:][:pw], w[i*pw:][:pw])
+		r := *(*[pw]T)(w[i*pw:])
+		*(*[pw]T)(x[lu.q[i]*pw:]) = r
 	}
 }
 
@@ -140,8 +144,9 @@ func (c *Cholesky) SolvePanel(x, w []float64) {
 	}
 	l := c.l
 	cholPanel(l.ColPtr, l.RowIdx, l.Val, c.sig, w)
-	for i := 0; i < n; i++ {
-		copy(x[c.q[i]*pw:][:pw], w[i*pw:][:pw])
+	for i := 0; i < n; i++ { // as in LU.SolvePanel
+		z := *(*[pw]float64)(w[i*pw:])
+		*(*[pw]float64)(x[c.q[i]*pw:]) = z
 	}
 }
 
