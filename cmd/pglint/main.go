@@ -1,4 +1,4 @@
-// Command pglint is the repo's static-analysis suite: five repo-specific
+// Command pglint is the repo's static-analysis suite: six repo-specific
 // analyzers that machine-enforce the invariants the serving stack's
 // correctness and speed rest on.
 //
@@ -11,6 +11,8 @@
 //	              before RET, TEXT sizes cross-checked against Go stubs
 //	metrichygiene metric names are prefixed snake_case, globally unique, and
 //	              synchronized with the README tables and CI require lists
+//	deadapi       exported functions and methods of internal packages have a
+//	              reference outside their own package's tests
 //
 // Usage:
 //
@@ -32,6 +34,7 @@ import (
 	"repro/internal/analysis/asmpolicy"
 	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/ctxflow"
+	"repro/internal/analysis/deadapi"
 	"repro/internal/analysis/metrichygiene"
 	"repro/internal/analysis/noalloc"
 )
@@ -62,6 +65,7 @@ func run(patterns []string) int {
 		ctxflow.Analyzer,
 		asmpolicy.Analyzer,
 		metrichygiene.Analyzer,
+		deadapi.Analyzer,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pglint:", err)

@@ -1,8 +1,9 @@
 // Package analysis is a small, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis shape, built so the repo can machine-enforce
 // its load-bearing invariants (zero-alloc kernels, atomic-field discipline,
-// context threading, assembly policy, metric hygiene) without taking any
-// module dependency — the product and its tooling both stay pure stdlib.
+// context threading, assembly policy, metric hygiene, no dead internal API)
+// without taking any module dependency — the product and its tooling both
+// stay pure stdlib.
 //
 // The model mirrors go/analysis where it matters: an Analyzer has a name,
 // documentation, and a Run function over a Pass that reports Diagnostics at
@@ -133,24 +134,6 @@ type Module struct {
 
 	// ByPath indexes Packages by import path.
 	ByPath map[string]*Package
-
-	// memo lets module-wide analyzers cache derived structures (call
-	// graphs, atomic-field sets) across per-package passes.
-	memo map[string]any
-}
-
-// Memo returns the cached value for key, computing and caching it on first
-// use. Passes run sequentially, so no locking is needed.
-func (m *Module) Memo(key string, compute func() any) any {
-	if m.memo == nil {
-		m.memo = make(map[string]any)
-	}
-	v, ok := m.memo[key]
-	if !ok {
-		v = compute()
-		m.memo[key] = v
-	}
-	return v
 }
 
 // Run executes the analyzers over the module and returns their findings

@@ -55,6 +55,8 @@ func Load(t *testing.T, testdata string, pkgPaths ...string) *analysis.Module {
 		spec := analysis.PkgSpec{Path: path, Dir: dir, InModule: true}
 		for _, e := range entries {
 			switch {
+			case strings.HasSuffix(e.Name(), "_test.go"):
+				// Like `go list`'s GoFiles: tests are not part of the package.
 			case strings.HasSuffix(e.Name(), ".go"):
 				spec.Files = append(spec.Files, filepath.Join(dir, e.Name()))
 			case strings.HasSuffix(e.Name(), ".s"):

@@ -40,9 +40,6 @@ func (m *MNA) N() int { n, _ := m.C.Dims(); return n }
 // NumInputs returns the port count m.
 func (m *MNA) NumInputs() int { _, c := m.B.Dims(); return c }
 
-// NumOutputs returns the output count p.
-func (m *MNA) NumOutputs() int { r, _ := m.L.Dims(); return r }
-
 // BuildMNA assembles the descriptor model of the netlist. Every non-ground
 // node receives its MNA row; inductors and voltage sources append branch
 // current rows. Probes default to the positive terminals of all current

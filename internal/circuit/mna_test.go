@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// NumOutputs returns the output count p.
+func (m *MNA) NumOutputs() int { r, _ := m.L.Dims(); return r }
+
 // buildRC returns the canonical single-node RC test circuit: current source
 // into node 1 with R and C to ground. H(s) = R/(1+sRC).
 func buildRC(t *testing.T, r, c float64) *MNA {

@@ -95,19 +95,6 @@ func Eig(a *Mat[float64]) (vals []complex128, vecs *Mat[complex128], err error) 
 	return EigComplex(ToComplex(a))
 }
 
-// Eigenvalues returns only the eigenvalues of a general real matrix.
-func Eigenvalues(a *Mat[float64]) ([]complex128, error) {
-	h, _, err := schur(ToComplex(a), false)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]complex128, h.Rows)
-	for i := range vals {
-		vals[i] = h.At(i, i)
-	}
-	return vals, nil
-}
-
 // EigComplex computes eigenvalues and right eigenvectors of a general
 // complex matrix.
 func EigComplex(a *Mat[complex128]) (vals []complex128, vecs *Mat[complex128], err error) {
@@ -118,7 +105,7 @@ func EigComplex(a *Mat[complex128]) (vals []complex128, vecs *Mat[complex128], e
 	if n == 0 {
 		return nil, NewMat[complex128](0, 0), nil
 	}
-	t, z, err := schur(a, true)
+	t, z, err := schur(a)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,14 +149,12 @@ func EigComplex(a *Mat[complex128]) (vals []complex128, vecs *Mat[complex128], e
 }
 
 // schur reduces a to upper triangular (complex Schur) form T = Qᴴ A Q via
-// Hessenberg reduction and shifted QR with Givens rotations. If wantZ, the
-// unitary Q is accumulated and returned.
-func schur(a *Mat[complex128], wantZ bool) (t, z *Mat[complex128], err error) {
+// Hessenberg reduction and shifted QR with Givens rotations, accumulating
+// and returning the unitary Q.
+func schur(a *Mat[complex128]) (t, z *Mat[complex128], err error) {
 	n := a.Rows
 	h := a.Clone()
-	if wantZ {
-		z = Eye[complex128](n)
-	}
+	z = Eye[complex128](n)
 
 	// Householder reduction to upper Hessenberg form.
 	for k := 0; k < n-2; k++ {
@@ -214,16 +199,14 @@ func schur(a *Mat[complex128], wantZ bool) (t, z *Mat[complex128], err error) {
 				h.Set(i, j, h.At(i, j)-hsum*cmplx.Conj(x[j-k-1]))
 			}
 		}
-		if wantZ {
-			for i := 0; i < n; i++ {
-				var hsum complex128
-				for j := k + 1; j < n; j++ {
-					hsum += z.At(i, j) * x[j-k-1]
-				}
-				hsum *= 2
-				for j := k + 1; j < n; j++ {
-					z.Set(i, j, z.At(i, j)-hsum*cmplx.Conj(x[j-k-1]))
-				}
+		for i := 0; i < n; i++ {
+			var hsum complex128
+			for j := k + 1; j < n; j++ {
+				hsum += z.At(i, j) * x[j-k-1]
+			}
+			hsum *= 2
+			for j := k + 1; j < n; j++ {
+				z.Set(i, j, z.At(i, j)-hsum*cmplx.Conj(x[j-k-1]))
 			}
 		}
 	}
@@ -325,12 +308,10 @@ func schur(a *Mat[complex128], wantZ bool) (t, z *Mat[complex128], err error) {
 				h.Set(r, i, c*hri+cmplx.Conj(s)*hri1)
 				h.Set(r, i+1, -s*hri+c*hri1)
 			}
-			if wantZ {
-				for r := 0; r < n; r++ {
-					zri, zri1 := z.At(r, i), z.At(r, i+1)
-					z.Set(r, i, c*zri+cmplx.Conj(s)*zri1)
-					z.Set(r, i+1, -s*zri+c*zri1)
-				}
+			for r := 0; r < n; r++ {
+				zri, zri1 := z.At(r, i), z.At(r, i+1)
+				z.Set(r, i, c*zri+cmplx.Conj(s)*zri1)
+				z.Set(r, i+1, -s*zri+c*zri1)
 			}
 		}
 		for i := lo; i <= hi; i++ {

@@ -7,58 +7,18 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sparse"
 )
 
-func TestQRReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		m := 2 + rng.Intn(10)
-		n := 1 + rng.Intn(m)
-		a := randMat(rng, m, n)
-		q, r := QR(a)
-		if !matApproxEq(q.Mul(r), a, 1e-11) {
-			t.Fatalf("trial %d: QR ≠ A", trial)
-		}
-		if !matApproxEq(q.T().Mul(q), Eye[float64](n), 1e-11) {
-			t.Fatalf("trial %d: QᵀQ ≠ I", trial)
-		}
-		// R upper triangular.
-		for i := 1; i < n; i++ {
-			for j := 0; j < i; j++ {
-				if math.Abs(r.At(i, j)) > 1e-12 {
-					t.Fatalf("trial %d: R not upper triangular", trial)
-				}
-			}
-		}
+// Det returns the determinant from the LU diagonal and the pivot sign: the
+// reference for the eigenvalue-product property below.
+func (f *LU[T]) Det() T {
+	det := sparse.FromFloat[T](f.sign)
+	for i := 0; i < f.N(); i++ {
+		det *= f.lu.At(i, i)
 	}
-}
-
-func TestQRComplex(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m, n := 6, 4
-	a := NewMat[complex128](m, n)
-	for i := range a.Data {
-		a.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	q, r := QR(a)
-	qr := q.Mul(r)
-	for i := range qr.Data {
-		if absC(qr.Data[i]-a.Data[i]) > 1e-11 {
-			t.Fatal("complex QR ≠ A")
-		}
-	}
-	qhq := q.H().Mul(q)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := complex128(0)
-			if i == j {
-				want = 1
-			}
-			if absC(qhq.At(i, j)-want) > 1e-11 {
-				t.Fatal("complex QᴴQ ≠ I")
-			}
-		}
-	}
+	return det
 }
 
 func TestSVDReconstructionProperty(t *testing.T) {
@@ -205,7 +165,7 @@ func TestEigenvaluesTraceDeterminantProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(8)
 		a := randMat(rng, n, n)
-		vals, err := Eigenvalues(a)
+		vals, _, err := Eig(a)
 		if err != nil {
 			return false
 		}

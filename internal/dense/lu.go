@@ -136,30 +136,3 @@ func (f *LU[T]) SolveMat(b *Mat[T]) (*Mat[T], error) {
 	}
 	return x, nil
 }
-
-// Det returns the determinant.
-func (f *LU[T]) Det() T {
-	det := sparse.FromFloat[T](f.sign)
-	for i := 0; i < f.N(); i++ {
-		det *= f.lu.At(i, i)
-	}
-	return det
-}
-
-// Inverse returns A⁻¹. Intended for small ROM-sized systems.
-func (f *LU[T]) Inverse() (*Mat[T], error) {
-	return f.SolveMat(Eye[T](f.N()))
-}
-
-// Solve is a convenience wrapper: factor a and solve a single system.
-func Solve[T sparse.Scalar](a *Mat[T], b []T) ([]T, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]T, len(b))
-	if err := f.Solve(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}

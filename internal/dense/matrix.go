@@ -1,6 +1,6 @@
 // Package dense implements the dense linear algebra kernel used by the
-// model reduction library: generic real/complex matrices, LU and QR
-// factorizations, modified Gram–Schmidt orthonormalization with deflation,
+// model reduction library: generic real/complex matrices, LU factorization,
+// modified Gram–Schmidt orthonormalization with deflation,
 // eigenvalue decompositions (symmetric Jacobi and complex QR iteration on a
 // Hessenberg form), and a one-sided Jacobi SVD.
 //
@@ -178,11 +178,6 @@ func (m *Mat[T]) MaxAbs() float64 {
 	return sparse.InfNorm(m.Data)
 }
 
-// FrobNorm returns the Frobenius norm.
-func (m *Mat[T]) FrobNorm() float64 {
-	return sparse.Nrm2(m.Data)
-}
-
 // NNZ returns the number of exactly nonzero elements — used to measure ROM
 // sparsity structure (Fig. 4 of the paper).
 func (m *Mat[T]) NNZ() int {
@@ -202,13 +197,4 @@ func ToComplex(m *Mat[float64]) *Mat[complex128] {
 		z.Data[i] = complex(v, 0)
 	}
 	return z
-}
-
-// Real extracts the real part of a complex matrix.
-func Real(m *Mat[complex128]) *Mat[float64] {
-	r := NewMat[float64](m.Rows, m.Cols)
-	for i, v := range m.Data {
-		r.Data[i] = real(v)
-	}
-	return r
 }

@@ -113,14 +113,19 @@ func TestDenseLUSolve(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b := a.MulVec(want)
-		got, err := Solve(a, b)
+		b := NewMat[float64](n, 1)
+		copy(b.Data, a.MulVec(want))
+		f, err := FactorLU(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("trial %d: x[%d] = %g, want %g", trial, i, got[i], want[i])
+		x, err := f.SolveMat(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range x.Data {
+			if math.Abs(got-want[i]) > 1e-9 {
+				t.Fatalf("trial %d: x[%d] = %g, want %g", trial, i, got, want[i])
 			}
 		}
 	}
@@ -135,7 +140,7 @@ func TestDenseLUDetAndInverse(t *testing.T) {
 	if d := f.Det(); math.Abs(d-10) > 1e-12 {
 		t.Errorf("Det = %g, want 10", d)
 	}
-	inv, err := f.Inverse()
+	inv, err := f.SolveMat(Eye[float64](2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +163,12 @@ func TestDenseLUComplex(t *testing.T) {
 	a.Set(1, 0, 0)
 	a.Set(1, 1, 3-1i)
 	want := []complex128{1 - 1i, 2 + 2i}
-	b := a.MulVec(want)
-	got, err := Solve(a, b)
+	f, err := FactorLU(a)
 	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]complex128, len(want))
+	if err := f.Solve(got, a.MulVec(want)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {

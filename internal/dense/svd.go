@@ -1,91 +1,6 @@
 package dense
 
-import (
-	"math"
-
-	"repro/internal/sparse"
-)
-
-// QR computes a thin Householder QR factorization A = Q·R of an m×n matrix
-// with m ≥ n: Q is m×n with orthonormal columns and R is n×n upper
-// triangular.
-func QR[T sparse.Scalar](a *Mat[T]) (q, r *Mat[T]) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		panic("dense: QR requires rows ≥ cols")
-	}
-	work := a.Clone()
-	vs := make([][]T, 0, n) // Householder vectors
-
-	for k := 0; k < n; k++ {
-		// Build the Householder vector for column k below the diagonal.
-		x := make([]T, m-k)
-		for i := k; i < m; i++ {
-			x[i-k] = work.At(i, k)
-		}
-		alpha := sparse.Nrm2(x)
-		if alpha == 0 {
-			vs = append(vs, nil)
-			continue
-		}
-		// v = x + sign(x0)·‖x‖·e1 with complex sign x0/|x0|.
-		var s T
-		if sparse.IsZero(x[0]) {
-			s = sparse.FromFloat[T](1)
-		} else {
-			s = x[0] * sparse.FromFloat[T](1/sparse.Abs(x[0]))
-		}
-		x[0] += s * sparse.FromFloat[T](alpha)
-		vn := sparse.Nrm2(x)
-		if vn == 0 {
-			vs = append(vs, nil)
-			continue
-		}
-		sparse.ScaleVec(x, sparse.FromFloat[T](1/vn))
-		vs = append(vs, x)
-		// Apply P = I - 2 v vᴴ to work[k:, k:].
-		for j := k; j < n; j++ {
-			var h T
-			for i := k; i < m; i++ {
-				h += sparse.Conj(x[i-k]) * work.At(i, j)
-			}
-			h *= sparse.FromFloat[T](2)
-			for i := k; i < m; i++ {
-				work.Set(i, j, work.At(i, j)-x[i-k]*h)
-			}
-		}
-	}
-
-	r = NewMat[T](n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, work.At(i, j))
-		}
-	}
-	// Form thin Q by applying the Householder reflectors to the first n
-	// columns of the identity, in reverse order.
-	q = NewMat[T](m, n)
-	for j := 0; j < n; j++ {
-		q.Set(j, j, sparse.FromFloat[T](1))
-	}
-	for k := n - 1; k >= 0; k-- {
-		v := vs[k]
-		if v == nil {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			var h T
-			for i := k; i < m; i++ {
-				h += sparse.Conj(v[i-k]) * q.At(i, j)
-			}
-			h *= sparse.FromFloat[T](2)
-			for i := k; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-v[i-k]*h)
-			}
-		}
-	}
-	return q, r
-}
+import "math"
 
 // SVD computes the full thin singular value decomposition A = U·diag(s)·Vᵀ
 // of a real m×n matrix using one-sided Jacobi rotations. U is m×k and V is

@@ -1,10 +1,40 @@
 package grid
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/sparse"
 )
+
+// MaxDenseBuildNodes caps BuildDense: the dense shim exists to cross-check
+// the sparse assembly on small instances, not to assemble real grids.
+const MaxDenseBuildNodes = 4096
+
+// BuildDense assembles the same model as Build into dense row-major n×n
+// arrays (paper sign convention, G = −G_std): the reference of the small-n
+// property tests below. The sparse and dense paths replay the identical
+// stamping sequence, so Build's compiled matrices must match these arrays
+// exactly, entry for entry, with no floating-point tolerance. Instances
+// beyond MaxDenseBuildNodes states are refused.
+func (c *Config) BuildDense() (g, cm []float64, portNodes []int, err error) {
+	if err := c.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	n := c.NumNodes()
+	if n > MaxDenseBuildNodes {
+		return nil, nil, nil, fmt.Errorf("grid: BuildDense is a small-n test shim (n = %d > %d); use Build", n, MaxDenseBuildNodes)
+	}
+	g = make([]float64, n*n)
+	cm = make([]float64, n*n)
+	rng := rand.New(rand.NewSource(c.Seed))
+	portNodes = c.stampSeq(rng,
+		func(i, j int, v float64) { g[i*n+j] -= v }, // dense side applies G = −G_std directly
+		func(i, j int, v float64) { cm[i*n+j] += v },
+	)
+	return g, cm, portNodes, nil
+}
 
 // TestSparseDenseAssemblyExactEquality cross-checks the sparse fast path
 // against the dense small-n shim on every seed benchmark, in both RC and RLC

@@ -248,8 +248,9 @@ func (c *Config) Netlist() (*circuit.Netlist, error) {
 // value is drawn from rng in the same order as Netlist(), standard-sign
 // conductance contributions go to addG, capacitance/inductance entries to
 // addC, and the selected port nodes are returned. Both the sparse fast path
-// (Build) and the dense small-n shim (BuildDense) replay exactly this
-// sequence, which is what makes their outputs comparable entry by entry.
+// (Build) and the tests' dense small-n reference (BuildDense) replay exactly
+// this sequence, which is what makes their outputs comparable entry by
+// entry.
 //
 // State ordering: grid nodes in (layer, y, x) raster order, one extra node
 // per pad (the R–L midpoint), then pad inductor currents.
@@ -374,34 +375,6 @@ func (c *Config) Build() (*Model, error) {
 	}, nil
 }
 
-// MaxDenseBuildNodes caps BuildDense: the dense shim exists to cross-check
-// the sparse assembly on small instances, not to assemble real grids.
-const MaxDenseBuildNodes = 4096
-
-// BuildDense assembles the same model as Build into dense row-major n×n
-// arrays (paper sign convention, G = −G_std). It is a compatibility shim for
-// small-n property tests — the sparse and dense paths replay the identical
-// stamping sequence, so Build's compiled matrices must match these arrays
-// exactly, entry for entry, with no floating-point tolerance. Instances
-// beyond MaxDenseBuildNodes states are refused.
-func (c *Config) BuildDense() (g, cm []float64, portNodes []int, err error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	n := c.NumNodes()
-	if n > MaxDenseBuildNodes {
-		return nil, nil, nil, fmt.Errorf("grid: BuildDense is a small-n test shim (n = %d > %d); use Build", n, MaxDenseBuildNodes)
-	}
-	g = make([]float64, n*n)
-	cm = make([]float64, n*n)
-	rng := rand.New(rand.NewSource(c.Seed))
-	portNodes = c.stampSeq(rng,
-		func(i, j int, v float64) { g[i*n+j] -= v }, // dense side applies G = −G_std directly
-		func(i, j int, v float64) { cm[i*n+j] += v },
-	)
-	return g, cm, portNodes, nil
-}
-
 // Model is a stamped power-grid descriptor model in the paper's convention
 // C dx/dt = Gx + Bu, y = Lx.
 type Model struct {
@@ -412,6 +385,3 @@ type Model struct {
 	PortNodes []int
 	N         int
 }
-
-// NumPorts returns the input/output port count.
-func (m *Model) NumPorts() int { _, mm := m.B.Dims(); return mm }

@@ -8,6 +8,9 @@ import (
 	"repro/internal/sparse"
 )
 
+// NumPorts returns the input/output port count.
+func (m *Model) NumPorts() int { _, mm := m.B.Dims(); return mm }
+
 func smallConfig() Config {
 	cfg := Config{Name: "test", NX: 6, NY: 5, Layers: 2, Ports: 4, Pads: 2}
 	applyElectricalDefaults(&cfg, 1)

@@ -96,9 +96,6 @@ func (op *Operator) N() int { n, _, _ := op.sys.Dims(); return n }
 // S0 returns the expansion point.
 func (op *Operator) S0() float64 { return op.s0 }
 
-// System returns the underlying descriptor system.
-func (op *Operator) System() *lti.SparseSystem { return op.sys }
-
 // Solves reports how many pencil solves were performed through this
 // operator and all of its workers.
 func (op *Operator) Solves() int { return int(op.solves.Load()) }
@@ -334,9 +331,4 @@ func ExtendArnoldi(op *Operator, basis *dense.Basis[float64], r [][]float64, l i
 		cur = next
 	}
 	return nil
-}
-
-// Arnoldi is single-vector BlockArnoldi: K_l(A, r).
-func Arnoldi(op *Operator, r []float64, l int, stats *dense.OrthoStats) (*dense.Basis[float64], error) {
-	return BlockArnoldi(op, [][]float64{r}, l, stats)
 }

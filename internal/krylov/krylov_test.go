@@ -272,7 +272,7 @@ func TestCongruenceBlockMatchesFullCongruenceOnSingleInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basis, err := Arnoldi(op, r0, 3, nil)
+	basis, err := BlockArnoldi(op, [][]float64{r0}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,31 +82,6 @@ func (d *DenseSystem) NNZ() (c, g, b, l int) {
 	return d.C.NNZ(), d.G.NNZ(), d.B.NNZ(), d.L.NNZ()
 }
 
-// StableDescriptor reports whether all finite generalized eigenvalues of the
-// pencil (G, C) — i.e. poles of the system — have negative real part.
-// Intended for ROM-sized systems.
-func (d *DenseSystem) StableDescriptor() (bool, error) {
-	// Poles are eigenvalues of C⁻¹G when C is invertible.
-	f, err := dense.FactorLU(d.C)
-	if err != nil {
-		return false, fmt.Errorf("lti: singular C in stability check: %w", err)
-	}
-	a, err := f.SolveMat(d.G)
-	if err != nil {
-		return false, err
-	}
-	vals, err := dense.Eigenvalues(a)
-	if err != nil {
-		return false, err
-	}
-	for _, v := range vals {
-		if real(v) >= 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // Simulatable exposes the pieces the transient simulator needs; both dense
 // and block-diagonal ROMs satisfy it.
 type Simulatable interface {

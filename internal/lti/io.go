@@ -345,30 +345,3 @@ func LoadROM(r io.Reader) (*BlockDiagSystem, *ModalSystem, error) {
 	}
 	return bd, ms, nil
 }
-
-type gobDense struct {
-	C, G, B, L gobMat
-}
-
-// SaveDense serializes a dense descriptor ROM.
-func SaveDense(w io.Writer, d *DenseSystem) error {
-	g := gobDense{C: toGobMat(d.C), G: toGobMat(d.G), B: toGobMat(d.B), L: toGobMat(d.L)}
-	return gob.NewEncoder(w).Encode(&g)
-}
-
-// LoadDense deserializes a dense descriptor ROM saved by SaveDense.
-func LoadDense(r io.Reader) (*DenseSystem, error) {
-	var g gobDense
-	if err := gob.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("lti: decoding ROM: %w", err)
-	}
-	for _, m := range []struct {
-		g    *gobMat
-		what string
-	}{{&g.C, "C"}, {&g.G, "G"}, {&g.B, "B"}, {&g.L, "L"}} {
-		if err := m.g.validate(m.what); err != nil {
-			return nil, err
-		}
-	}
-	return NewDenseSystem(fromGobMat(g.C), fromGobMat(g.G), fromGobMat(g.B), fromGobMat(g.L))
-}

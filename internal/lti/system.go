@@ -198,7 +198,7 @@ func (s *SparseSystem) Moments(s0 float64, count int) ([]*dense.Mat[float64], er
 	for j := 0; j < m; j++ {
 		r[j] = s.BColumn(j)
 	}
-	if err := f.SolveMany(r); err != nil {
+	if err := sparse.SolveMany(f, r); err != nil {
 		return nil, err
 	}
 	moments := make([]*dense.Mat[float64], 0, count)
@@ -216,7 +216,7 @@ func (s *SparseSystem) Moments(s0 float64, count int) ([]*dense.Mat[float64], er
 			s.C.MatVec(tmp, r[j])
 			r[j], tmp = tmp, r[j]
 		}
-		if err := f.SolveMany(r); err != nil {
+		if err := sparse.SolveMany(f, r); err != nil {
 			return nil, err
 		}
 	}

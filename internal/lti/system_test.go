@@ -313,48 +313,32 @@ func TestBlockDiagGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDenseGobRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	bd := randomBlockDiag(rng, 2, 2, 2)
-	d := bd.ToDense()
-	var buf bytes.Buffer
-	if err := SaveDense(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadDense(&buf)
+// TestDCGainMatchesAnalytic: the DC gain H(0) of a scalar RC is r, for the
+// sparse system and for a one-block ROM of it.
+func TestDCGainMatchesAnalytic(t *testing.T) {
+	r, c := 75.0, 1e-9
+	sys := rcSystem(t, r, c)
+	h, err := sys.Eval(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.C.At(0, 0) != d.C.At(0, 0) || got.B.Rows != d.B.Rows {
-		t.Fatal("round-trip mismatch")
+	if g := h.At(0, 0); math.Abs(real(g)-r) > 1e-9*r || imag(g) != 0 {
+		t.Fatalf("DC gain %v, want %g", g, r)
 	}
-}
-
-func TestStableDescriptor(t *testing.T) {
-	// Stable: C = I, G = -I. Unstable: G = +I.
-	stable, err := NewDenseSystem(dense.Eye[float64](2), dense.Eye[float64](2).Scale(-1),
-		dense.NewMat[float64](2, 1), dense.NewMat[float64](1, 2))
+	bd := &BlockDiagSystem{M: 1, P: 1}
+	cm := dense.NewMat[float64](1, 1)
+	cm.Set(0, 0, c)
+	gm := dense.NewMat[float64](1, 1)
+	gm.Set(0, 0, -1/r)
+	lm := dense.NewMat[float64](1, 1)
+	lm.Set(0, 0, 1)
+	bd.Blocks = append(bd.Blocks, Block{C: cm, G: gm, B: []float64{1}, L: lm, Input: 0})
+	hr, err := bd.Eval(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := stable.StableDescriptor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("stable system reported unstable")
-	}
-	unstable, err := NewDenseSystem(dense.Eye[float64](2), dense.Eye[float64](2),
-		dense.NewMat[float64](2, 1), dense.NewMat[float64](1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err = unstable.StableDescriptor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("unstable system reported stable")
+	if g := hr.At(0, 0); math.Abs(real(g)-r) > 1e-9*r || imag(g) != 0 {
+		t.Fatalf("ROM DC gain %v, want %g", g, r)
 	}
 }
 

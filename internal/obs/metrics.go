@@ -138,14 +138,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	}
 }
 
-// Count reads the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum reads the running sum of observed values.
 func (h *Histogram) Sum() float64 {
 	if h == nil {

@@ -9,6 +9,14 @@ import (
 	"time"
 )
 
+// Count reads the total number of observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
 // buildTestRegistry populates one of every metric shape the exporter emits.
 func buildTestRegistry() (*Registry, *Histogram) {
 	reg := NewRegistry()

@@ -1,9 +1,7 @@
 // Package passivity implements the application-issues machinery of
 // Sec. III-D of the paper: conversion of descriptor ROM blocks to standard
-// state space, per-block eigenvalue diagonalization (eq. 16), passivity
-// verification for immittance reduced models (frequency sampling plus a
-// regularized Hamiltonian eigenvalue test), and a direct-term passivity
-// enforcement.
+// state space, per-block eigenvalue diagonalization (eq. 16), and sampled
+// passivity verification for immittance reduced models.
 //
 // Thanks to the block-diagonal structure of BDSM ROMs, every step here costs
 // O(l³) per block rather than O(q³) on the assembled model.
@@ -13,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"repro/internal/dense"
 	"repro/internal/lti"
@@ -52,8 +49,8 @@ func (s *StandardSystem) Eval(z complex128) (*dense.Mat[complex128], error) {
 var _ lti.System = (*StandardSystem)(nil)
 
 // ToStandard converts a descriptor ROM (Cr, Gr, Br, Lr) with invertible Cr
-// into standard form: A = Cr⁻¹Gr, B = Cr⁻¹Br, C = Lr. Cost O(q³); for a
-// BDSM ROM use BlockToStandard per block at O(l³) each.
+// into standard form: A = Cr⁻¹Gr, B = Cr⁻¹Br, C = Lr. Cost O(q³) on an
+// assembled ROM; one BDSM block, as a DenseSystem of its own, costs O(l³).
 func ToStandard(d *lti.DenseSystem) (*StandardSystem, error) {
 	f, err := dense.FactorLU(d.C)
 	if err != nil {
@@ -68,18 +65,6 @@ func ToStandard(d *lti.DenseSystem) (*StandardSystem, error) {
 		return nil, err
 	}
 	return &StandardSystem{A: a, B: b, C: d.L.Clone()}, nil
-}
-
-// BlockToStandard converts one BDSM block to standard form at O(l³).
-func BlockToStandard(blk *lti.Block) (*StandardSystem, error) {
-	l := blk.Order()
-	bm := dense.NewMat[float64](l, 1)
-	bm.SetCol(0, blk.B)
-	d, err := lti.NewDenseSystem(blk.C, blk.G, bm, blk.L)
-	if err != nil {
-		return nil, err
-	}
-	return ToStandard(d)
 }
 
 // DiagonalRealization is the eigen-decomposed form of eq. 16: a complex
@@ -254,92 +239,4 @@ func hermitianEigRange(h *dense.Mat[complex128]) (minEig, maxMag float64, err er
 	minEig = vals[0]
 	maxMag = math.Max(math.Abs(vals[0]), math.Abs(vals[len(vals)-1]))
 	return minEig, maxMag, nil
-}
-
-// HamiltonianImagEigs runs the regularized Hamiltonian test on a standard
-// system: with R = D + Dᵀ (regularized by delta·I when singular), purely
-// imaginary eigenvalues of
-//
-//	M = [ A - B R⁻¹ C,      -B R⁻¹ Bᵀ      ]
-//	    [ Cᵀ R⁻¹ C,         -(A - B R⁻¹ C)ᵀ ]
-//
-// mark frequencies where an eigenvalue of the Popov function crosses zero —
-// candidate passivity-violation boundaries. Returns the crossing
-// frequencies (rad/s).
-func HamiltonianImagEigs(s *StandardSystem, delta float64) ([]float64, error) {
-	n, m, p := s.Dims()
-	if m != p {
-		return nil, fmt.Errorf("passivity: Hamiltonian test needs square transfer, got %d×%d", p, m)
-	}
-	if delta <= 0 {
-		delta = 1e-8
-	}
-	r := dense.NewMat[float64](m, m)
-	if s.D != nil {
-		r = s.D.Add(s.D.T())
-	}
-	for i := 0; i < m; i++ {
-		r.Set(i, i, r.At(i, i)+delta)
-	}
-	rf, err := dense.FactorLU(r)
-	if err != nil {
-		return nil, err
-	}
-	rinvC, err := rf.SolveMat(s.C)
-	if err != nil {
-		return nil, err
-	}
-	rinvBt, err := rf.SolveMat(s.B.T())
-	if err != nil {
-		return nil, err
-	}
-	abc := s.A.Sub(s.B.Mul(rinvC)) // A - B R⁻¹ C
-	brb := s.B.Mul(rinvBt)         // B R⁻¹ Bᵀ
-	crc := s.C.T().Mul(rinvC)      // Cᵀ R⁻¹ C
-
-	h := dense.NewMat[float64](2*n, 2*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			h.Set(i, j, abc.At(i, j))
-			h.Set(i, j+n, -brb.At(i, j))
-			h.Set(i+n, j, crc.At(i, j))
-			h.Set(i+n, j+n, -abc.At(j, i))
-		}
-	}
-	vals, err := dense.Eigenvalues(h)
-	if err != nil {
-		return nil, err
-	}
-	var crossings []float64
-	for _, v := range vals {
-		if imag(v) > 0 && math.Abs(real(v)) < 1e-6*(1+cmplx.Abs(v)) {
-			crossings = append(crossings, imag(v))
-		}
-	}
-	return crossings, nil
-}
-
-// EnforceDTerm returns a minimally perturbed passive system: if the sampled
-// Popov function dips to λmin = -v < 0, a direct term D = (v/2 + margin)·I
-// is added, shifting Φ(jω) up by 2·(v/2 + margin) uniformly. This is the
-// cheapest legitimate enforcement; it perturbs only the feedthrough
-// (‖ΔH‖∞ = v/2 + margin) and never the poles. The block-diagonal structure
-// is unaffected.
-func EnforceDTerm(s *StandardSystem, report *Report, margin float64) *StandardSystem {
-	if report.Passive || report.WorstEig >= 0 {
-		return s
-	}
-	if margin < 0 {
-		margin = 0
-	}
-	_, m, _ := s.Dims()
-	shift := -report.WorstEig/2 + margin
-	d := dense.NewMat[float64](m, m)
-	if s.D != nil {
-		d = s.D.Clone()
-	}
-	for i := 0; i < m; i++ {
-		d.Set(i, i, d.At(i, i)+shift)
-	}
-	return &StandardSystem{A: s.A, B: s.B, C: s.C, D: d}
 }

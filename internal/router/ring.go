@@ -112,9 +112,6 @@ func (r *Ring) Preference(key string) []string {
 	return out
 }
 
-// Primary returns the first replica in the key's preference order.
-func (r *Ring) Primary(key string) string { return r.Preference(key)[0] }
-
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))

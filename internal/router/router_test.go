@@ -13,6 +13,9 @@ import (
 	"time"
 )
 
+// Primary returns the first replica in the key's preference order.
+func (r *Ring) Primary(key string) string { return r.Preference(key)[0] }
+
 // ---- ring ----
 
 func TestRingDeterminismAndCoverage(t *testing.T) {

@@ -273,12 +273,6 @@ type repoEntry struct {
 	err   error
 }
 
-// NewRepository returns an empty, memory-only model repository bounded to
-// maxModels entries; maxModels <= 0 selects DefaultMaxModels.
-func NewRepository(maxModels int) *Repository {
-	return NewRepositoryWithStore(maxModels, nil)
-}
-
 // Instrument attaches a build-duration histogram and a per-phase reduction
 // timing histogram vector (label: phase). Must be called before the
 // repository serves requests.
@@ -551,9 +545,6 @@ func keyFromMeta(raw json.RawMessage, id string) (ModelKey, bool) {
 	}
 	return key, true
 }
-
-// Store returns the attached persistent store (nil for memory-only).
-func (r *Repository) Store() *store.Store { return r.store }
 
 // Stats reports repository activity counters.
 func (r *Repository) Stats() RepoStats {

@@ -7,7 +7,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/store"
 )
+
+// NewRepository returns an empty, memory-only model repository bounded to
+// maxModels entries; maxModels <= 0 selects DefaultMaxModels.
+func NewRepository(maxModels int) *Repository {
+	return NewRepositoryWithStore(maxModels, nil)
+}
+
+// Store returns the attached persistent store (nil for memory-only).
+func (r *Repository) Store() *store.Store { return r.store }
+
+// Sessions exposes the session manager.
+func (s *Server) Sessions() *SessionManager { return s.sessions }
 
 func TestModelKeyNormalize(t *testing.T) {
 	cases := []struct {

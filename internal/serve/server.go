@@ -179,9 +179,6 @@ func (s *Server) Close() {
 	s.eng.Close()
 }
 
-// Sessions exposes the session manager (used by tests).
-func (s *Server) Sessions() *SessionManager { return s.sessions }
-
 // Repo exposes the model repository (used by preloading and tests).
 func (s *Server) Repo() *Repository { return s.repo }
 

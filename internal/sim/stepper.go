@@ -123,9 +123,6 @@ func (st *Stepper) Time() float64 { return float64(st.k) * st.h }
 // Dt returns the fixed step size.
 func (st *Stepper) Dt() float64 { return st.h }
 
-// Inputs returns the input port count the drive waveform must fill.
-func (st *Stepper) Inputs() int { return st.m }
-
 // Outputs returns the output row width.
 func (st *Stepper) Outputs() int { return st.p }
 

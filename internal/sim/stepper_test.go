@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Inputs returns the input port count the drive waveform must fill.
+func (st *Stepper) Inputs() int { return st.m }
+
 // advanceChunked drives st through the same schedule as one full run: the
 // t = 0 row, then the remaining steps split into chunks of at most n.
 func advanceChunked(t *testing.T, st *Stepper, steps, n int, input Input) *Result {

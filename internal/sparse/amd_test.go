@@ -7,6 +7,18 @@ import (
 	"testing/quick"
 )
 
+// IsValid reports whether p is a bijection on [0, len(p)).
+func (p Perm) IsValid() bool {
+	seen := make([]bool, len(p))
+	for _, pi := range p {
+		if pi < 0 || pi >= len(p) || seen[pi] {
+			return false
+		}
+		seen[pi] = true
+	}
+	return true
+}
+
 // TestDefaultOrderingIsAMD pins the zero LUOptions to the AMD ordering for
 // both factorizations: the same permutation and fill as an explicit
 // OrderAMD, and strictly less fill than the natural order.

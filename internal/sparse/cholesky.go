@@ -44,8 +44,6 @@ type Direct interface {
 	// SolvePanel solves the PanelWidth right-hand sides interleaved in x
 	// in place; w is scratch of the same length.
 	SolvePanel(x, w []float64)
-	// SolveMany solves each column of x in place.
-	SolveMany(x [][]float64) error
 	// NNZ returns the stored entry count of the factor.
 	NNZ() int
 }
@@ -71,6 +69,26 @@ func Factor(a *CSR[float64], opts LUOptions) (Direct, error) {
 		return nil, err
 	}
 	return lu, nil
+}
+
+// SolveMany solves A X = B in place on the factor f, PanelWidth columns per
+// pass: each element of x is overwritten with the corresponding solution.
+func SolveMany(f Direct, x [][]float64) error {
+	n := f.N()
+	for c := range x {
+		if len(x[c]) != n {
+			return fmt.Errorf("sparse: SolveMany column %d length mismatch", c)
+		}
+	}
+	panel := make([]float64, 2*n*PanelWidth)
+	p, w := panel[:n*PanelWidth], panel[n*PanelWidth:]
+	for c := 0; c < len(x); c += PanelWidth {
+		cols := x[c:min(c+PanelWidth, len(x))]
+		PackPanel(p, cols)
+		f.SolvePanel(p, w)
+		UnpackPanel(cols, p)
+	}
+	return nil
 }
 
 // IsSymmetric reports whether A equals Aᵀ within the given relative
@@ -192,20 +210,6 @@ func negateRows(a *CSC[float64], s []float64) {
 			a.Val[k] = -a.Val[k]
 		}
 	}
-}
-
-// FactorCholesky computes the up-looking sparse Cholesky factorization of
-// the SPD matrix a with the selected fill-reducing ordering (the zero
-// LUOptions orders by AMD). Returns ErrNotSPD for indefinite or
-// unsymmetric-beyond-roundoff inputs (only the lower triangle of the
-// permuted matrix is read, so structural symmetry is the caller's
-// responsibility; use IsSymmetric).
-func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
-	s := make([]float64, a.cols)
-	for i := range s {
-		s[i] = 1
-	}
-	return factorCholesky(a, s, opts)
 }
 
 // factorCholesky factors the symmetric matrix sa = S·A, with S = diag(s),
@@ -351,12 +355,6 @@ func (c *Cholesky) Solve(dst, b []float64) error {
 	w := make([]float64, c.n)
 	c.SolveBuf(dst, b, w)
 	return nil
-}
-
-// SolveMany solves A X = B in place, PanelWidth columns per pass over the
-// factor: each element of x is overwritten with the corresponding solution.
-func (c *Cholesky) SolveMany(x [][]float64) error {
-	return solveMany(c.n, x, c.SolvePanel)
 }
 
 // SolveBuf is Solve with a caller-provided scratch buffer.

@@ -9,6 +9,20 @@ import (
 	"testing/quick"
 )
 
+// FactorCholesky factors the SPD matrix a through factorCholesky with unit
+// signs, under the selected fill-reducing ordering (the zero LUOptions
+// orders by AMD). Returns ErrNotSPD for indefinite or
+// unsymmetric-beyond-roundoff inputs (only the lower triangle of the
+// permuted matrix is read, so structural symmetry is the caller's
+// responsibility; use IsSymmetric).
+func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
+	s := make([]float64, a.cols)
+	for i := range s {
+		s[i] = 1
+	}
+	return factorCholesky(a, s, opts)
+}
+
 func TestCholeskySolvesLaplacian(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, ord := range []Ordering{OrderNatural, OrderAMD} {

@@ -145,6 +145,3 @@ func (c columnEntries[T]) Swap(i, j int) {
 	c.idx[i], c.idx[j] = c.idx[j], c.idx[i]
 	c.val[i], c.val[j] = c.val[j], c.val[i]
 }
-
-// ColNNZ returns the number of stored entries in column j.
-func (a *CSC[T]) ColNNZ(j int) int { return a.ColPtr[j+1] - a.ColPtr[j] }

@@ -80,53 +80,6 @@ func (a *CSR[T]) MatVec(dst, x []T) {
 	}
 }
 
-// MatVecAdd computes dst += alpha * A*x.
-func (a *CSR[T]) MatVecAdd(dst []T, alpha T, x []T) {
-	if len(dst) != a.rows || len(x) != a.cols {
-		panic("sparse: CSR MatVecAdd dimension mismatch")
-	}
-	for i := 0; i < a.rows; i++ {
-		var sum T
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			sum += a.Val[k] * x[a.ColIdx[k]]
-		}
-		dst[i] += alpha * sum
-	}
-}
-
-// MatVecT computes dst = Aᵀ*x (no conjugation). dst must have length cols
-// and x length rows.
-func (a *CSR[T]) MatVecT(dst, x []T) {
-	if len(dst) != a.cols || len(x) != a.rows {
-		panic("sparse: CSR MatVecT dimension mismatch")
-	}
-	for j := range dst {
-		var zero T
-		dst[j] = zero
-	}
-	for i := 0; i < a.rows; i++ {
-		xi := x[i]
-		if IsZero(xi) {
-			continue
-		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			dst[a.ColIdx[k]] += a.Val[k] * xi
-		}
-	}
-}
-
-// MatMat computes the dense product dst = A*X where X is a cols×nx dense
-// matrix stored column-major as nx contiguous columns, and dst is rows×nx in
-// the same layout. Columns are independent, so callers may shard the work.
-func (a *CSR[T]) MatMat(dst, x [][]T) {
-	if len(dst) != len(x) {
-		panic("sparse: CSR MatMat column count mismatch")
-	}
-	for c := range x {
-		a.MatVec(dst[c], x[c])
-	}
-}
-
 // Transpose returns Aᵀ as a new CSR matrix.
 func (a *CSR[T]) Transpose() *CSR[T] {
 	ptr := make([]int, a.cols+1)
@@ -225,24 +178,4 @@ func ToComplex(a *CSR[float64]) *CSR[complex128] {
 		ColIdx: append([]int(nil), a.ColIdx...),
 		Val:    val,
 	}
-}
-
-// IsStructurallySymmetric reports whether the nonzero pattern of A equals
-// the pattern of Aᵀ.
-func (a *CSR[T]) IsStructurallySymmetric() bool {
-	if a.rows != a.cols {
-		return false
-	}
-	t := a.Transpose()
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != t.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range a.ColIdx {
-		if a.ColIdx[k] != t.ColIdx[k] {
-			return false
-		}
-	}
-	return true
 }

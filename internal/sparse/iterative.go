@@ -3,7 +3,6 @@ package sparse
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Solver abstracts "apply A⁻¹" so that model reduction code can run either
@@ -46,12 +45,7 @@ type BiCGStab[T Scalar] struct {
 	a    *CSR[T]
 	dinv []T
 	opts IterOptions
-	// iterations accumulates the total iteration count across Solve calls.
-	iterations atomic.Int64
 }
-
-// Iterations reports the total iteration count across all Solve calls.
-func (s *BiCGStab[T]) Iterations() int { return int(s.iterations.Load()) }
 
 // NewBiCGStab builds a BiCGStab solver for the square matrix a.
 func NewBiCGStab[T Scalar](a *CSR[T], opts IterOptions) (*BiCGStab[T], error) {
@@ -122,7 +116,6 @@ func (s *BiCGStab[T]) Solve(dst, b []T) error {
 		for i := range sv {
 			sv[i] = r[i] - alpha*v[i]
 		}
-		s.iterations.Add(1)
 		if Nrm2(sv)/bnorm <= s.opts.Tol {
 			Axpy(x, alpha, phat)
 			copy(dst, x)

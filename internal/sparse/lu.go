@@ -256,63 +256,3 @@ func (lu *LU[T]) SolveBuf(dst, b, w []T) {
 		dst[lu.q[i]] = w[i]
 	}
 }
-
-// SolveMany solves A X = B in place, PanelWidth columns per pass over the
-// factor: each element of x is overwritten with the corresponding solution.
-func (lu *LU[T]) SolveMany(x [][]T) error {
-	return solveMany(lu.n, x, lu.SolvePanel)
-}
-
-// solveMany packs x PanelWidth columns at a time into one panel, solves it
-// with solvePanel and unpacks the result in place.
-func solveMany[T Scalar](n int, x [][]T, solvePanel func(x, w []T)) error {
-	for c := range x {
-		if len(x[c]) != n {
-			return fmt.Errorf("sparse: SolveMany column %d length mismatch", c)
-		}
-	}
-	panel := make([]T, 2*n*PanelWidth)
-	p, w := panel[:n*PanelWidth], panel[n*PanelWidth:]
-	for c := 0; c < len(x); c += PanelWidth {
-		cols := x[c:min(c+PanelWidth, len(x))]
-		PackPanel(p, cols)
-		solvePanel(p, w)
-		UnpackPanel(cols, p)
-	}
-	return nil
-}
-
-// Det returns the determinant of A computed from the U diagonal and the
-// permutation signs. Intended for small systems and tests; overflows for
-// large matrices.
-func (lu *LU[T]) Det() T {
-	det := FromFloat[T](permSign(lu.q) * permSignPinv(lu.pinv))
-	u := lu.u
-	for j := 0; j < lu.n; j++ {
-		det *= u.Val[u.ColPtr[j+1]-1]
-	}
-	return det
-}
-
-func permSign(p Perm) float64 {
-	seen := make([]bool, len(p))
-	sign := 1.0
-	for i := range p {
-		if seen[i] {
-			continue
-		}
-		cycleLen := 0
-		for j := i; !seen[j]; j = p[j] {
-			seen[j] = true
-			cycleLen++
-		}
-		if cycleLen%2 == 0 {
-			sign = -sign
-		}
-	}
-	return sign
-}
-
-func permSignPinv(pinv []int) float64 {
-	return permSign(Perm(pinv))
-}

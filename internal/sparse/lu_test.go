@@ -114,9 +114,6 @@ func TestLUSolveKnown2x2(t *testing.T) {
 	if math.Abs(x[0]-0.8) > 1e-14 || math.Abs(x[1]-1.4) > 1e-14 {
 		t.Fatalf("x = %v, want [0.8 1.4]", x)
 	}
-	if d := lu.Det(); math.Abs(d-5) > 1e-12 {
-		t.Errorf("Det = %g, want 5", d)
-	}
 }
 
 func TestLURequiresPivoting(t *testing.T) {
@@ -223,7 +220,7 @@ func TestLUSolveManyMatchesSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := lu.SolveMany(cols); err != nil {
+	if err := SolveMany(lu, cols); err != nil {
 		t.Fatal(err)
 	}
 	for c := range cols {

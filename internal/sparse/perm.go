@@ -21,35 +21,3 @@ func (p Perm) Inverse() Perm {
 	}
 	return q
 }
-
-// IsValid reports whether p is a bijection on [0, len(p)).
-func (p Perm) IsValid() bool {
-	seen := make([]bool, len(p))
-	for _, pi := range p {
-		if pi < 0 || pi >= len(p) || seen[pi] {
-			return false
-		}
-		seen[pi] = true
-	}
-	return true
-}
-
-// ApplyVec stores x permuted by p into dst: dst[i] = x[p[i]].
-func ApplyVec[T Scalar](dst []T, p Perm, x []T) {
-	if len(dst) != len(p) || len(x) != len(p) {
-		panic("sparse: ApplyVec length mismatch")
-	}
-	for i, pi := range p {
-		dst[i] = x[pi]
-	}
-}
-
-// ApplyVecInv stores x permuted by p⁻¹ into dst: dst[p[i]] = x[i].
-func ApplyVecInv[T Scalar](dst []T, p Perm, x []T) {
-	if len(dst) != len(p) || len(x) != len(p) {
-		panic("sparse: ApplyVecInv length mismatch")
-	}
-	for i, pi := range p {
-		dst[pi] = x[i]
-	}
-}

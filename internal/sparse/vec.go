@@ -100,14 +100,6 @@ func ScaleVec[T Scalar](x []T, alpha T) {
 	}
 }
 
-// CopyVec copies src into dst.
-func CopyVec[T Scalar](dst, src []T) {
-	if len(dst) != len(src) {
-		panic("sparse: CopyVec length mismatch")
-	}
-	copy(dst, src)
-}
-
 // ZeroVec sets x to zero.
 func ZeroVec[T Scalar](x []T) {
 	var zero T

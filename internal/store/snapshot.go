@@ -29,7 +29,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 )
 
@@ -80,7 +79,7 @@ func (s *Store) snapPath(sessionID string) string {
 
 // snapPrevPath is the previous-generation slot: PutSnapshot rotates the
 // current snapshot here before publishing a new one. The ".prev" suffix
-// keeps these files out of ScanSnapshots (which matches the ".snap" suffix).
+// keeps these files out of Stats' snapshot count (which matches ".snap").
 func (s *Store) snapPrevPath(sessionID string) string {
 	return s.snapPath(sessionID) + ".prev"
 }
@@ -195,37 +194,6 @@ func (s *Store) DeleteSnapshot(sessionID string) error {
 		}
 	}
 	return firstErr
-}
-
-// ScanSnapshots enumerates the metadata of every valid snapshot in the
-// store, quarantining corrupt files as it goes. Used by operators and tests;
-// resume looks snapshots up directly by session id.
-func (s *Store) ScanSnapshots() ([]SnapshotMeta, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: scanning %s: %w", s.dir, err)
-	}
-	var metas []SnapshotMeta
-	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), snapExt) {
-			continue
-		}
-		p := filepath.Join(s.dir, ent.Name())
-		data, err := os.ReadFile(p)
-		if err != nil {
-			continue // racing write/quarantine; skip
-		}
-		meta, _, err := decodeFrame[SnapshotMeta](snapFrame, data)
-		if err == nil && snapAddr(meta.SessionID) != ent.Name() {
-			err = fmt.Errorf("store: snapshot %s does not match its address", ent.Name())
-		}
-		if err != nil {
-			s.quarantine(p, data)
-			continue
-		}
-		metas = append(metas, meta)
-	}
-	return metas, nil
 }
 
 // writeAtomic publishes data at path via the store's temp + fsync + rename

@@ -223,38 +223,3 @@ func TestSnapshotCorruptionQuarantined(t *testing.T) {
 		t.Fatalf("cross-linked snapshot: %v, want ErrNotFound", err)
 	}
 }
-
-// TestSnapshotScan: valid snapshots enumerate; corrupt and cross-linked ones
-// are quarantined during the scan; ROM files are untouched.
-func TestSnapshotScan(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for _, id := range []string{"a", "b", "c"} {
-		if err := s.PutSnapshot(testSnapMeta(id), []byte("state-"+id)); err != nil {
-			t.Fatalf("PutSnapshot %s: %v", id, err)
-		}
-	}
-	// Corrupt one.
-	p := s.snapPath("b")
-	data, _ := os.ReadFile(p)
-	data[len(data)-1] ^= 1
-	os.WriteFile(p, data, 0o644)
-
-	metas, err := s.ScanSnapshots()
-	if err != nil {
-		t.Fatalf("ScanSnapshots: %v", err)
-	}
-	ids := map[string]bool{}
-	for _, m := range metas {
-		ids[m.SessionID] = true
-	}
-	if len(metas) != 2 || !ids["a"] || !ids["c"] {
-		t.Fatalf("scanned %v, want sessions a and c", ids)
-	}
-	if st := s.Stats(); st.Snapshots != 2 || st.Quarantined != 1 {
-		t.Fatalf("stats %+v, want 2 snapshots + 1 quarantined", st)
-	}
-}
