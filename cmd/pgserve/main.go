@@ -7,30 +7,30 @@
 // store and read back on the next start: a warm restart registers its models
 // from disk in milliseconds instead of re-reducing them.
 //
-// With -interp (on by default), the stored models double as a parametric ROM
-// library: POST /interp — or benchmark+scale on /eval and /sweep — serves an
-// unstored Scale by interpolating the modal forms of the two stored anchors
-// bracketing it, falling back to a real reduction when the self-checked
-// error exceeds -interp-tol.
+// The stored models double as a parametric ROM library: POST /interp — or
+// benchmark+scale on /eval and /sweep — serves an unstored Scale by
+// interpolating the modal forms of the two stored anchors bracketing it,
+// falling back to a real reduction when the self-checked error exceeds 0.05.
 //
 // POST /session opens a long-lived streaming transient session: integrator
 // state is held server-side (a few complex numbers per mode), advances
 // stream NDJSON rows as they are computed, and the drive waveform can change
-// mid-session without restarting from t=0. Sessions are bounded
-// (-max-sessions) and evicted on -session-ttl / -session-idle. The HTTP
-// server sets -read-header-timeout and -idle-timeout (WriteTimeout stays
-// unset so streams live as long as their clients; dead clients cancel via
-// request context within one chunk), and request bodies are capped at
-// -max-body-bytes.
+// mid-session without restarting from t=0. At most 64 sessions live at once;
+// each is evicted 15 minutes after creation or 2 minutes after its last use.
+// The HTTP server drops clients that take over 10s to send their request
+// headers and closes keep-alive connections idle for 2 minutes (WriteTimeout
+// stays unset so streams live as long as their clients; dead clients cancel
+// via request context within one chunk), and request bodies are capped at
+// 1 MiB. The repository holds at most 64 models.
 //
 // Observability: GET /metrics serves Prometheus text-format counters and
 // latency histograms for every subsystem; GET /healthz answers 503 while the
 // store preload runs and once a SIGTERM drain begins, so a health-aware
 // router pulls the replica; every request carries an X-Request-Id
 // (propagated from the client or generated) echoed on the response, in error
-// bodies, and on each structured log line (-log-format, -log-level,
-// -slow-request); and -debug-addr starts a separate ops listener exposing
-// net/http/pprof.
+// bodies, and on each structured log line (-log-format, -log-level; requests
+// slower than 1s log at Warn); and -debug-addr starts a separate ops
+// listener exposing net/http/pprof.
 //
 //	pgserve -addr :8080 -store-dir /var/lib/pgserve -preload ckt1@0.25,ckt2@0.1 \
 //	  -log-format json -debug-addr localhost:6060
@@ -56,6 +56,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -63,25 +64,15 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "evaluation worker pool size (0 = NumCPU)")
-	maxModels := flag.Int("max-models", 0, "model repository bound (0 = default)")
 	storeDir := flag.String("store-dir", "", "persistent ROM store directory (empty = in-memory only; reductions are written through and warm restarts skip reducing)")
 	preload := flag.String("preload", "", "comma-separated models to reduce at startup, each name@scale (e.g. ckt1@0.25)")
-	interp := flag.Bool("interp", true, "serve unstored Scales by interpolating between stored modal ROM anchors (POST /interp, benchmark+scale on /eval and /sweep); disabled = always reduce")
-	interpTol := flag.Float64("interp-tol", 0, fmt.Sprintf("Δ-scale error budget: leave-one-out check error above which interpolation falls back to a real reduction (0 = default %g)", serve.DefaultInterpTol))
-	maxSessions := flag.Int("max-sessions", 0, fmt.Sprintf("bound on concurrent transient sessions (0 = default %d)", serve.DefaultMaxSessions))
-	sessionTTL := flag.Duration("session-ttl", 0, fmt.Sprintf("hard lifetime bound of a transient session (0 = default %v)", serve.DefaultSessionTTL))
-	sessionIdle := flag.Duration("session-idle", 0, fmt.Sprintf("idle timeout after which an untouched session is evicted (0 = default %v)", serve.DefaultSessionIdle))
 	snapshotEvery := flag.Int("session-snapshot-every", 0, "persist each session's integrator state to the store every N completed advances so another replica can resume it (0 = disabled; 1 = snapshot after every advance, exact failover; requires -store-dir)")
-	maxBodyBytes := flag.Int64("max-body-bytes", 0, fmt.Sprintf("request body size cap in bytes; oversized bodies get 413 (0 = default %d)", serve.DefaultMaxBodyBytes))
-	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "time a client gets to send its request headers before the connection is dropped (slowloris guard)")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection timeout")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	slowRequest := flag.Duration("slow-request", time.Second, "requests slower than this log at Warn (0 = never)")
 	debugAddr := flag.String("debug-addr", "", "ops listener address exposing /debug/pprof (empty = disabled; bind to localhost)")
 	flag.Parse()
 
-	logger, err := buildLogger(*logLevel, *logFormat)
+	logger, err := obs.NewLogger(*logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pgserve: %v\n", err)
 		os.Exit(2)
@@ -92,11 +83,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := serve.Config{Workers: *workers, MaxModels: *maxModels,
-		DisableInterp: !*interp, InterpTol: *interpTol,
-		MaxSessions: *maxSessions, SessionTTL: *sessionTTL, SessionIdle: *sessionIdle,
-		MaxBodyBytes: *maxBodyBytes, Logger: logger, SlowRequest: *slowRequest,
-		SnapshotEvery: *snapshotEvery}
+	cfg := serve.Config{Workers: *workers, Logger: logger, SnapshotEvery: *snapshotEvery}
 	if *snapshotEvery > 0 && *storeDir == "" {
 		fatal("-session-snapshot-every requires -store-dir")
 	}
@@ -124,8 +111,8 @@ func main() {
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
-		ReadHeaderTimeout: *readHeaderTimeout,
-		IdleTimeout:       *idleTimeout,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -193,23 +180,6 @@ func main() {
 			logger.Info("drained session snapshots", "sessions", n)
 		}
 	}
-}
-
-// buildLogger assembles the process logger from the -log-level and
-// -log-format flags.
-func buildLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn, or error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch strings.ToLower(format) {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
 }
 
 // serveDebug runs the ops listener: pprof only, on its own mux and port, so

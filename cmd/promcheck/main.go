@@ -1,9 +1,9 @@
 // Command promcheck validates a Prometheus text-format scrape on stdin: it
 // must parse under the strict obs parser (HELP/TYPE pairing, label quoting,
-// monotone cumulative histogram buckets), and every metric family named via
-// -require / -require-file must be present. Exit status 0 means a
-// well-formed scrape with all required families; anything else is a CI
-// failure.
+// monotone cumulative histogram buckets), it must hold at least one sample,
+// and every metric family named in the -require-file must be present. Exit
+// status 0 means a well-formed scrape with all required families; anything
+// else is a CI failure.
 //
 //	curl -fsS localhost:8080/metrics | promcheck \
 //	  -require-file .github/promcheck-pgserve.require
@@ -19,19 +19,16 @@ import (
 )
 
 func main() {
-	require := flag.String("require", "", "comma-separated metric family names that must appear in the scrape")
-	requireFile := flag.String("require-file", "", "file of required family names, one per line (# comments and blanks ignored); unioned with -require")
-	min := flag.Int("min-series", 1, "minimum number of samples the scrape must contain")
+	requireFile := flag.String("require-file", "", "file of required family names, one per line (# comments and blanks ignored)")
 	flag.Parse()
 
-	names := splitComma(*require)
+	var names []string
 	if *requireFile != "" {
-		fileNames, err := readRequireFile(*requireFile)
-		if err != nil {
+		var err error
+		if names, err = readRequireFile(*requireFile); err != nil {
 			fmt.Fprintf(os.Stderr, "promcheck: %v\n", err)
 			os.Exit(1)
 		}
-		names = append(names, fileNames...)
 	}
 
 	sc, err := obs.ParseText(os.Stdin)
@@ -39,8 +36,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "promcheck: malformed scrape: %v\n", err)
 		os.Exit(1)
 	}
-	if len(sc.Samples) < *min {
-		fmt.Fprintf(os.Stderr, "promcheck: scrape has %d samples, want at least %d\n", len(sc.Samples), *min)
+	if len(sc.Samples) == 0 {
+		fmt.Fprintln(os.Stderr, "promcheck: scrape has 0 samples, want at least 1")
 		os.Exit(1)
 	}
 
@@ -58,16 +55,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("promcheck: ok (%d samples, %d families typed)\n", len(sc.Samples), len(sc.Types))
-}
-
-func splitComma(s string) []string {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 // readRequireFile reads one family name per line; blank lines and

@@ -61,7 +61,6 @@ var (
 type inst struct {
 	line     int
 	mnemonic string
-	operands string
 }
 
 type textBlock struct {
@@ -188,7 +187,7 @@ func parseFile(fname, content string, pass *analysis.Pass) []*textBlock {
 		mnemonic, operands, _ := strings.Cut(line, " ")
 		mnemonic = strings.TrimSpace(mnemonic)
 		operands = strings.TrimSpace(operands)
-		cur.insts = append(cur.insts, inst{lineNo, mnemonic, operands})
+		cur.insts = append(cur.insts, inst{lineNo, mnemonic})
 		if yRegRE.MatchString(operands) {
 			cur.usesY = true
 		}

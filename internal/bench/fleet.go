@@ -136,11 +136,11 @@ func startFleet(n int, dir string, withFlapper bool) (*fleet, error) {
 		urls = append(urls, ts.URL)
 	}
 	rt, err := router.New(router.Config{
-		Replicas:      urls,
-		ProbeInterval: 25 * time.Millisecond,
-		ProbeTimeout:  250 * time.Millisecond,
-		RetryBackoff:  time.Millisecond,
-		Breaker:       router.BreakerConfig{FailThreshold: 3, OpenFor: 50 * time.Millisecond},
+		Replicas:       urls,
+		ProbeInterval:  25 * time.Millisecond,
+		ProbeTimeout:   250 * time.Millisecond,
+		RetryBackoff:   time.Millisecond,
+		BreakerOpenFor: 50 * time.Millisecond,
 	})
 	if err != nil {
 		f.close()

@@ -5,12 +5,17 @@ import (
 	"time"
 )
 
-// Breaker defaults; see BreakerConfig.
+// Breaker policy: failThreshold consecutive failures trip a closed breaker
+// open; each re-trip from half-open doubles the open interval up to
+// openForMax, so a persistently dead replica is probed ever more rarely; and
+// probation consecutive half-open successes close it again.
+// defaultOpenFor is the initial open interval when Config leaves
+// BreakerOpenFor zero.
 const (
-	DefaultFailThreshold = 3
-	DefaultOpenFor       = 2 * time.Second
-	DefaultOpenForMax    = 30 * time.Second
-	DefaultProbation     = 2
+	failThreshold  = 3
+	defaultOpenFor = 2 * time.Second
+	openForMax     = 30 * time.Second
+	probation      = 2
 )
 
 // breakerState is the classic three-state circuit.
@@ -33,49 +38,18 @@ func (s breakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes one replica's circuit breaker.
-type BreakerConfig struct {
-	// FailThreshold consecutive failures trip the breaker open; 0 selects
-	// DefaultFailThreshold.
-	FailThreshold int
-	// OpenFor is how long the breaker stays open before admitting a trial
-	// request; each re-trip from half-open doubles it up to OpenForMax, so a
-	// persistently dead replica is probed ever more rarely. 0 selects the
-	// defaults.
-	OpenFor    time.Duration
-	OpenForMax time.Duration
-	// Probation is how many consecutive half-open successes close the
-	// breaker; 0 selects DefaultProbation.
-	Probation int
-}
-
-func (c *BreakerConfig) defaults() {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = DefaultFailThreshold
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = DefaultOpenFor
-	}
-	if c.OpenForMax <= 0 {
-		c.OpenForMax = DefaultOpenForMax
-	}
-	if c.Probation <= 0 {
-		c.Probation = DefaultProbation
-	}
-}
-
 // Breaker is one replica's circuit breaker. Closed: requests flow, and
-// FailThreshold consecutive failures trip it open. Open: requests are
+// failThreshold consecutive failures trip it open. Open: requests are
 // refused until the cooldown elapses, then one trial request is admitted
-// (half-open). Half-open: Probation consecutive successes close it; any
+// (half-open). Half-open: probation consecutive successes close it; any
 // failure re-opens with a doubled (capped) cooldown.
 //
 // All methods are safe for concurrent use. The breaker observes both real
 // request outcomes and active health probes — whichever fails first pulls the
 // replica, whichever succeeds first starts rehabilitating it.
 type Breaker struct {
-	mu  sync.Mutex
-	cfg BreakerConfig
+	mu      sync.Mutex
+	openFor time.Duration // initial cooldown, restored on full recovery
 
 	state     breakerState
 	fails     int           // consecutive failures while closed
@@ -86,10 +60,13 @@ type Breaker struct {
 	trips     int64
 }
 
-// NewBreaker builds a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg.defaults()
-	return &Breaker{cfg: cfg, cooldown: cfg.OpenFor}
+// NewBreaker builds a closed breaker whose first open interval is openFor
+// (0 selects defaultOpenFor).
+func NewBreaker(openFor time.Duration) *Breaker {
+	if openFor <= 0 {
+		openFor = defaultOpenFor
+	}
+	return &Breaker{openFor: openFor, cooldown: openFor}
 }
 
 // Allow reports whether a request may be sent to the replica right now. In
@@ -128,10 +105,10 @@ func (b *Breaker) Success() {
 	case breakerHalfOpen:
 		b.inTrial = false
 		b.successes++
-		if b.successes >= b.cfg.Probation {
+		if b.successes >= probation {
 			b.state = breakerClosed
 			b.fails = 0
-			b.cooldown = b.cfg.OpenFor // full recovery resets the backoff
+			b.cooldown = b.openFor // full recovery resets the backoff
 		}
 	case breakerOpen:
 		// A probe succeeded while the cooldown still runs (e.g. the replica
@@ -139,10 +116,10 @@ func (b *Breaker) Success() {
 		b.state = breakerHalfOpen
 		b.successes = 1
 		b.inTrial = false
-		if b.successes >= b.cfg.Probation {
+		if b.successes >= probation {
 			b.state = breakerClosed
 			b.fails = 0
-			b.cooldown = b.cfg.OpenFor
+			b.cooldown = b.openFor
 		}
 	}
 }
@@ -154,14 +131,14 @@ func (b *Breaker) Failure(now time.Time) {
 	switch b.state {
 	case breakerClosed:
 		b.fails++
-		if b.fails >= b.cfg.FailThreshold {
+		if b.fails >= failThreshold {
 			b.trip(now)
 		}
 	case breakerHalfOpen:
 		b.inTrial = false
 		b.cooldown *= 2
-		if b.cooldown > b.cfg.OpenForMax {
-			b.cooldown = b.cfg.OpenForMax
+		if b.cooldown > openForMax {
+			b.cooldown = openForMax
 		}
 		b.trip(now)
 	case breakerOpen:

@@ -171,11 +171,11 @@ func TestFleetChaos(t *testing.T) {
 	dir := t.TempDir()
 	fleet := startFleet(t, 3, dir)
 	rt, err := New(Config{
-		Replicas:      fleetURLs(fleet),
-		ProbeInterval: -1, // breaker-only health: chaos faults stay deterministic per request
-		RetryBackoff:  time.Millisecond,
-		Breaker:       BreakerConfig{FailThreshold: 8, OpenFor: 200 * time.Millisecond},
-		Transport:     &http.Transport{DisableKeepAlives: true},
+		Replicas:       fleetURLs(fleet),
+		ProbeInterval:  -1, // breaker-only health: chaos faults stay deterministic per request
+		RetryBackoff:   time.Millisecond,
+		BreakerOpenFor: 200 * time.Millisecond,
+		Transport:      &http.Transport{DisableKeepAlives: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // Prober defaults; see Config.
 const (
 	DefaultProbeInterval = 1 * time.Second
-	DefaultProbeTimeout  = 2 * time.Second
+	defaultProbeTimeout  = 2 * time.Second
 )
 
 // replica is the router's view of one backend: its breaker plus the last
@@ -115,7 +115,7 @@ func newProber(replicas []*replica, interval, timeout time.Duration, log *slog.L
 		interval = DefaultProbeInterval
 	}
 	if timeout <= 0 {
-		timeout = DefaultProbeTimeout
+		timeout = defaultProbeTimeout
 	}
 	return &prober{
 		client:   &http.Client{Timeout: timeout},

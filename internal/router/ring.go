@@ -22,10 +22,10 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per replica. 128 keeps the maximum
+// vnodes is the virtual-node count per replica. 128 keeps the maximum
 // per-replica load imbalance under a few percent for small fleets while the
 // ring stays tiny (N×128 entries).
-const DefaultVNodes = 128
+const vnodes = 128
 
 // Ring is an immutable consistent hash ring: replicas × vnodes points on a
 // 64-bit circle. Lookup walks clockwise from the key's hash collecting
@@ -36,9 +36,8 @@ type Ring struct {
 	owner    []int    // owner[i] = index into replicas of hashes[i]
 }
 
-// NewRing builds a ring over the replica base URLs. vnodes <= 0 selects
-// DefaultVNodes.
-func NewRing(replicas []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring over the replica base URLs.
+func NewRing(replicas []string) (*Ring, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("router: ring needs at least one replica")
 	}
@@ -51,9 +50,6 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("router: duplicate replica %q", rep)
 		}
 		seen[rep] = true
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
 	}
 	r := &Ring{
 		replicas: append([]string(nil), replicas...),

@@ -20,62 +20,53 @@ import (
 	"repro/internal/serve"
 )
 
-// Router defaults; see Config.
+// Router policy. Retry backoff doubles per attempt up to retryBackoffMax; a
+// hedge fires after the fleet's p95 read latency clamped to
+// [hedgeMinDelay, hedgeMaxDelay]; the router's own 429s hint
+// shedRetryAfter; relayed responses are buffered up to maxRespBytes; and
+// each upstream attempt gets dialTimeout to connect and headerTimeout to
+// start answering. defaultRetryBackoff applies when Config leaves
+// RetryBackoff zero.
 const (
-	DefaultRetryBackoff    = 25 * time.Millisecond
-	DefaultRetryBackoffMax = 500 * time.Millisecond
-	DefaultHedgeMinDelay   = 20 * time.Millisecond
-	DefaultHedgeMaxDelay   = 2 * time.Second
-	DefaultShedRetryAfter  = 2 * time.Second
-	DefaultMaxRespBytes    = int64(256 << 20)
-	DefaultDialTimeout     = 1 * time.Second
-	DefaultHeaderTimeout   = 30 * time.Second
+	defaultRetryBackoff = 25 * time.Millisecond
+	retryBackoffMax     = 500 * time.Millisecond
+	hedgeMinDelay       = 20 * time.Millisecond
+	hedgeMaxDelay       = 2 * time.Second
+	shedRetryAfter      = 2 * time.Second
+	maxRespBytes        = int64(256 << 20)
+	dialTimeout         = 1 * time.Second
+	headerTimeout       = 30 * time.Second
 )
 
-// Config sizes a Router.
+// Config sizes a Router. The rest of its policy is fixed: 128 virtual nodes
+// per replica on the hash ring; breakers that trip after 3 consecutive
+// failures, double their open interval per re-trip up to 30s and close
+// after 2 half-open successes; retry backoff capped at 500ms; hedge delays
+// clamped to [20ms, 2s]; a 2s Retry-After on shed 429s; 1 MiB request
+// bodies (serve.MaxBodyBytes) and 256 MiB buffered responses; and a 1s
+// connect and 30s first-byte timeout per upstream attempt.
 type Config struct {
 	// Replicas are the pgserve base URLs the router fronts.
 	Replicas []string
-	// VNodes is the consistent-hash virtual node count per replica (0 =
-	// DefaultVNodes).
-	VNodes int
-	// Breaker tunes the per-replica circuit breakers.
-	Breaker BreakerConfig
 	// ProbeInterval / ProbeTimeout drive the active health prober; 0 selects
 	// the defaults. ProbeInterval < 0 disables active probing (tests).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	// RetryBackoff is the base delay before the k-th retry attempt
-	// (exponential, full jitter, capped at RetryBackoffMax). 0 selects the
-	// defaults.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
+	// (exponential, full jitter, capped at 500ms); 0 selects 25ms.
+	RetryBackoff time.Duration
+	// BreakerOpenFor is how long a tripped replica breaker stays open before
+	// admitting a trial request; 0 selects 2s.
+	BreakerOpenFor time.Duration
 	// Hedge enables hedged requests for idempotent reads (/eval, /sweep,
 	// /interp): when the primary has not answered within the fleet's recent
-	// p95 latency (clamped to [HedgeMinDelay, HedgeMaxDelay]), a second
-	// attempt races on the next ring replica and the first complete response
-	// wins.
-	Hedge         bool
-	HedgeMinDelay time.Duration
-	HedgeMaxDelay time.Duration
-	// ShedRetryAfter is the Retry-After hint on 429s the router itself emits
-	// when no usable replica remains for a key. 0 selects the default.
-	ShedRetryAfter time.Duration
-	// MaxBodyBytes caps request bodies (0 = serve.DefaultMaxBodyBytes);
-	// MaxRespBytes caps the buffered upstream response (0 = 256 MiB).
-	MaxBodyBytes int64
-	MaxRespBytes int64
-	// DialTimeout / ResponseHeaderTimeout bound each upstream attempt's
-	// connect and first-byte latency. 0 selects the defaults.
-	DialTimeout           time.Duration
-	ResponseHeaderTimeout time.Duration
+	// p95 latency (clamped to [20ms, 2s]), a second attempt races on the
+	// next ring replica and the first complete response wins.
+	Hedge bool
 	// Transport overrides the upstream transport (tests, chaos harnesses).
 	Transport http.RoundTripper
 	// Logger receives router logs; nil discards.
 	Logger *slog.Logger
-	// Seed seeds retry jitter; 0 uses a fixed seed (jitter spreads
-	// concurrent retries — it does not need to be unpredictable).
-	Seed int64
 }
 
 // Router fronts a pgserve fleet: consistent-hash placement, health-aware
@@ -93,7 +84,7 @@ type Router struct {
 	start    time.Time
 
 	jitterMu sync.Mutex
-	jitter   *rand.Rand
+	jitter   *rand.Rand // fixed seed: jitter spreads concurrent retries, it need not be unpredictable
 
 	readLatency *latencySampler // idempotent-read latencies, feeds hedge budget
 
@@ -123,36 +114,12 @@ type buildCall struct {
 
 // New assembles a Router and starts its health prober. Call Close to stop it.
 func New(cfg Config) (*Router, error) {
-	ring, err := NewRing(cfg.Replicas, cfg.VNodes)
+	ring, err := NewRing(cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = DefaultRetryBackoffMax
-	}
-	if cfg.HedgeMinDelay <= 0 {
-		cfg.HedgeMinDelay = DefaultHedgeMinDelay
-	}
-	if cfg.HedgeMaxDelay <= 0 {
-		cfg.HedgeMaxDelay = DefaultHedgeMaxDelay
-	}
-	if cfg.ShedRetryAfter <= 0 {
-		cfg.ShedRetryAfter = DefaultShedRetryAfter
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = serve.DefaultMaxBodyBytes
-	}
-	if cfg.MaxRespBytes <= 0 {
-		cfg.MaxRespBytes = DefaultMaxRespBytes
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.ResponseHeaderTimeout <= 0 {
-		cfg.ResponseHeaderTimeout = DefaultHeaderTimeout
+		cfg.RetryBackoff = defaultRetryBackoff
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -161,8 +128,8 @@ func New(cfg Config) (*Router, error) {
 	transport := cfg.Transport
 	if transport == nil {
 		transport = &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: cfg.DialTimeout}).DialContext,
-			ResponseHeaderTimeout: cfg.ResponseHeaderTimeout,
+			DialContext:           (&net.Dialer{Timeout: dialTimeout}).DialContext,
+			ResponseHeaderTimeout: headerTimeout,
 			MaxIdleConnsPerHost:   32,
 			IdleConnTimeout:       time.Minute,
 		}
@@ -174,13 +141,13 @@ func New(cfg Config) (*Router, error) {
 		client:      &http.Client{Transport: transport},
 		log:         log,
 		start:       time.Now(),
-		jitter:      rand.New(rand.NewSource(cfg.Seed)),
+		jitter:      rand.New(rand.NewSource(0)),
 		readLatency: newLatencySampler(256),
 		sessions:    make(map[string]*sessionEntry),
 		builds:      make(map[string]*buildCall),
 	}
 	for _, addr := range ring.Replicas() {
-		rep := &replica{addr: addr, breaker: NewBreaker(cfg.Breaker)}
+		rep := &replica{addr: addr, breaker: NewBreaker(cfg.BreakerOpenFor)}
 		rt.replicas[addr] = rep
 		rt.order = append(rt.order, rep)
 	}
@@ -271,7 +238,7 @@ type proxyReq struct {
 
 // newProxyReq captures the request body (bounded) so attempts can replay it.
 func (rt *Router) newProxyReq(w http.ResponseWriter, r *http.Request) (*proxyReq, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -367,7 +334,7 @@ func (rt *Router) errNoReplicas() error {
 	return &routerError{
 		code:       http.StatusTooManyRequests,
 		msg:        "no healthy replica available",
-		retryAfter: rt.cfg.ShedRetryAfter,
+		retryAfter: shedRetryAfter,
 	}
 }
 
@@ -419,12 +386,12 @@ func (rt *Router) attempt(ctx context.Context, rep *replica, preq *proxyReq) (*b
 // readAll buffers an upstream body under the response cap.
 func (rt *Router) readAll(r io.Reader) ([]byte, error) {
 	var buf bytes.Buffer
-	n, err := io.Copy(&buf, io.LimitReader(r, rt.cfg.MaxRespBytes+1))
+	n, err := io.Copy(&buf, io.LimitReader(r, maxRespBytes+1))
 	if err != nil {
 		return buf.Bytes(), err
 	}
-	if n > rt.cfg.MaxRespBytes {
-		return buf.Bytes(), fmt.Errorf("upstream response exceeds %d byte buffer cap", rt.cfg.MaxRespBytes)
+	if n > maxRespBytes {
+		return buf.Bytes(), fmt.Errorf("upstream response exceeds %d byte buffer cap", maxRespBytes)
 	}
 	return buf.Bytes(), nil
 }
@@ -433,8 +400,8 @@ func (rt *Router) readAll(r io.Reader) ([]byte, error) {
 // jitter, capped. Returns false if the client context expired while waiting.
 func (rt *Router) backoff(ctx context.Context, k int) bool {
 	d := rt.cfg.RetryBackoff << (k - 1)
-	if d > rt.cfg.RetryBackoffMax || d <= 0 {
-		d = rt.cfg.RetryBackoffMax
+	if d > retryBackoffMax || d <= 0 {
+		d = retryBackoffMax
 	}
 	rt.jitterMu.Lock()
 	d = time.Duration(rt.jitter.Int63n(int64(d)) + 1)
@@ -552,14 +519,14 @@ func (rt *Router) doHedged(ctx context.Context, key string, preq *proxyReq) (*bu
 }
 
 // hedgeDelay is the current hedge budget: the recent p95 of idempotent-read
-// latencies, clamped to [HedgeMinDelay, HedgeMaxDelay].
+// latencies, clamped to [hedgeMinDelay, hedgeMaxDelay].
 func (rt *Router) hedgeDelay() time.Duration {
 	d := rt.readLatency.percentile(0.95)
-	if d < rt.cfg.HedgeMinDelay {
-		d = rt.cfg.HedgeMinDelay
+	if d < hedgeMinDelay {
+		d = hedgeMinDelay
 	}
-	if d > rt.cfg.HedgeMaxDelay {
-		d = rt.cfg.HedgeMaxDelay
+	if d > hedgeMaxDelay {
+		d = hedgeMaxDelay
 	}
 	return d
 }
@@ -621,7 +588,9 @@ func (rt *Router) handleModelRequest(w http.ResponseWriter, r *http.Request, hed
 		rt.writeError(w, r, err)
 		return
 	}
-	if hedged && resp.status == http.StatusOK {
+	// The sampler only sizes the hedge delay: without hedging, skip its
+	// lock and ring write.
+	if rt.cfg.Hedge && hedged && resp.status == http.StatusOK {
 		rt.readLatency.observe(time.Since(t0))
 	}
 	relay(w, resp)
@@ -1059,7 +1028,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if usable == 0 {
-		w.Header().Set("Retry-After", strconv.FormatInt(int64((rt.cfg.ShedRetryAfter+time.Second-1)/time.Second), 10))
+		w.Header().Set("Retry-After", strconv.FormatInt(int64((shedRetryAfter+time.Second-1)/time.Second), 10))
 		w.WriteHeader(http.StatusServiceUnavailable)
 		body["status"] = "unavailable"
 	} else {

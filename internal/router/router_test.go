@@ -20,11 +20,11 @@ func (r *Ring) Primary(key string) string { return r.Preference(key)[0] }
 
 func TestRingDeterminismAndCoverage(t *testing.T) {
 	replicas := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r1, err := NewRing(replicas, 0)
+	r1, err := NewRing(replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := NewRing(replicas, 0)
+	r2, _ := NewRing(replicas)
 	counts := map[string]int{}
 	const keys = 20000
 	for i := 0; i < keys; i++ {
@@ -54,13 +54,13 @@ func TestRingDeterminismAndCoverage(t *testing.T) {
 }
 
 func TestRingRejectsBadMembership(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"http://a", "http://a"}, 0); err == nil {
+	if _, err := NewRing([]string{"http://a", "http://a"}); err == nil {
 		t.Error("duplicate replica accepted")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty replica address accepted")
 	}
 }
@@ -68,7 +68,7 @@ func TestRingRejectsBadMembership(t *testing.T) {
 // ---- breaker ----
 
 func TestBreakerStateMachine(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailThreshold: 3, OpenFor: 2 * time.Second, OpenForMax: 8 * time.Second, Probation: 2})
+	b := NewBreaker(2 * time.Second)
 	t0 := time.Now()
 	if !b.Allow(t0) {
 		t.Fatal("new breaker refuses requests")
@@ -135,20 +135,23 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerCooldownCap(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailThreshold: 1, OpenFor: time.Second, OpenForMax: 4 * time.Second, Probation: 1})
+	b := NewBreaker(time.Second)
 	t0 := time.Now()
-	b.Failure(t0)
-	for i := 0; i < 6; i++ { // each failed trial doubles, capped at 4s
-		if !b.Allow(t0.Add(time.Duration(i+1) * 10 * time.Second)) {
+	for i := 0; i < failThreshold; i++ {
+		b.Failure(t0)
+	}
+	for i := 0; i < 6; i++ { // each failed trial doubles, capped at openForMax
+		at := t0.Add(time.Duration(i+1) * time.Minute)
+		if !b.Allow(at) {
 			t.Fatalf("trial %d refused", i)
 		}
-		b.Failure(t0.Add(time.Duration(i+1) * 10 * time.Second))
+		b.Failure(at)
 	}
 	b.mu.Lock()
 	cd := b.cooldown
 	b.mu.Unlock()
-	if cd != 4*time.Second {
-		t.Fatalf("cooldown = %v, want capped at 4s", cd)
+	if cd != openForMax {
+		t.Fatalf("cooldown = %v, want capped at %v", cd, openForMax)
 	}
 }
 
@@ -311,8 +314,8 @@ func TestRouterBuffersTruncatedResponse(t *testing.T) {
 func TestRouterShedsWhenNoReplicaUsable(t *testing.T) {
 	fleet := newFakeFleet(t, 1)
 	rt, ts := newTestRouter(t, Config{
-		Replicas: fleet.urls(),
-		Breaker:  BreakerConfig{FailThreshold: 3, OpenFor: time.Minute},
+		Replicas:       fleet.urls(),
+		BreakerOpenFor: time.Minute,
 	})
 	fleet.servers[0].Close()
 	// Three failed requests trip the only replica's breaker...
@@ -392,9 +395,8 @@ func TestRouterSingleFlightsReduce(t *testing.T) {
 func TestRouterHedgesSlowPrimary(t *testing.T) {
 	fleet := newFakeFleet(t, 2)
 	rt, ts := newTestRouter(t, Config{
-		Replicas:      fleet.urls(),
-		Hedge:         true,
-		HedgeMinDelay: 10 * time.Millisecond,
+		Replicas: fleet.urls(),
+		Hedge:    true,
 	})
 	body := `{"benchmark":"ckt1","scale":0.1}`
 	primary := rt.ring.Primary(routeKey([]byte(body)))
@@ -417,6 +419,29 @@ func TestRouterHedgesSlowPrimary(t *testing.T) {
 	if rt.metrics.hedges.Value() == 0 || rt.metrics.hedgeWins.Value() == 0 {
 		t.Errorf("hedges = %d, wins = %d; both should have moved",
 			rt.metrics.hedges.Value(), rt.metrics.hedgeWins.Value())
+	}
+}
+
+// TestRouterSamplesReadLatencyOnlyWhenHedging: the read-latency sampler only
+// sizes the hedge delay, so a router without hedging records nothing, while
+// a hedging one records every successful idempotent read.
+func TestRouterSamplesReadLatencyOnlyWhenHedging(t *testing.T) {
+	fleet := newFakeFleet(t, 2)
+	for _, hedge := range []bool{false, true} {
+		rt, ts := newTestRouter(t, Config{Replicas: fleet.urls(), Hedge: hedge})
+		for _, path := range []string{"/eval", "/sweep", "/interp"} {
+			resp := postJSON(t, ts.URL+path, `{"benchmark":"ckt1","scale":0.1}`)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("hedge=%v %s status = %d, want 200", hedge, path, resp.StatusCode)
+			}
+		}
+		rt.readLatency.mu.Lock()
+		n := rt.readLatency.n
+		rt.readLatency.mu.Unlock()
+		if want := map[bool]int{false: 0, true: 3}[hedge]; n != want {
+			t.Errorf("hedge=%v: sampler holds %d read latencies, want %d", hedge, n, want)
+		}
 	}
 }
 

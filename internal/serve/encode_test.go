@@ -559,7 +559,7 @@ func FuzzDecodeBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	s := &Server{cfg: Config{MaxBodyBytes: 256}}
+	s := &Server{}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, v := range []any{&sweepRequest{}, &evalRequest{}, &sessionAdvanceRequest{}} {
 			r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
@@ -571,8 +571,8 @@ func FuzzDecodeBody(f *testing.F) {
 			if !errors.As(err, &he) || (he.code != http.StatusBadRequest && he.code != http.StatusRequestEntityTooLarge) {
 				t.Fatalf("decodeBody(%q) into %T: %v, want a 400 or 413", body, v, err)
 			}
-			if he.code == http.StatusRequestEntityTooLarge && int64(len(body)) <= s.cfg.MaxBodyBytes {
-				t.Fatalf("decodeBody(%q): 413 for a %d-byte body under the %d cap", body, len(body), s.cfg.MaxBodyBytes)
+			if he.code == http.StatusRequestEntityTooLarge && int64(len(body)) <= MaxBodyBytes {
+				t.Fatalf("decodeBody(%q): 413 for a %d-byte body under the %d cap", body, len(body), MaxBodyBytes)
 			}
 		}
 	})

@@ -13,12 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TestBodyTooLarge: bodies over the configured cap are rejected with 413,
+// TestBodyTooLarge: bodies over the MaxBodyBytes cap are rejected with 413,
 // not read to completion.
 func TestBodyTooLarge(t *testing.T) {
-	srv := New(Config{Workers: 2, MaxBodyBytes: 512})
-	ts := newServerForTest(t, srv)
-	big := `{"benchmark":"` + strings.Repeat("x", 2048) + `"}`
+	_, ts := newTestServer(t)
+	const head, tail = `{"benchmark":"`, `"}`
+	big := head + strings.Repeat("x", int(MaxBodyBytes)+1-len(head)-len(tail)) + tail
 	resp, err := http.Post(ts.URL+"/reduce", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)

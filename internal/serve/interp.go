@@ -12,17 +12,17 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultMaxInterpModels bounds the resident interpolated-model cache.
+// maxInterpModels bounds the resident interpolated-model cache.
 // Interpolants are a few hundred kilobytes and rebuild in well under a
 // millisecond, so the LRU can stay small even under continuum sweeps.
-const DefaultMaxInterpModels = 64
+const maxInterpModels = 64
 
-// DefaultInterpTol is the serving error budget: the leave-one-out
+// interpTol is the serving error budget: the leave-one-out
 // self-check error above which a Δ-scale request falls back to a real
 // reduction. Within-plateau interpolation measures ~1e-3..1e-2 against
 // direct reductions on the benchmark family; 0.05 accepts those while
 // rejecting interpolation across a grid re-randomization boundary.
-const DefaultInterpTol = 0.05
+const interpTol = 0.05
 
 // InterpInfo is the serving-layer record of how an interpolated model was
 // assembled, surfaced in model JSON so a Δ-scale response is auditable.
@@ -144,7 +144,7 @@ func (r *Repository) GetInterpolated(key ModelKey, tol float64) (*Model, Outcome
 	}
 	key.Normalize()
 	if tol <= 0 {
-		tol = r.interpTol
+		tol = interpTol
 	}
 
 	// Resident exact-scale model (or in-flight build): serve it.

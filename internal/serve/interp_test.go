@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,7 +29,7 @@ func reduceAnchors(t *testing.T, repo *Repository, rcOnly bool) {
 // purely by interpolation — zero new reductions, asserted via
 // RepoStats.Builds — and repeat requests hit the interpolated-model cache.
 func TestGetInterpolatedZeroBuilds(t *testing.T) {
-	repo := NewRepository(0)
+	repo := NewRepository()
 	reduceAnchors(t, repo, false)
 	base := repo.Stats()
 	if base.Builds != int64(len(interpAnchorScales)) {
@@ -48,8 +47,8 @@ func TestGetInterpolatedZeroBuilds(t *testing.T) {
 	if m.Interp == nil || m.Interp.Scales != [2]float64{0.236, 0.241} {
 		t.Fatalf("interp info = %+v", m.Interp)
 	}
-	if m.Interp.CheckErr < 0 || m.Interp.CheckErr > DefaultInterpTol {
-		t.Fatalf("leave-one-out check err = %g (budget %g)", m.Interp.CheckErr, DefaultInterpTol)
+	if m.Interp.CheckErr < 0 || m.Interp.CheckErr > interpTol {
+		t.Fatalf("leave-one-out check err = %g (budget %g)", m.Interp.CheckErr, interpTol)
 	}
 	if m.Modal == nil || m.ModalBlocks != m.Blocks {
 		t.Fatalf("interpolated model not fully modal: %d/%d", m.ModalBlocks, m.Blocks)
@@ -78,7 +77,7 @@ func TestGetInterpolatedZeroBuilds(t *testing.T) {
 
 // Exact anchor scales must be served as themselves, not interpolated.
 func TestGetInterpolatedExactScalePassesThrough(t *testing.T) {
-	repo := NewRepository(0)
+	repo := NewRepository()
 	reduceAnchors(t, repo, false)
 	m, outcome, err := repo.GetInterpolated(ModelKey{Benchmark: "ckt1", Scale: 0.241}, 0)
 	if err != nil || outcome != OutcomeMemHit || m.Interp != nil {
@@ -92,7 +91,7 @@ func TestGetInterpolatedExactScalePassesThrough(t *testing.T) {
 func TestInterpolationAccuracyWithinBudgetElseFallback(t *testing.T) {
 	const budget = 0.03
 	for _, rcOnly := range []bool{false, true} {
-		repo := NewRepository(0)
+		repo := NewRepository()
 		reduceAnchors(t, repo, rcOnly)
 		base := repo.Stats()
 
@@ -110,7 +109,7 @@ func TestInterpolationAccuracyWithinBudgetElseFallback(t *testing.T) {
 
 		// Reference: a direct reduction of the same key in a fresh repository
 		// (so the comparison itself cannot perturb the build counters).
-		ref := NewRepository(0)
+		ref := NewRepository()
 		direct, _, err := ref.Get(key)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +142,7 @@ func TestInterpolationAccuracyWithinBudgetElseFallback(t *testing.T) {
 // Without bracketing anchors — or with dimension-incompatible ones — the
 // request falls back to a real reduction and still succeeds.
 func TestGetInterpolatedFallsBackWithoutUsableAnchors(t *testing.T) {
-	repo := NewRepository(0)
+	repo := NewRepository()
 	// One anchor only: nothing to bracket with.
 	if _, _, err := repo.Get(ModelKey{Benchmark: "ckt1", Scale: 0.236}); err != nil {
 		t.Fatal(err)
@@ -158,7 +157,7 @@ func TestGetInterpolatedFallsBackWithoutUsableAnchors(t *testing.T) {
 
 	// Anchors at 0.2 and 0.3 have different port counts (10 vs 15): the
 	// structures cannot be matched, so interpolation must refuse and reduce.
-	repo2 := NewRepository(0)
+	repo2 := NewRepository()
 	for _, s := range []float64{0.2, 0.3} {
 		if _, _, err := repo2.Get(ModelKey{Benchmark: "ckt1", Scale: s}); err != nil {
 			t.Fatal(err)
@@ -176,7 +175,7 @@ func TestGetInterpolatedFallsBackWithoutUsableAnchors(t *testing.T) {
 // The interpolated-model cache is bounded: a continuum sweep cannot grow
 // memory without limit.
 func TestInterpCacheEviction(t *testing.T) {
-	repo := NewRepository(0)
+	repo := NewRepository()
 	repo.maxInterp = 2
 	reduceAnchors(t, repo, false)
 	scales := []float64{0.2372, 0.2384, 0.2396, 0.2408}
@@ -298,31 +297,11 @@ func TestInterpHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-func TestInterpDisabled(t *testing.T) {
-	srv := New(Config{Workers: 1, DisableInterp: true})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	resp := postJSON(t, ts.URL+"/interp", map[string]any{"benchmark": "ckt1", "scale": 0.24})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("disabled /interp status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-	// benchmark+scale on /sweep still works — it just reduces for real.
-	resp = postJSON(t, ts.URL+"/sweep", map[string]any{"benchmark": "ckt1", "scale": 0.1, "points": 10})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/sweep with interp disabled: %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-	if st := srv.Repo().Stats(); st.Builds != 1 || st.InterpServed != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // A cached interpolant admitted under the default budget must not satisfy a
 // later request with a stricter budget: the stricter request re-decides and
 // reduces for real.
 func TestInterpCacheHonorsPerRequestTol(t *testing.T) {
-	repo := NewRepository(0)
+	repo := NewRepository()
 	reduceAnchors(t, repo, false)
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.2389}
 	m, outcome, err := repo.GetInterpolated(key, 0)
@@ -349,7 +328,7 @@ func TestInterpCacheHonorsPerRequestTol(t *testing.T) {
 // bracketing anchors: the leave-one-out check falls back to the other outer
 // candidate.
 func TestInterpSurvivesIncompatibleOuterAnchor(t *testing.T) {
-	repo := NewRepository(0)
+	repo := NewRepository()
 	reduceAnchors(t, repo, false)
 	if _, _, err := repo.Get(ModelKey{Benchmark: "ckt1", Scale: 0.3}); err != nil {
 		t.Fatal(err)
@@ -381,14 +360,14 @@ func TestInterpStaleLibraryCostsOneBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := NewRepositoryWithStore(0, st1)
+	seed := NewRepositoryWithStore(st1)
 	reduceAnchors(t, seed, false)
 
 	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo := NewRepositoryWithStore(0, st2)
+	repo := NewRepositoryWithStore(st2)
 	if err := repo.RefreshLibrary(); err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +392,7 @@ func TestInterpStaleLibraryCostsOneBuild(t *testing.T) {
 	for _, ent := range entries {
 		os.Remove(filepath.Join(dir, ent.Name()))
 	}
-	repo2 := NewRepositoryWithStore(0, st2)
+	repo2 := NewRepositoryWithStore(st2)
 	repo2.RefreshLibrary() // scans the now-empty dir: empty library
 	// Re-point a poisoned library at the empty store: inject the stale
 	// scales directly, as a pre-wipe RefreshLibrary would have left them.
@@ -433,7 +412,7 @@ func TestInterpStaleLibraryCostsOneBuild(t *testing.T) {
 
 // Resident interpolants appear in Models() alongside reduced models.
 func TestModelsListsInterpolants(t *testing.T) {
-	repo := NewRepository(0)
+	repo := NewRepository()
 	reduceAnchors(t, repo, false)
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.2385}
 	if _, _, err := repo.GetInterpolated(key, 0); err != nil {
@@ -453,7 +432,7 @@ func TestModelsListsInterpolants(t *testing.T) {
 // A real reduction of a key that was previously interpolated supersedes the
 // cached interpolant: one ID, one model, no shadowed LRU slot.
 func TestReduceSupersedesInterpolant(t *testing.T) {
-	repo := NewRepository(0)
+	repo := NewRepository()
 	reduceAnchors(t, repo, false)
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.2385}
 	if _, _, err := repo.GetInterpolated(key, 0); err != nil {
@@ -487,7 +466,8 @@ func TestReduceSupersedesInterpolant(t *testing.T) {
 // A full repository must still serve Δ-scale traffic: interpolants need no
 // repository slot, so only the fallback reduction can hit the bound.
 func TestInterpServesWhenRepositoryFull(t *testing.T) {
-	repo := NewRepository(len(interpAnchorScales)) // exactly the anchors
+	repo := NewRepository()
+	fillRepository(repo, len(interpAnchorScales)) // room for exactly the anchors
 	reduceAnchors(t, repo, false)
 	m, outcome, err := repo.GetInterpolated(ModelKey{Benchmark: "ckt1", Scale: 0.2385}, 0)
 	if err != nil || outcome != OutcomeInterp {

@@ -19,7 +19,7 @@ func TestModalMatchesFactoredAcrossBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every benchmark")
 	}
-	repo := NewRepository(0)
+	repo := NewRepository()
 	for _, name := range grid.Names() {
 		for _, rcOnly := range []bool{false, true} {
 			name, rcOnly := name, rcOnly
@@ -70,7 +70,7 @@ func TestModalMatchesFactoredAcrossBenchmarks(t *testing.T) {
 
 func testModel(t testing.TB, scale float64) *Model {
 	t.Helper()
-	m, _, err := NewRepository(0).Get(ModelKey{Benchmark: "ckt1", Scale: scale})
+	m, _, err := NewRepository().Get(ModelKey{Benchmark: "ckt1", Scale: scale})
 	if err != nil {
 		t.Fatalf("building test model: %v", err)
 	}

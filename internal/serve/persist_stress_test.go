@@ -22,8 +22,8 @@ func TestStoreRestartContentionStress(t *testing.T) {
 	// Round 0: two repositories on one directory, concurrent Gets on every
 	// key from both — concurrent builds and write-throughs of the same
 	// files collide at the rename level and must both survive.
-	repoA := NewRepositoryWithStore(0, openStore(t, dir))
-	repoB := NewRepositoryWithStore(0, openStore(t, dir))
+	repoA := NewRepositoryWithStore(openStore(t, dir))
+	repoB := NewRepositoryWithStore(openStore(t, dir))
 	refs := make([]*Model, len(keys))
 	var wg sync.WaitGroup
 	for _, repo := range []*Repository{repoA, repoB} {
@@ -56,7 +56,7 @@ func TestStoreRestartContentionStress(t *testing.T) {
 	// concurrent Gets race a concurrent Preload on the same directory.
 	const rounds, goroutines = 3, 12
 	for round := 1; round <= rounds; round++ {
-		repo := NewRepositoryWithStore(0, openStore(t, dir))
+		repo := NewRepositoryWithStore(openStore(t, dir))
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {

@@ -57,7 +57,7 @@ func TestWarmRestartSkipsReduction(t *testing.T) {
 	dir := t.TempDir()
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.1}
 
-	repo1 := NewRepositoryWithStore(0, openStore(t, dir))
+	repo1 := NewRepositoryWithStore(openStore(t, dir))
 	m1, outcome, err := repo1.Get(key)
 	if err != nil {
 		t.Fatalf("cold Get: %v", err)
@@ -70,7 +70,7 @@ func TestWarmRestartSkipsReduction(t *testing.T) {
 	}
 
 	// "Restart": a brand-new repository and store handle on the same dir.
-	repo2 := NewRepositoryWithStore(0, openStore(t, dir))
+	repo2 := NewRepositoryWithStore(openStore(t, dir))
 	m2, outcome, err := repo2.Get(key)
 	if err != nil {
 		t.Fatalf("warm Get: %v", err)
@@ -118,14 +118,14 @@ func TestWarmRestartCorruptStoreRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.1}
 
-	repo1 := NewRepositoryWithStore(0, openStore(t, dir))
+	repo1 := NewRepositoryWithStore(openStore(t, dir))
 	m1, _, err := repo1.Get(key)
 	if err != nil {
 		t.Fatalf("cold Get: %v", err)
 	}
 	corruptStoreFile(t, dir)
 
-	repo2 := NewRepositoryWithStore(0, openStore(t, dir))
+	repo2 := NewRepositoryWithStore(openStore(t, dir))
 	m2, outcome, err := repo2.Get(key)
 	if err != nil {
 		t.Fatalf("Get over corrupt store: %v", err)
@@ -144,7 +144,7 @@ func TestWarmRestartCorruptStoreRebuilds(t *testing.T) {
 	if st.Writes != 1 || st.Entries != 1 {
 		t.Fatalf("store stats = %+v, want healed entry", st)
 	}
-	repo3 := NewRepositoryWithStore(0, openStore(t, dir))
+	repo3 := NewRepositoryWithStore(openStore(t, dir))
 	if _, outcome, err := repo3.Get(key); err != nil || outcome != OutcomeDiskHit {
 		t.Fatalf("post-heal Get: outcome=%v err=%v, want disk hit", outcome, err)
 	}
@@ -158,14 +158,14 @@ func TestRepositoryPreload(t *testing.T) {
 		{Benchmark: "ckt1", Scale: 0.08},
 		{Benchmark: "ckt1", Scale: 0.1},
 	}
-	repo1 := NewRepositoryWithStore(0, openStore(t, dir))
+	repo1 := NewRepositoryWithStore(openStore(t, dir))
 	for _, k := range keys {
 		if _, _, err := repo1.Get(k); err != nil {
 			t.Fatalf("seeding %s: %v", k.ID(), err)
 		}
 	}
 
-	repo2 := NewRepositoryWithStore(0, openStore(t, dir))
+	repo2 := NewRepositoryWithStore(openStore(t, dir))
 	n, err := repo2.Preload()
 	if err != nil {
 		t.Fatalf("Preload: %v", err)
@@ -192,7 +192,7 @@ func TestRepositoryPreload(t *testing.T) {
 
 	// A corrupt file is skipped (and quarantined), not fatal.
 	corruptStoreFile(t, dir)
-	repo3 := NewRepositoryWithStore(0, openStore(t, dir))
+	repo3 := NewRepositoryWithStore(openStore(t, dir))
 	if n, err := repo3.Preload(); err != nil || n != 0 {
 		t.Fatalf("Preload over corrupt store = %d, %v; want 0, nil", n, err)
 	}
@@ -202,7 +202,8 @@ func TestRepositoryPreload(t *testing.T) {
 
 	// Preload respects the repository bound: with room for one model it
 	// registers exactly one and skips the rest.
-	repo4 := NewRepositoryWithStore(1, openStore(t, dir2(t, keys)))
+	repo4 := NewRepositoryWithStore(openStore(t, dir2(t, keys)))
+	fillRepository(repo4, 1)
 	if n, err := repo4.Preload(); err != nil || n != 1 {
 		t.Fatalf("bounded Preload = %d, %v; want 1, nil", n, err)
 	}
@@ -212,7 +213,7 @@ func TestRepositoryPreload(t *testing.T) {
 func dir2(t *testing.T, keys []ModelKey) string {
 	t.Helper()
 	dir := t.TempDir()
-	repo := NewRepositoryWithStore(0, openStore(t, dir))
+	repo := NewRepositoryWithStore(openStore(t, dir))
 	for _, k := range keys {
 		if _, _, err := repo.Get(k); err != nil {
 			t.Fatalf("seeding %s: %v", k.ID(), err)
@@ -301,7 +302,7 @@ func TestLegacyStoreEntryUpgradedWithModal(t *testing.T) {
 
 	// Build a model once to obtain a valid ROM + metadata, then overwrite
 	// its store entry with a modal-less file (what an old binary wrote).
-	repo1 := NewRepositoryWithStore(0, st)
+	repo1 := NewRepositoryWithStore(st)
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.1}
 	m, _, err := repo1.Get(key)
 	if err != nil {
@@ -323,7 +324,7 @@ func TestLegacyStoreEntryUpgradedWithModal(t *testing.T) {
 
 	// A fresh repository loads the legacy entry, diagonalizes, and must
 	// write the upgraded file back.
-	repo2 := NewRepositoryWithStore(0, openStore(t, dir))
+	repo2 := NewRepositoryWithStore(openStore(t, dir))
 	m2, outcome, err := repo2.Get(key)
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,9 @@ import (
 // traffic grow memory without limit.
 var ErrRepositoryFull = errors.New("serve: model repository is full")
 
-// DefaultMaxModels bounds the repository when no explicit limit is given.
-const DefaultMaxModels = 64
+// maxModels bounds the repository: built ROMs stay resident for the life of
+// the process.
+const maxModels = 64
 
 // maxConcurrentBuilds caps simultaneous grid builds + reductions; each build
 // already parallelizes internally across cores, and a reduction is the most
@@ -231,12 +232,11 @@ type RepoStats struct {
 // are never fatal to a request: a corrupt file is quarantined by the store
 // and the model is rebuilt; a failed write-through is counted and dropped.
 type Repository struct {
-	mu        sync.Mutex
-	entries   map[ModelKey]*repoEntry
-	byID      map[string]*repoEntry
-	maxModels int
-	buildSem  chan struct{}
-	store     *store.Store
+	mu       sync.Mutex
+	entries  map[ModelKey]*repoEntry
+	byID     map[string]*repoEntry
+	buildSem chan struct{}
+	store    *store.Store
 
 	// library indexes the Scale points known per benchmark family (resident
 	// models plus store-scanned metadata) — the anchor set Δ-scale
@@ -253,7 +253,6 @@ type Repository struct {
 	interpByID map[string]*interpEntry
 	interpSeq  int64
 	maxInterp  int
-	interpTol  float64
 
 	builds, memHits, diskHits, diskMisses, storeErrors atomic.Int64
 	interpServed, interpFallbacks                      atomic.Int64
@@ -296,21 +295,16 @@ func (r *Repository) phaseFunc() func(string, time.Duration) {
 // NewRepositoryWithStore returns a repository backed by the given persistent
 // ROM store (nil for memory-only): reductions write through to it and misses
 // read through it before building.
-func NewRepositoryWithStore(maxModels int, st *store.Store) *Repository {
-	if maxModels <= 0 {
-		maxModels = DefaultMaxModels
-	}
+func NewRepositoryWithStore(st *store.Store) *Repository {
 	return &Repository{
 		entries:    make(map[ModelKey]*repoEntry),
 		byID:       make(map[string]*repoEntry),
-		maxModels:  maxModels,
 		buildSem:   make(chan struct{}, maxConcurrentBuilds),
 		store:      st,
 		library:    make(map[ModelKey]map[float64]struct{}),
 		interp:     make(map[ModelKey]*interpEntry),
 		interpByID: make(map[string]*interpEntry),
-		maxInterp:  DefaultMaxInterpModels,
-		interpTol:  DefaultInterpTol,
+		maxInterp:  maxInterpModels,
 	}
 }
 
@@ -354,9 +348,9 @@ func (r *Repository) get(key ModelKey, allowBuild bool) (*Model, Outcome, error)
 		}
 		return e.model, OutcomeMemHit, e.err
 	}
-	if len(r.entries) >= r.maxModels {
+	if len(r.entries) >= maxModels {
 		r.mu.Unlock()
-		return nil, OutcomeMemHit, fmt.Errorf("%w (%d models)", ErrRepositoryFull, r.maxModels)
+		return nil, OutcomeMemHit, fmt.Errorf("%w (%d models)", ErrRepositoryFull, maxModels)
 	}
 	e := &repoEntry{ready: make(chan struct{})}
 	r.entries[key] = e

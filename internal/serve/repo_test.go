@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -10,10 +11,24 @@ import (
 	"repro/internal/store"
 )
 
-// NewRepository returns an empty, memory-only model repository bounded to
-// maxModels entries; maxModels <= 0 selects DefaultMaxModels.
-func NewRepository(maxModels int) *Repository {
-	return NewRepositoryWithStore(maxModels, nil)
+// NewRepository returns an empty, memory-only model repository.
+func NewRepository() *Repository {
+	return NewRepositoryWithStore(nil)
+}
+
+// fillRepository admits failed placeholder entries until only free of the
+// repository's maxModels slots remain, so a test reaches the bound without
+// building maxModels models. Placeholders never list in Models and never
+// match a real key.
+func fillRepository(r *Repository, free int) {
+	ready := make(chan struct{})
+	close(ready)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := 1; len(r.entries) < maxModels-free; i++ {
+		key := ModelKey{Benchmark: "placeholder", Scale: float64(i)}
+		r.entries[key] = &repoEntry{ready: ready, err: errors.New("placeholder")}
+	}
 }
 
 // Store returns the attached persistent store (nil for memory-only).
@@ -90,7 +105,7 @@ func TestModelKeyValidate(t *testing.T) {
 		{Benchmark: "ckt1", Scale: -1},
 		{Benchmark: "ckt1", Scale: 1.5},
 	} {
-		if _, _, err := NewRepository(0).Get(key); err == nil {
+		if _, _, err := NewRepository().Get(key); err == nil {
 			t.Errorf("Get(%+v) succeeded, want benchmark/scale rejection", key)
 		}
 	}
@@ -230,7 +245,7 @@ func TestBuildPhaseContract(t *testing.T) {
 // TestRepositoryWardCounters verifies builds feed the ward counter exposed
 // through RepoStats (and from there pgserve_ward_eliminated_states_total).
 func TestRepositoryWardCounters(t *testing.T) {
-	r := NewRepository(4)
+	r := NewRepository()
 	m, outcome, err := r.Get(ModelKey{Benchmark: "ckt1", Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)

@@ -45,45 +45,20 @@ const (
 // steps of one transient or session advance.
 const maxSweepPoints = 10000
 
-// Config sizes a Server.
+// Config sizes a Server. Everything else a server does is fixed: at most
+// 64 resident models and 64 live sessions (15m lifetime, 2m idle window),
+// 1 MiB request bodies, 1<<22 complex entries per /eval or batched /sweep
+// response, Δ-scale interpolation under a 0.05 error budget, and request
+// log lines raised to Warn past 1s.
 type Config struct {
 	// Workers is the evaluation pool size; 0 means runtime.NumCPU().
 	Workers int
-	// MaxModels bounds the model repository; 0 selects DefaultMaxModels.
-	MaxModels int
-	// MaxEvalEntries caps the total complex entries (frequencies × p × m)
-	// one /eval request may return, bounding response memory for
-	// many-port models; 0 means the default of 1<<22 (~128 MB of
-	// complex128).
-	MaxEvalEntries int
 	// Store, when non-nil, is the persistent ROM store the repository reads
 	// through on miss and writes through on build, enabling warm restarts.
 	Store *store.Store
-	// DisableInterp turns off Δ-scale interpolation: /interp is rejected and
-	// benchmark+scale resolution on /eval and /sweep reduces for real.
-	DisableInterp bool
-	// InterpTol is the Δ-scale error budget: the leave-one-out self-check
-	// error above which an interpolation request falls back to a real
-	// reduction. 0 selects DefaultInterpTol.
-	InterpTol float64
-	// MaxBodyBytes caps the request body size every endpoint will read; 0
-	// selects DefaultMaxBodyBytes. Oversized bodies get 413.
-	MaxBodyBytes int64
-	// MaxSessions bounds concurrently resident transient sessions; 0 selects
-	// DefaultMaxSessions.
-	MaxSessions int
-	// SessionTTL is the hard lifetime bound of a transient session; 0
-	// selects DefaultSessionTTL.
-	SessionTTL time.Duration
-	// SessionIdle evicts sessions untouched for this long; 0 selects
-	// DefaultSessionIdle.
-	SessionIdle time.Duration
 	// Logger receives structured per-request and error logs; nil discards
 	// them (tests and library embedders stay quiet by default).
 	Logger *slog.Logger
-	// SlowRequest, when positive, raises per-request log lines that exceed
-	// it from Info to Warn.
-	SlowRequest time.Duration
 	// SnapshotEvery persists each session's integrator state through Store
 	// every N completed advances (and on SnapshotSessions, the drain hook),
 	// so a session can resume on any replica sharing the store directory.
@@ -110,10 +85,18 @@ const (
 	RetryAfterRepoFull = 10 * time.Second
 )
 
-// DefaultMaxBodyBytes caps request bodies when no explicit limit is given.
-// The largest legitimate request (a PWL waveform with thousands of
+// MaxBodyBytes caps the request body every endpoint reads; larger bodies
+// get 413. The largest legitimate request (a PWL waveform with thousands of
 // breakpoints) fits comfortably in 1 MiB.
-const DefaultMaxBodyBytes int64 = 1 << 20
+const MaxBodyBytes int64 = 1 << 20
+
+// maxEvalEntries caps the complex entries (frequencies × p × m) one /eval
+// request, or the values (entries × points) one batched /sweep, may return,
+// bounding response memory for many-port models (~128 MB of complex128).
+const maxEvalEntries = 1 << 22
+
+// slowRequest raises per-request log lines that exceed it from Info to Warn.
+const slowRequest = time.Second
 
 // Server wires the repository and evaluation engine behind an
 // http.Handler.
@@ -145,16 +128,10 @@ type notReadyState struct {
 
 // New assembles a Server. Call Close to stop its worker pool.
 func New(cfg Config) *Server {
-	if cfg.MaxEvalEntries <= 0 {
-		cfg.MaxEvalEntries = 1 << 22
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	s := &Server{
-		repo:     NewRepositoryWithStore(cfg.MaxModels, cfg.Store),
+		repo:     NewRepositoryWithStore(cfg.Store),
 		eng:      NewEngine(cfg.Workers),
-		sessions: NewSessionManager(cfg.MaxSessions, cfg.SessionTTL, cfg.SessionIdle),
+		sessions: NewSessionManager(maxSessions, sessionTTL, sessionIdle),
 		cfg:      cfg,
 		start:    time.Now(),
 	}
@@ -166,9 +143,6 @@ func New(cfg Config) *Server {
 	s.sweeps = NewSweepCoalescer(s.ev)
 	s.reg = obs.NewRegistry()
 	s.metrics = newServerMetrics(s.reg, s)
-	if cfg.InterpTol > 0 {
-		s.repo.interpTol = cfg.InterpTol
-	}
 	return s
 }
 
@@ -245,7 +219,7 @@ func (s *Server) CacheStats() CacheStats {
 //
 // /eval, /sweep, and /session accept benchmark+scale in place of a model
 // id: an unstored Scale is then resolved through the Δ-scale interpolation
-// path (or a real reduction when interpolation is disabled or falls back).
+// path (or a real reduction when interpolation falls back).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /reduce", s.handleReduce)
@@ -283,7 +257,7 @@ func (s *Server) withObs(mux *http.ServeMux) http.Handler {
 		status := sw.Code()
 		s.metrics.request(route, status, d, r.ContentLength, sw.Bytes)
 		lvl := slog.LevelInfo
-		if s.cfg.SlowRequest > 0 && d > s.cfg.SlowRequest {
+		if d > slowRequest {
 			lvl = slog.LevelWarn
 		}
 		attrs := []any{
@@ -404,7 +378,7 @@ func writeNumeric(w http.ResponseWriter, r *http.Request, m *Model, body func(b 
 // document — concatenated JSON, smuggled garbage — are rejected as 400
 // instead of silently ignored.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -500,10 +474,6 @@ func (s *Server) handleInterp(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	if s.cfg.DisableInterp {
-		writeErr(w, r, badRequest("Δ-scale interpolation is disabled on this server"))
-		return
-	}
 	if req.Tol < 0 {
 		writeErr(w, r, badRequest("tol must be ≥ 0, got %g", req.Tol))
 		return
@@ -520,8 +490,7 @@ func (s *Server) handleInterp(w http.ResponseWriter, r *http.Request) {
 // resolveModel turns a request's model reference — an explicit id, or a
 // benchmark+scale pair — into a servable model. The id wins when both are
 // given; a benchmark+scale at an unstored Scale goes through Δ-scale
-// interpolation (under the given error budget; 0 = server default) unless
-// interpolation is disabled.
+// interpolation (under the given error budget; 0 = server default).
 func (s *Server) resolveModel(id string, key ModelKey, tol float64) (*Model, Outcome, error) {
 	if id != "" {
 		m, err := s.lookupModel(id)
@@ -536,16 +505,7 @@ func (s *Server) resolveModel(id string, key ModelKey, tol float64) (*Model, Out
 	if err := key.Validate(); err != nil {
 		return nil, OutcomeMemHit, badRequest("%v", err)
 	}
-	var (
-		m       *Model
-		outcome Outcome
-		err     error
-	)
-	if s.cfg.DisableInterp {
-		m, outcome, err = s.repo.Get(key)
-	} else {
-		m, outcome, err = s.repo.GetInterpolated(key, tol)
-	}
+	m, outcome, err := s.repo.GetInterpolated(key, tol)
 	switch {
 	case errors.Is(err, ErrRepositoryFull):
 		return nil, outcome, overloaded(RetryAfterRepoFull, err)
@@ -582,9 +542,9 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	// Budget the response by total entries, not frequency count: each
 	// frequency returns a full p×m matrix, which for many-port models
 	// dominates the request size.
-	if total := len(req.Omegas) * m.Outputs * m.Ports; total > s.cfg.MaxEvalEntries {
+	if total := len(req.Omegas) * m.Outputs * m.Ports; total > maxEvalEntries {
 		writeErr(w, r, badRequest("%d omegas × %d×%d matrix = %d entries exceeds limit %d; request fewer frequencies",
-			len(req.Omegas), m.Outputs, m.Ports, total, s.cfg.MaxEvalEntries))
+			len(req.Omegas), m.Outputs, m.Ports, total, maxEvalEntries))
 		return
 	}
 	for _, omega := range req.Omegas {
@@ -650,9 +610,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if len(req.Entries) > 0 {
 		// Batched multi-entry sweep: budget by total returned values, like
 		// /eval, since entries × points is what sizes the response.
-		if total := len(req.Entries) * req.Points; total > s.cfg.MaxEvalEntries {
+		if total := len(req.Entries) * req.Points; total > maxEvalEntries {
 			writeErr(w, r, badRequest("%d entries × %d points = %d values exceeds limit %d",
-				len(req.Entries), req.Points, total, s.cfg.MaxEvalEntries))
+				len(req.Entries), req.Points, total, maxEvalEntries))
 			return
 		}
 		sweeps, err := s.sweeps.SweepEntries(r.Context(), m, req.Entries, req.WMin, req.WMax, req.Points)

@@ -228,15 +228,22 @@ func TestModelsAndHealthz(t *testing.T) {
 }
 
 func TestEvalEntryBudget(t *testing.T) {
-	srv := New(Config{Workers: 2, MaxEvalEntries: 30})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	info := reduceTestModel(t, ts)
-	// One matrix already exceeds a 30-entry budget for this p×m.
-	resp := postJSON(t, ts.URL+"/eval", evalRequest{Model: info.ID, Omegas: []float64{1e9, 1e10}})
+	_, ts := newTestServer(t)
+	// A 21-port model: maxSweepPoints full 21×21 matrices exceed the
+	// maxEvalEntries budget, which a few-port model cannot reach.
+	resp := postJSON(t, ts.URL+"/reduce", ModelKey{Benchmark: "ckt5", Scale: 0.015})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/reduce status = %d", resp.StatusCode)
+	}
+	info := decode[reduceResponse](t, resp)
+	omegas := make([]float64, maxSweepPoints)
+	for i := range omegas {
+		omegas[i] = 1e9
+	}
+	if total := len(omegas) * info.Outputs * info.Ports; total <= maxEvalEntries {
+		t.Fatalf("%d entries fit the %d-entry budget; the test needs a larger model", total, maxEvalEntries)
+	}
+	resp = postJSON(t, ts.URL+"/eval", evalRequest{Model: info.ID, Omegas: omegas})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-budget /eval status = %d, want 400", resp.StatusCode)
@@ -244,12 +251,8 @@ func TestEvalEntryBudget(t *testing.T) {
 }
 
 func TestReduceRepositoryFull(t *testing.T) {
-	srv := New(Config{Workers: 2, MaxModels: 1})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	srv, ts := newTestServer(t)
+	fillRepository(srv.Repo(), 1)
 	resp := postJSON(t, ts.URL+"/reduce", ModelKey{Benchmark: "ckt1", Scale: 0.1})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

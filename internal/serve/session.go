@@ -14,12 +14,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Session lifecycle defaults (see Config.MaxSessions / SessionTTL /
-// SessionIdle).
+// Session lifecycle bounds of every Server: at most maxSessions live at
+// once, each evicted sessionTTL after creation or sessionIdle after its last
+// use, whichever comes first.
 const (
-	DefaultMaxSessions = 64
-	DefaultSessionTTL  = 15 * time.Minute
-	DefaultSessionIdle = 2 * time.Minute
+	maxSessions = 64
+	sessionTTL  = 15 * time.Minute
+	sessionIdle = 2 * time.Minute
 )
 
 // sessionChunkSteps is how many integration steps an /advance computes
@@ -119,18 +120,9 @@ type SessionManager struct {
 }
 
 // NewSessionManager starts a manager bounded to max sessions with the given
-// hard TTL and idle timeout (non-positive values select the defaults) and
-// spawns its eviction janitor. Call Close to stop it.
+// hard TTL and idle timeout and spawns its eviction janitor. Call Close to
+// stop it.
 func NewSessionManager(max int, ttl, idle time.Duration) *SessionManager {
-	if max <= 0 {
-		max = DefaultMaxSessions
-	}
-	if ttl <= 0 {
-		ttl = DefaultSessionTTL
-	}
-	if idle <= 0 {
-		idle = DefaultSessionIdle
-	}
 	sm := &SessionManager{
 		sessions: make(map[string]*Session),
 		max:      max,

@@ -205,7 +205,7 @@ func TestSessionLifecycle(t *testing.T) {
 // TestSessionLimitAndExpiry: the bound denies with 429; idle sessions are
 // evicted and report as expired.
 func TestSessionLimitAndExpiry(t *testing.T) {
-	srv := New(Config{Workers: 2, MaxSessions: 2, SessionIdle: 80 * time.Millisecond})
+	srv := New(Config{Workers: 2})
 	ts := newServerForTest(t, srv)
 	info := reduceTestModel(t, ts)
 
@@ -213,7 +213,9 @@ func TestSessionLimitAndExpiry(t *testing.T) {
 		return postJSON(t, ts.URL+"/session", sessionCreateRequest{Model: info.ID, Dt: 1e-10})
 	}
 	a := decode[sessionInfo](t, mk())
-	decode[sessionInfo](t, mk())
+	for i := 1; i < maxSessions; i++ {
+		decode[sessionInfo](t, mk())
+	}
 	resp := mk()
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -223,13 +225,11 @@ func TestSessionLimitAndExpiry(t *testing.T) {
 		t.Fatalf("denied = %d, want 1", st.Denied)
 	}
 
-	// Idle eviction frees both slots: polls avoid timing flakes.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Sessions().Stats().Active > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions not evicted: %+v", srv.Sessions().Stats())
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Idle eviction frees every slot once the idle window has passed: the
+	// janitor's sweep, run at a clock past it.
+	srv.Sessions().Sweep(time.Now().Add(sessionIdle + time.Second))
+	if st := srv.Sessions().Stats(); st.Active > 0 {
+		t.Fatalf("sessions not evicted: %+v", st)
 	}
 	if resp, err := http.Get(ts.URL + "/session/" + a.Session); err != nil {
 		t.Fatal(err)
@@ -445,7 +445,9 @@ func TestSessionClosedMidAdvance(t *testing.T) {
 // advance / delete under a short idle timeout so janitor eviction races the
 // traffic — the -race exercise the CI stress step pins.
 func TestSessionStress(t *testing.T) {
-	srv := New(Config{Workers: 4, MaxSessions: 16, SessionIdle: 60 * time.Millisecond})
+	srv := New(Config{Workers: 4})
+	srv.sessions.Close()
+	srv.sessions = NewSessionManager(16, sessionTTL, 60*time.Millisecond)
 	ts := newServerForTest(t, srv)
 	info := reduceTestModel(t, ts)
 

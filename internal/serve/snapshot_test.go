@@ -32,15 +32,16 @@ func newStoreServer(t *testing.T, dir string, snapshotEvery int) (*Server, *http
 // repository full, preload 503, and drain 503.
 func TestRetryAfterHeaders(t *testing.T) {
 	t.Run("session cap", func(t *testing.T) {
-		srv := New(Config{Workers: 2, MaxSessions: 1})
-		ts := newServerForTest(t, srv)
+		_, ts := newTestServer(t)
 		info := reduceTestModel(t, ts)
-		resp := postJSON(t, ts.URL+"/session", sessionCreateRequest{Model: info.ID, Dt: 1e-10})
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("first create status = %d", resp.StatusCode)
+		for i := 0; i < maxSessions; i++ {
+			resp := postJSON(t, ts.URL+"/session", sessionCreateRequest{Model: info.ID, Dt: 1e-10})
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("create %d status = %d", i, resp.StatusCode)
+			}
 		}
-		resp = postJSON(t, ts.URL+"/session", sessionCreateRequest{Model: info.ID, Dt: 1e-10})
+		resp := postJSON(t, ts.URL+"/session", sessionCreateRequest{Model: info.ID, Dt: 1e-10})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("over-cap create status = %d, want 429", resp.StatusCode)
@@ -51,8 +52,8 @@ func TestRetryAfterHeaders(t *testing.T) {
 	})
 
 	t.Run("repository full", func(t *testing.T) {
-		srv := New(Config{Workers: 2, MaxModels: 1, DisableInterp: true})
-		ts := newServerForTest(t, srv)
+		srv, ts := newTestServer(t)
+		fillRepository(srv.Repo(), 1)
 		resp := postJSON(t, ts.URL+"/reduce", ModelKey{Benchmark: "ckt1", Scale: 0.1})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {

@@ -10,7 +10,7 @@ import (
 // from many goroutines and checks every caller of a key receives the same
 // immutable *Model, built exactly once.
 func TestRepositorySingleFlight(t *testing.T) {
-	repo := NewRepository(0)
+	repo := NewRepository()
 	keys := []ModelKey{
 		{Benchmark: "ckt1", Scale: 0.08},
 		{Benchmark: "ckt1", Scale: 0.08, Moments: 6}, // normalizes to the same entry
@@ -63,7 +63,8 @@ func TestRepositorySingleFlight(t *testing.T) {
 // TestRepositoryBound checks the admission limit: the repository refuses new
 // keys once full but keeps serving the models it holds.
 func TestRepositoryBound(t *testing.T) {
-	repo := NewRepository(2)
+	repo := NewRepository()
+	fillRepository(repo, 2)
 	for _, scale := range []float64{0.08, 0.1} {
 		if _, _, err := repo.Get(ModelKey{Benchmark: "ckt1", Scale: scale}); err != nil {
 			t.Fatalf("admitting scale %g: %v", scale, err)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"math/cmplx"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -159,17 +158,13 @@ func TestSweepEntriesHTTP(t *testing.T) {
 }
 
 func TestSweepEntriesBudget(t *testing.T) {
-	srv := New(Config{Workers: 2, MaxEvalEntries: 50})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	_, ts := newTestServer(t)
 	info := reduceTestModel(t, ts)
+	entries := make([]Entry, maxEvalEntries/maxSweepPoints+1)
 	resp := postJSON(t, ts.URL+"/sweep", sweepRequest{
 		Model:   info.ID,
-		Entries: []Entry{{0, 0}, {1, 0}, {2, 0}},
-		WMin:    1e6, WMax: 1e12, Points: 20, // 60 values > 50
+		Entries: entries,
+		WMin:    1e6, WMax: 1e12, Points: maxSweepPoints, // entries × points > maxEvalEntries
 	})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {

@@ -104,7 +104,6 @@ func SimulateSparse(sys *lti.SparseSystem, opts TransientOptions) (*Result, erro
 	}
 	opts.Input(0, uNow)
 	record(0)
-	bcsr := sys.B.ToCSR()
 	for k := 1; k <= steps; k++ {
 		t := float64(k) * h
 		opts.Input(t, uNext)
@@ -127,7 +126,6 @@ func SimulateSparse(sys *lti.SparseSystem, opts TransientOptions) (*Result, erro
 		record(t)
 		copy(uNow, uNext)
 	}
-	_ = bcsr
 	return res, nil
 }
 
