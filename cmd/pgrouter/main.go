@@ -6,18 +6,22 @@
 // hot for its share of the fleet's models. An active prober watches each
 // replica's /healthz (every -probe-interval) and feeds a per-replica
 // circuit breaker that trips after 3 consecutive failures, stays open 2s
-// (doubling per re-trip, up to 30s) and closes after 2 half-open successes;
-// requests that fail on a transport error, a 502/503/504, or a truncated
-// body retry on the next replica in the ring with exponential backoff from
-// 25ms, capped at 500ms, with jitter. Each upstream attempt gets 1s to
-// connect and 30s to start answering. Responses are buffered (up to 256 MiB)
-// and relayed complete-or-not-at-all: a client never sees a partial body
-// from a replica that died mid-stream.
+// (doubling per re-trip, up to 30s) and closes after 2 half-open successes.
+// Only a request actually sent takes a half-open trial; scrapes, /healthz
+// and canceled attempts change no breaker state. Requests that fail on a
+// transport error, a 502/503/504, a 429, or a truncated body retry on the
+// next replica in the ring with exponential backoff from 25ms, capped at
+// 500ms, with jitter (a 429 does not count against the breaker). When every
+// replica fails, the client gets the last replica's own answer. Each
+// upstream attempt gets 1s to connect and 30s to start answering. Responses
+// are buffered (up to 256 MiB) and relayed complete-or-not-at-all: a client
+// never sees a partial body from a replica that died mid-stream.
 //
 // Idempotent reads (/eval, /sweep, /interp) can additionally hedge (-hedge):
-// when the primary has not answered within the fleet's observed p95 read
-// latency, clamped to [20ms, 2s], a second copy of the request races on the
-// next replica and the first complete answer wins. /reduce is
+// when the first attempt is still running after the fleet's observed p95
+// read latency, clamped to [20ms, 2s], one second copy of the request races
+// on the next replica, the first complete answer wins, and the canceled
+// loser does not count against its replica. /reduce is
 // single-flighted at the router: a thundering herd asking for the same cold
 // model triggers exactly one upstream reduction fleet-wide, with every
 // caller sharing the one answer.

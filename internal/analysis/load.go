@@ -21,7 +21,6 @@ import (
 type listedPkg struct {
 	ImportPath string
 	Dir        string
-	Standard   bool
 	GoFiles    []string
 	SFiles     []string
 	Module     *struct {
@@ -45,7 +44,7 @@ func LoadModule(rootDir string, patterns []string) (*Module, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-e", "-json=ImportPath,Dir,Standard,GoFiles,SFiles,Module,Error", "-deps"}, patterns...)
+	args := append([]string{"list", "-e", "-json=ImportPath,Dir,GoFiles,SFiles,Module,Error", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = rootDir
 	// CGO off keeps the file sets pure Go, matching what the analyzers can

@@ -44,6 +44,11 @@ func (s breakerState) String() string {
 // (half-open). Half-open: probation consecutive successes close it; any
 // failure re-opens with a doubled (capped) cooldown.
 //
+// Admits only reads whether a request would be admitted; Allow admits it,
+// taking the half-open trial slot, and is called only by a request that is
+// about to be sent. That request then reports Success, Failure, or — when it
+// was canceled before it had an outcome — Release.
+//
 // All methods are safe for concurrent use. The breaker observes both real
 // request outcomes and active health probes — whichever fails first pulls the
 // replica, whichever succeeds first starts rehabilitating it.
@@ -71,7 +76,8 @@ func NewBreaker(openFor time.Duration) *Breaker {
 
 // Allow reports whether a request may be sent to the replica right now. In
 // half-open state only one trial request is admitted at a time; the caller
-// must report its outcome via Success or Failure (which also ends the trial).
+// must report its outcome via Success or Failure, or call Release if it was
+// canceled first (each ends the trial).
 func (b *Breaker) Allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -92,6 +98,33 @@ func (b *Breaker) Allow(now time.Time) bool {
 		}
 		b.inTrial = true
 		return true
+	}
+}
+
+// Admits reports whether Allow would admit a request now, without taking
+// the trial slot: the breaker is closed, open past its cooldown, or half-open
+// with no trial in flight.
+func (b *Breaker) Admits(now time.Time) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.state {
+	case breakerClosed:
+		return true
+	case breakerOpen:
+		return !now.Before(b.openUntil)
+	default: // half-open
+		return !b.inTrial
+	}
+}
+
+// Release ends an admitted request that was canceled before it had an
+// outcome: a half-open trial slot is freed for the next request, and the
+// breaker's state and counts are unchanged.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.inTrial = false
 	}
 }
 

@@ -32,27 +32,28 @@ type replica struct {
 }
 
 // usable reports whether the router may route a request to this replica right
-// now: the breaker admits it, and the last health probe (if any has run)
-// found it ready. An unprobed replica is usable — at cold start the router
-// routes optimistically and lets outcomes train the breaker rather than
-// failing everything until the first probe tick.
+// now: the last health probe (if any has run) found it ready, and the breaker
+// would admit a request. It only reads: the breaker's half-open trial slot is
+// taken by attempt, when a request is actually sent. An unprobed replica is
+// usable — at cold start the router routes optimistically and lets outcomes
+// train the breaker rather than failing everything until the first probe
+// tick.
 func (rep *replica) usable(now time.Time) bool {
 	rep.mu.Lock()
-	probedOK, everProbed := rep.probedOK, rep.everProbed
+	probedOK := !rep.everProbed || rep.probedOK
 	rep.mu.Unlock()
-	if everProbed && !probedOK {
-		// The prober keeps feeding the breaker while the replica is down, so
-		// breaker state and probe verdict converge; the explicit check makes
-		// the router stop routing after ONE failed probe instead of waiting
-		// for the breaker's failure threshold.
-		return false
-	}
-	return rep.breaker.Allow(now)
+	// The prober keeps feeding the breaker while the replica is down, so
+	// breaker state and probe verdict converge; the explicit check makes the
+	// router stop routing after ONE failed probe instead of waiting for the
+	// breaker's failure threshold.
+	return probedOK && rep.breaker.Admits(now)
 }
 
-// setProbe records a probe verdict and trains the breaker with it.
-func (rep *replica) setProbe(ok bool, reason string, now time.Time) {
+// setProbe records a probe verdict, trains the breaker with it, and reports
+// whether the previous verdict was OK (true before any probe has run).
+func (rep *replica) setProbe(ok bool, reason string, now time.Time) (wasOK bool) {
 	rep.mu.Lock()
+	wasOK = !rep.everProbed || rep.probedOK
 	rep.probedOK = ok
 	rep.probeErr = reason
 	rep.lastProbe = now
@@ -63,6 +64,7 @@ func (rep *replica) setProbe(ok bool, reason string, now time.Time) {
 	} else {
 		rep.breaker.Failure(now)
 	}
+	return wasOK
 }
 
 // probeState is the /healthz view of one replica.
@@ -86,10 +88,8 @@ func (rep *replica) state(now time.Time) probeState {
 		LastProbe: rep.lastProbe,
 		Inflight:  rep.inflight.Load(),
 	}
-	probedOK, everProbed := rep.probedOK, rep.everProbed
 	rep.mu.Unlock()
-	st.Usable = (!everProbed || probedOK) && rep.breaker.State() != breakerOpen
-	_ = now
+	st.Usable = rep.usable(now)
 	return st
 }
 
@@ -155,50 +155,35 @@ func (p *prober) probe(rep *replica) {
 	ctx, cancel := context.WithTimeout(context.Background(), p.client.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.addr+"/healthz", nil)
-	if err != nil {
-		rep.setProbe(false, err.Error(), time.Now())
-		return
+	var resp *http.Response
+	if err == nil {
+		resp, err = p.client.Do(req)
 	}
-	resp, err := p.client.Do(req)
 	now := time.Now()
+	ok, msg, key, reason := true, "", "", ""
 	if err != nil {
-		wasOK := rep.stateOK()
-		rep.setProbe(false, err.Error(), now)
-		if wasOK {
-			p.log.Warn("replica probe failed", "replica", rep.addr, "err", err)
+		ok, msg, key, reason = false, "replica probe failed", "err", err.Error()
+	} else {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			ok, msg, key, reason = false, "replica not ready", "status", resp.Status
 		}
-		p.notify(rep, false)
-		return
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		wasOK := rep.stateOK()
-		rep.setProbe(false, resp.Status, now)
-		if wasOK {
-			p.log.Warn("replica not ready", "replica", rep.addr, "status", resp.Status)
-		}
-		p.notify(rep, false)
-		return
-	}
-	if !rep.stateOK() {
+	wasOK := rep.setProbe(ok, reason, now)
+	switch {
+	case !ok && wasOK:
+		p.log.Warn(msg, "replica", rep.addr, key, reason)
+	case ok && !wasOK:
 		p.log.Info("replica healthy", "replica", rep.addr)
 	}
-	rep.setProbe(true, "", now)
-	p.notify(rep, true)
+	p.notify(rep, ok)
 }
 
 func (p *prober) notify(rep *replica, ok bool) {
 	if p.onProbe != nil {
 		p.onProbe(rep, ok)
 	}
-}
-
-// stateOK reads the last probe verdict (true before any probe has run).
-func (rep *replica) stateOK() bool {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	return !rep.everProbed || rep.probedOK
 }
 
 // close stops the probe loops and waits for them.

@@ -31,7 +31,7 @@ func newRouterMetrics(reg *obs.Registry, rt *Router) *routerMetrics {
 		latency: reg.HistogramVec("pgrouter_request_seconds",
 			"End-to-end router latency by route.", obs.ExpBuckets(1e-4, 10, 7), "route"),
 		attempts: reg.CounterVec("pgrouter_upstream_attempts_total",
-			"Upstream attempts by replica and outcome (ok, error, truncated, status_*).",
+			"Upstream attempts by replica and outcome (ok, error, truncated, status_*, canceled).",
 			"replica", "outcome"),
 		upstreamS: reg.Histogram("pgrouter_upstream_seconds",
 			"Successful upstream attempt latency.", obs.ExpBuckets(1e-4, 10, 7)),

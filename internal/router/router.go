@@ -71,6 +71,9 @@ type Config struct {
 
 // Router fronts a pgserve fleet: consistent-hash placement, health-aware
 // failover, retries, hedging, single-flight builds, and session failover.
+// Every proxied request goes through one routing loop (do) or, for sessions,
+// one sticky-replica path (sessionSend); both send through attempt, the only
+// place a replica's breaker admits a request.
 type Router struct {
 	cfg      Config
 	ring     *Ring
@@ -265,11 +268,10 @@ func (rt *Router) newProxyReq(w http.ResponseWriter, r *http.Request) (*proxyReq
 // once it arrived complete, so a replica dying mid-stream becomes a retry,
 // never a truncated client stream.
 type bufferedResp struct {
-	status     int
-	header     http.Header
-	body       []byte
-	replica    string
-	incomplete bool // body read failed partway — never relayed, always retried
+	status  int
+	header  http.Header
+	body    []byte
+	replica string
 }
 
 // retryable reports whether this outcome should move on to the next replica:
@@ -305,27 +307,12 @@ type routerError struct {
 func (e *routerError) Error() string { return e.msg }
 
 func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, err error) {
-	code := http.StatusBadGateway
+	code, retryAfter := http.StatusBadGateway, time.Duration(0)
 	var re *routerError
-	retryAfter := time.Duration(0)
 	if errors.As(err, &re) {
-		code = re.code
-		retryAfter = re.retryAfter
+		code, retryAfter = re.code, re.retryAfter
 	}
-	if retryAfter > 0 {
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	body := map[string]string{"error": err.Error()}
-	if id := obs.RequestID(r.Context()); id != "" {
-		body["request_id"] = id
-	}
-	json.NewEncoder(w).Encode(body)
+	serve.WriteError(w, r, code, retryAfter, err)
 }
 
 // errNoReplicas is the shed outcome: nothing usable owns the key right now.
@@ -338,11 +325,18 @@ func (rt *Router) errNoReplicas() error {
 	}
 }
 
+// errNotAdmitted is attempt's answer when the replica's breaker refused the
+// request: another request took its half-open trial after candidates listed
+// it. Nothing was sent, so the caller moves on without backing off.
+var errNotAdmitted = errors.New("router: replica breaker refused the request")
+
 // attempt sends preq to one replica and buffers the complete response,
-// training the breaker with the outcome.
+// training the breaker with the outcome. It is the router's one admission
+// point: Breaker.Allow runs here, immediately before the request is sent. An
+// attempt that ends because ctx was canceled (it lost a hedge race, or its
+// client left) is no verdict on the replica: it releases any trial slot it
+// held and is counted as "canceled".
 func (rt *Router) attempt(ctx context.Context, rep *replica, preq *proxyReq) (*bufferedResp, error) {
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
 	req, err := http.NewRequestWithContext(ctx, preq.method, rep.addr+preq.path, bytes.NewReader(preq.body))
 	if err != nil {
 		return nil, err
@@ -353,25 +347,27 @@ func (rt *Router) attempt(ctx context.Context, rep *replica, preq *proxyReq) (*b
 	if preq.requestID != "" {
 		req.Header.Set("X-Request-Id", preq.requestID)
 	}
+	if !rep.breaker.Allow(time.Now()) {
+		return nil, errNotAdmitted
+	}
+	rep.inflight.Add(1)
+	defer rep.inflight.Add(-1)
 	t0 := time.Now()
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rep.breaker.Failure(time.Now())
-		rt.metrics.attempt(rep, "error")
+		rt.failed(ctx, rep, "error")
 		return nil, err
 	}
 	body, err := rt.readAll(resp.Body)
 	resp.Body.Close()
-	out := &bufferedResp{status: resp.StatusCode, header: resp.Header, body: body, replica: rep.addr}
 	if err != nil {
 		// Headers arrived but the body did not complete: a replica died (or a
 		// network path reset) mid-stream. The partial body is discarded — the
 		// client never sees it — and the outcome is a retryable failure.
-		out.incomplete = true
-		rep.breaker.Failure(time.Now())
-		rt.metrics.attempt(rep, "truncated")
-		return out, fmt.Errorf("incomplete response from %s: %w", rep.addr, err)
+		rt.failed(ctx, rep, "truncated")
+		return nil, fmt.Errorf("incomplete response from %s: %w", rep.addr, err)
 	}
+	out := &bufferedResp{status: resp.StatusCode, header: resp.Header, body: body, replica: rep.addr}
 	if out.breakerFailure() {
 		rep.breaker.Failure(time.Now())
 		rt.metrics.attempt(rep, "status_"+strconv.Itoa(out.status))
@@ -381,6 +377,18 @@ func (rt *Router) attempt(ctx context.Context, rep *replica, preq *proxyReq) (*b
 	rt.metrics.attempt(rep, "ok")
 	rt.metrics.upstream(time.Since(t0))
 	return out, nil
+}
+
+// failed records an attempt that produced no complete response: a failure
+// against the replica, unless ctx was canceled first.
+func (rt *Router) failed(ctx context.Context, rep *replica, outcome string) {
+	if ctx.Err() != nil {
+		rep.breaker.Release()
+		rt.metrics.attempt(rep, "canceled")
+		return
+	}
+	rep.breaker.Failure(time.Now())
+	rt.metrics.attempt(rep, outcome)
 }
 
 // readAll buffers an upstream body under the response cap.
@@ -414,108 +422,91 @@ func (rt *Router) backoff(ctx context.Context, k int) bool {
 	}
 }
 
-// do routes preq through the key's preference order with retries. Returns the
-// first non-retryable response, or — when every replica failed — the last
-// buffered response (so the client sees the replica's own 503/429 and
-// Retry-After rather than a generic router error), or an error.
-func (rt *Router) do(ctx context.Context, key string, preq *proxyReq) (*bufferedResp, *replica, error) {
+// do routes preq through the key's usable replicas in ring order and returns
+// the first complete, non-retryable response, canceling any attempt still in
+// flight. An attempt that fails or answers a retryable status backs off and
+// moves to the next candidate once no other attempt is in flight. With hedge
+// set, a first attempt still running after hedgeDelay gets one racing copy on
+// the next candidate. When every attempt fails, do returns the last complete
+// response, so the client sees the replica's own 503/429 and Retry-After
+// rather than a generic router error; if none completed, a 502 error.
+func (rt *Router) do(ctx context.Context, key string, preq *proxyReq, hedge bool) (*bufferedResp, error) {
 	cands := rt.candidates(key)
 	if len(cands) == 0 {
-		return nil, nil, rt.errNoReplicas()
+		return nil, rt.errNoReplicas()
 	}
-	var lastResp *bufferedResp
-	var lastErr error
-	for i, rep := range cands {
-		if i > 0 {
-			rt.metrics.retry()
-			if !rt.backoff(ctx, i) {
-				break
-			}
-		}
-		resp, err := rt.attempt(ctx, rep, preq)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.retryable() && i+1 < len(cands) {
-			lastResp = resp
-			continue
-		}
-		return resp, rep, nil
-	}
-	if lastResp != nil && !lastResp.incomplete {
-		return lastResp, nil, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("router: all attempts failed")
-	}
-	return nil, nil, &routerError{code: http.StatusBadGateway, msg: lastErr.Error()}
-}
-
-// doHedged is do() plus a latency hedge for idempotent reads: if the primary
-// has not completed within the recent p95 budget, a second attempt races on
-// the next usable replica and the first complete, non-retryable response
-// wins. Falls back to sequential retry over the remaining candidates when
-// both racers fail.
-func (rt *Router) doHedged(ctx context.Context, key string, preq *proxyReq) (*bufferedResp, *replica, error) {
-	cands := rt.candidates(key)
-	if !rt.cfg.Hedge || len(cands) < 2 {
-		return rt.do(ctx, key, preq)
-	}
-	hctx, cancel := context.WithCancel(ctx)
+	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
 		resp *bufferedResp
 		rep  *replica
 		err  error
 	}
-	resc := make(chan result, 2)
-	launch := func(rep *replica) {
+	resc := make(chan result, len(cands)) // one send per candidate at most: losers never block
+	next, pending := 0, 0
+	launch := func() *replica {
+		rep := cands[next]
+		next++
+		pending++
 		go func() {
-			resp, err := rt.attempt(hctx, rep, preq)
+			resp, err := rt.attempt(actx, rep, preq)
 			resc <- result{resp: resp, rep: rep, err: err}
 		}()
+		return rep
 	}
-	launch(cands[0])
-	hedgeTimer := time.NewTimer(rt.hedgeDelay())
-	defer hedgeTimer.Stop()
-	launched, pending := 1, 1
+	launch()
+	var hedgeC <-chan time.Time
+	if hedge && len(cands) > 1 {
+		t := time.NewTimer(rt.hedgeDelay())
+		defer t.Stop()
+		hedgeC = t.C
+	}
+	var hedged *replica
+	var last *bufferedResp
+	lastErr := errors.New("router: all attempts failed")
 	for pending > 0 {
+		var res result
 		select {
-		case <-hedgeTimer.C:
-			if launched < 2 {
+		case <-hedgeC:
+			hedgeC = nil
+			if next < len(cands) { // a skipped first candidate may have used up the list
 				rt.metrics.hedge()
-				launch(cands[1])
-				launched++
-				pending++
+				hedged = launch()
 			}
-		case res := <-resc:
-			pending--
-			if res.err == nil && !res.resp.retryable() {
-				if launched == 2 && res.rep == cands[1] {
-					rt.metrics.hedgeWin()
-				}
-				return res.resp, res.rep, nil
-			}
-			// A failed primary before the hedge fires: start the hedge now
-			// rather than waiting out the timer.
-			if launched < 2 {
-				launch(cands[1])
-				launched++
-				pending++
-			}
-		case <-ctx.Done():
-			return nil, nil, &routerError{code: http.StatusBadGateway, msg: ctx.Err().Error()}
+			continue
+		case res = <-resc:
 		}
+		pending--
+		skipped := errors.Is(res.err, errNotAdmitted)
+		switch {
+		case res.err == nil && !res.resp.retryable():
+			if res.rep == hedged {
+				rt.metrics.hedgeWin()
+			}
+			return res.resp, nil
+		case res.err == nil:
+			last = res.resp
+		case !skipped:
+			lastErr = res.err
+		}
+		if !skipped {
+			hedgeC = nil // the first attempt has ended: from here failures retry, they do not hedge
+		}
+		if pending > 0 || next == len(cands) {
+			continue
+		}
+		if !skipped {
+			if !rt.backoff(ctx, next) {
+				break
+			}
+			rt.metrics.retry()
+		}
+		launch()
 	}
-	// Both racers failed; fall through to the remaining candidates.
-	if len(cands) > 2 {
-		return rt.do(ctx, key, &proxyReq{
-			method: preq.method, path: preq.path, body: preq.body,
-			contentType: preq.contentType, requestID: preq.requestID,
-		})
+	if last != nil {
+		return last, nil
 	}
-	return nil, nil, &routerError{code: http.StatusBadGateway, msg: "all replicas failed"}
+	return nil, &routerError{code: http.StatusBadGateway, msg: lastErr.Error()}
 }
 
 // hedgeDelay is the current hedge budget: the recent p95 of idempotent-read
@@ -576,21 +567,16 @@ func (rt *Router) handleModelRequest(w http.ResponseWriter, r *http.Request, hed
 		rt.writeError(w, r, err)
 		return
 	}
-	key := routeKey(preq.body)
+	hedge := hedged && rt.cfg.Hedge
 	t0 := time.Now()
-	var resp *bufferedResp
-	if hedged {
-		resp, _, err = rt.doHedged(r.Context(), key, preq)
-	} else {
-		resp, _, err = rt.do(r.Context(), key, preq)
-	}
+	resp, err := rt.do(r.Context(), routeKey(preq.body), preq, hedge)
 	if err != nil {
 		rt.writeError(w, r, err)
 		return
 	}
 	// The sampler only sizes the hedge delay: without hedging, skip its
 	// lock and ring write.
-	if rt.cfg.Hedge && hedged && resp.status == http.StatusOK {
+	if hedge && resp.status == http.StatusOK {
 		rt.readLatency.observe(time.Since(t0))
 	}
 	relay(w, resp)
@@ -610,7 +596,7 @@ func (rt *Router) handleReduce(w http.ResponseWriter, r *http.Request) {
 	key := routeKey(preq.body)
 	if key == "" {
 		// Malformed body: let the primary replica produce the 400.
-		resp, _, err := rt.do(r.Context(), key, preq)
+		resp, err := rt.do(r.Context(), key, preq, false)
 		if err != nil {
 			rt.writeError(w, r, err)
 			return
@@ -649,7 +635,7 @@ func (rt *Router) handleReduce(w http.ResponseWriter, r *http.Request) {
 	//pgmor:detach single-flight leader must outlive its own client so waiting followers still get the build
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	call.resp, _, call.err = rt.do(ctx, key, preq)
+	call.resp, call.err = rt.do(ctx, key, preq, false)
 	if call.err != nil {
 		rt.writeError(w, r, call.err)
 		return
@@ -702,17 +688,17 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, r, err)
 		return
 	}
-	resp, rep, err := rt.do(r.Context(), routeKey(preq.body), preq)
+	resp, err := rt.do(r.Context(), routeKey(preq.body), preq, false)
 	if err != nil {
 		rt.writeError(w, r, err)
 		return
 	}
-	if resp.status == http.StatusOK && rep != nil {
+	if resp.status == http.StatusOK {
 		var info upstreamSessionInfo
 		if json.Unmarshal(resp.body, &info) == nil && info.Session != "" {
 			e := rt.session(info.Session)
 			e.mu.Lock()
-			e.replica = rep
+			e.replica = rt.replicas[resp.replica]
 			e.step = info.Step
 			e.mu.Unlock()
 		}
@@ -786,6 +772,49 @@ func (rt *Router) failoverSession(ctx context.Context, e *sessionEntry, id, requ
 		msg: fmt.Sprintf("session %s could not be failed over (%s)", id, lastDetail)}
 }
 
+// sessionSend sends preq for session id to its sticky replica when that
+// replica is usable. If it is not, or the send fails while the client is
+// still connected, the session fails over to another replica and preq is
+// sent there. An advance pins the failover to the step the client last
+// observed (e.step) and replays there; get and delete resume the latest
+// snapshot. A client that left ends the request with 502 and leaves the
+// sticky owner in place. The caller holds e.mu.
+func (rt *Router) sessionSend(ctx context.Context, e *sessionEntry, id string, preq *proxyReq, advance bool) (*bufferedResp, error) {
+	owner := e.replica
+	sent := false
+	if owner != nil && owner.usable(time.Now()) {
+		resp, err := rt.attempt(ctx, owner, preq)
+		if err == nil && !resp.retryable() {
+			return resp, nil
+		}
+		sent = !errors.Is(err, errNotAdmitted)
+	}
+	if ctx.Err() != nil {
+		return nil, &routerError{code: http.StatusBadGateway, msg: ctx.Err().Error()}
+	}
+	var wantStep int64
+	if advance {
+		wantStep = e.step
+	}
+	_, resumedStep, err := rt.failoverSession(ctx, e, id, preq.requestID, owner, wantStep)
+	if err != nil {
+		rt.dropSession(id)
+		return nil, err
+	}
+	if advance && owner != nil && resumedStep != wantStep {
+		return nil, &routerError{code: http.StatusBadGateway,
+			msg: fmt.Sprintf("session %s resumed at step %d but client observed step %d; cannot replay exactly (run replicas with -session-snapshot-every 1)", id, resumedStep, wantStep)}
+	}
+	if advance && sent {
+		rt.metrics.replay()
+	}
+	resp, err := rt.attempt(ctx, e.replica, preq)
+	if err != nil {
+		return nil, &routerError{code: http.StatusBadGateway, msg: "send after failover failed: " + err.Error()}
+	}
+	return resp, nil
+}
+
 // handleSessionAdvance proxies an advance to the session's sticky replica,
 // buffering the whole NDJSON stream. If the replica fails before the stream
 // completes, the session resumes on another replica from its snapshot and —
@@ -815,57 +844,13 @@ func (rt *Router) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer e.mu.Unlock()
-
-	ctx := r.Context()
-	if e.replica == nil || !e.replica.usable(time.Now()) {
-		// Unknown owner (router restart) or known-bad replica: resume first.
-		if _, _, err := rt.failoverSession(ctx, e, id, preq.requestID, nil, 0); err != nil {
-			rt.dropSession(id)
-			rt.writeError(w, r, err)
-			return
-		}
-	}
-
-	resp, err := rt.attempt(ctx, e.replica, preq)
-	if err == nil && !resp.retryable() {
-		rt.finishAdvance(w, e, id, resp, int64(req.Steps))
-		return
-	}
-	if ctx.Err() != nil {
-		rt.writeError(w, r, &routerError{code: http.StatusBadGateway, msg: ctx.Err().Error()})
-		return
-	}
-
-	// The sticky replica failed. Resume elsewhere and replay the advance —
-	// but only from exactly the step the client last saw.
-	failed := e.replica
-	preStep := e.step
-	_, resumedStep, ferr := rt.failoverSession(ctx, e, id, preq.requestID, failed, preStep)
-	if ferr != nil {
-		rt.dropSession(id)
-		rt.writeError(w, r, ferr)
-		return
-	}
-	if resumedStep != preStep {
-		rt.writeError(w, r, &routerError{code: http.StatusBadGateway,
-			msg: fmt.Sprintf("session %s resumed at step %d but client observed step %d; cannot replay exactly (run replicas with -session-snapshot-every 1)", id, resumedStep, preStep)})
-		return
-	}
-	rt.metrics.replay()
-	resp, err = rt.attempt(ctx, e.replica, preq)
+	resp, err := rt.sessionSend(r.Context(), e, id, preq, true)
 	if err != nil {
-		rt.writeError(w, r, &routerError{code: http.StatusBadGateway,
-			msg: "replayed advance failed: " + err.Error()})
+		rt.writeError(w, r, err)
 		return
 	}
-	rt.finishAdvance(w, e, id, resp, int64(req.Steps))
-}
-
-// finishAdvance updates step accounting for a completed advance and relays
-// it. The caller holds e.mu.
-func (rt *Router) finishAdvance(w http.ResponseWriter, e *sessionEntry, id string, resp *bufferedResp, steps int64) {
 	if resp.status == http.StatusOK {
-		e.step += steps
+		e.step += int64(req.Steps)
 	}
 	if resp.status == http.StatusNotFound {
 		rt.dropSession(id)
@@ -885,26 +870,13 @@ func (rt *Router) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	e := rt.session(id)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.replica != nil && e.replica.usable(time.Now()) {
-		resp, err := rt.attempt(r.Context(), e.replica, preq)
-		if err == nil && !resp.retryable() {
-			if resp.status == http.StatusNotFound {
-				rt.dropSession(id)
-			}
-			relay(w, resp)
-			return
-		}
-	}
-	failed := e.replica
-	if _, _, err := rt.failoverSession(r.Context(), e, id, preq.requestID, failed, 0); err != nil {
-		rt.dropSession(id)
+	resp, err := rt.sessionSend(r.Context(), e, id, preq, false)
+	if err != nil {
 		rt.writeError(w, r, err)
 		return
 	}
-	resp, err := rt.attempt(r.Context(), e.replica, preq)
-	if err != nil {
-		rt.writeError(w, r, &routerError{code: http.StatusBadGateway, msg: err.Error()})
-		return
+	if resp.status == http.StatusNotFound {
+		rt.dropSession(id)
 	}
 	relay(w, resp)
 }
@@ -912,6 +884,7 @@ func (rt *Router) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // handleSessionDelete deletes on the sticky replica (which also removes the
 // persisted snapshot); if that replica is gone, the session is resumed
 // elsewhere first so the delete — and the snapshot removal — still happen.
+// The router forgets the session whatever the outcome.
 func (rt *Router) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	preq, err := rt.newProxyReq(w, r)
@@ -922,24 +895,10 @@ func (rt *Router) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	e := rt.session(id)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.replica != nil && e.replica.usable(time.Now()) {
-		resp, err := rt.attempt(r.Context(), e.replica, preq)
-		if err == nil && !resp.retryable() {
-			rt.dropSession(id)
-			relay(w, resp)
-			return
-		}
-	}
-	failed := e.replica
-	if _, _, err := rt.failoverSession(r.Context(), e, id, preq.requestID, failed, 0); err != nil {
-		rt.dropSession(id)
-		rt.writeError(w, r, err)
-		return
-	}
-	resp, err := rt.attempt(r.Context(), e.replica, preq)
+	resp, err := rt.sessionSend(r.Context(), e, id, preq, false)
 	rt.dropSession(id)
 	if err != nil {
-		rt.writeError(w, r, &routerError{code: http.StatusBadGateway, msg: err.Error()})
+		rt.writeError(w, r, err)
 		return
 	}
 	relay(w, resp)
@@ -1028,7 +987,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if usable == 0 {
-		w.Header().Set("Retry-After", strconv.FormatInt(int64((shedRetryAfter+time.Second-1)/time.Second), 10))
+		serve.SetRetryAfter(w.Header(), shedRetryAfter)
 		w.WriteHeader(http.StatusServiceUnavailable)
 		body["status"] = "unavailable"
 	} else {

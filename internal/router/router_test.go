@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -575,5 +576,218 @@ func TestLatencySamplerPercentile(t *testing.T) {
 	p95 := s.percentile(0.95)
 	if p95 < 90*time.Millisecond || p95 > 100*time.Millisecond {
 		t.Fatalf("p95 = %v, want ~95ms", p95)
+	}
+}
+
+// ---- cancellation, admission and the one routing loop ----
+
+// waitIdle waits until no attempt is in flight to any replica, so breaker
+// verdicts of canceled attempts (which finish after the client's response)
+// have landed.
+func waitIdle(t *testing.T, rt *Router) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var n int64
+		for _, rep := range rt.order {
+			n += rep.inflight.Load()
+		}
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d upstream attempts still in flight", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// slowUntilCanceled answers after d, or as soon as the router abandons the
+// request.
+func slowUntilCanceled(d time.Duration) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-time.After(d):
+			json.NewEncoder(w).Encode(map[string]string{"served_by": "slow"})
+		}
+	}
+}
+
+func assertBreakerUntouched(t *testing.T, rt *Router, addr string) {
+	t.Helper()
+	b := rt.replicas[addr].breaker
+	if b.State() != breakerClosed || b.Trips() != 0 {
+		t.Fatalf("healthy replica's breaker is %v after %d trips; canceled attempts must not count as failures",
+			b.State(), b.Trips())
+	}
+}
+
+// TestRouterHedgeLoserIsNoFailure: the primary answers slowly but correctly;
+// every hedged read is won by the secondary and the primary's attempt is
+// canceled. Canceling it says nothing about the primary's health.
+func TestRouterHedgeLoserIsNoFailure(t *testing.T) {
+	fleet := newFakeFleet(t, 2)
+	rt, ts := newTestRouter(t, Config{Replicas: fleet.urls(), Hedge: true})
+	primary := rt.ring.Primary("m")
+	fleet.set(primary, slowUntilCanceled(300*time.Millisecond))
+	for i := 0; i < 4; i++ {
+		resp := postJSON(t, ts.URL+"/eval", `{"model":"m"}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("eval %d status = %d, want 200", i, resp.StatusCode)
+		}
+	}
+	waitIdle(t, rt)
+	assertBreakerUntouched(t, rt, primary)
+}
+
+// TestRouterClientTimeoutIsNoFailure: clients that give up before a slow but
+// healthy replica answers cancel their attempts, which must not trip it.
+func TestRouterClientTimeoutIsNoFailure(t *testing.T) {
+	fleet := newFakeFleet(t, 2)
+	rt, ts := newTestRouter(t, Config{Replicas: fleet.urls()})
+	primary := rt.ring.Primary("m")
+	fleet.set(primary, slowUntilCanceled(300*time.Millisecond))
+	client := &http.Client{Timeout: 30 * time.Millisecond}
+	for i := 0; i < 3; i++ {
+		resp, err := client.Post(ts.URL+"/transient", "application/json", strings.NewReader(`{"model":"m"}`))
+		if err == nil {
+			resp.Body.Close()
+			t.Fatalf("request %d answered %d before the client's timeout", i, resp.StatusCode)
+		}
+	}
+	waitIdle(t, rt)
+	assertBreakerUntouched(t, rt, primary)
+}
+
+// TestRouterReadersTakeNoTrial: after a tripped breaker's cooldown, a
+// /metrics scrape and a /healthz call only read it. The half-open trial
+// goes to the next request actually sent to that replica.
+func TestRouterReadersTakeNoTrial(t *testing.T) {
+	const openFor = 50 * time.Millisecond
+	fleet := newFakeFleet(t, 2)
+	rt, ts := newTestRouter(t, Config{Replicas: fleet.urls(), BreakerOpenFor: openFor})
+	primary := rt.ring.Primary("m")
+	fleet.set(primary, func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	})
+	for i := 0; i < failThreshold; i++ {
+		resp := postJSON(t, ts.URL+"/eval", `{"model":"m"}`)
+		resp.Body.Close()
+	}
+	b := rt.replicas[primary].breaker
+	if b.State() != breakerOpen {
+		t.Fatalf("primary breaker = %v after %d 503s, want open", b.State(), failThreshold)
+	}
+	fleet.set(primary, nil)
+	time.Sleep(2 * openFor)
+	for _, path := range []string{"/metrics", "/healthz"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
+		if b.State() != breakerOpen {
+			t.Fatalf("after GET %s the primary breaker is %v; a read must leave it open", path, b.State())
+		}
+	}
+	resp := postJSON(t, ts.URL+"/eval", `{"model":"m"}`)
+	resp.Body.Close()
+	if up := resp.Header.Get("X-Upstream"); resp.StatusCode != http.StatusOK || up != primary {
+		t.Fatalf("eval after cooldown: status %d via %q, want 200 via the primary %q as its trial", resp.StatusCode, up, primary)
+	}
+}
+
+// TestRouterHedgedRelays429: when every replica is overloaded, a hedged read
+// relays the last replica's own 429 and Retry-After, as an unhedged one does.
+func TestRouterHedgedRelays429(t *testing.T) {
+	fleet := newFakeFleet(t, 2)
+	for _, u := range fleet.urls() {
+		fleet.set(u, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Retry-After", "7")
+			http.Error(w, `{"error":"full"}`, http.StatusTooManyRequests)
+		})
+	}
+	for _, hedge := range []bool{false, true} {
+		_, ts := newTestRouter(t, Config{Replicas: fleet.urls(), Hedge: hedge})
+		resp := postJSON(t, ts.URL+"/eval", `{"model":"m"}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "7" {
+			t.Fatalf("hedge=%v: status %d, Retry-After %q; want the replicas' 429 with Retry-After 7",
+				hedge, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+}
+
+// TestRouterHedgedTriesEachReplicaOnce: a hedged read over failing replicas
+// tries each candidate once, like an unhedged one.
+func TestRouterHedgedTriesEachReplicaOnce(t *testing.T) {
+	fleet := newFakeFleet(t, 3)
+	for _, u := range fleet.urls() {
+		fleet.set(u, func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "down", http.StatusServiceUnavailable)
+		})
+	}
+	_, ts := newTestRouter(t, Config{Replicas: fleet.urls(), Hedge: true})
+	resp := postJSON(t, ts.URL+"/eval", `{"model":"m"}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("status = %d, want the replicas' 503 relayed", resp.StatusCode)
+	}
+	if n := fleet.totalHits(); n != 3 {
+		t.Fatalf("upstream attempts = %d, want 3 (one per replica)", n)
+	}
+}
+
+// TestRouterSessionGetClientLeftKeepsOwner: a client that disconnects during
+// GET /session/{id} ends that request only. The session must not fail over
+// on the dead context or lose its live owner.
+func TestRouterSessionGetClientLeftKeepsOwner(t *testing.T) {
+	fleet := newFakeFleet(t, 2)
+	entered := make(chan struct{}, 1)
+	for _, u := range fleet.urls() {
+		fleet.set(u, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet {
+				entered <- struct{}{}
+				<-r.Context().Done()
+				return
+			}
+			json.NewEncoder(w).Encode(map[string]any{"session": "s1", "step": 0})
+		})
+	}
+	rt, ts := newTestRouter(t, Config{Replicas: fleet.urls()})
+	resp := postJSON(t, ts.URL+"/session", `{"model":"m"}`)
+	resp.Body.Close()
+	rt.sessMu.Lock()
+	e := rt.sessions["s1"]
+	rt.sessMu.Unlock()
+	if resp.StatusCode != http.StatusOK || e == nil || e.replica == nil {
+		t.Fatalf("session create: status %d, entry %+v", resp.StatusCode, e)
+	}
+	owner := e.replica
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-entered // the router holds e.mu and the owner has the request
+		cancel()
+	}()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/session/s1", nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("GET answered %d; want the client's own cancellation", resp.StatusCode)
+	}
+	e.mu.Lock() // the router's handler has finished
+	got := e.replica
+	e.mu.Unlock()
+	rt.sessMu.Lock()
+	tracked := rt.sessions["s1"] == e
+	rt.sessMu.Unlock()
+	if !tracked || got != owner {
+		t.Fatalf("after the client left: tracked=%v, owner kept=%v; want the session kept on its owner", tracked, got == owner)
 	}
 }

@@ -305,28 +305,32 @@ func overloaded(retryAfter time.Duration, err error) *httpError {
 	return &httpError{code: http.StatusTooManyRequests, err: err, retryAfter: retryAfter}
 }
 
-// retryAfterSeconds renders a Retry-After duration as whole seconds,
+// SetRetryAfter sets a Retry-After header of d in whole seconds when d > 0,
 // rounding up so "1ms" never becomes the header value 0 ("retry now").
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+func SetRetryAfter(h http.Header, d time.Duration) {
+	if d <= 0 {
+		return
 	}
-	return strconv.FormatInt(secs, 10)
+	h.Set("Retry-After", strconv.FormatInt(int64((d+time.Second-1)/time.Second), 10))
 }
 
-// writeErr renders an error response. The request's ID rides along in the
-// body (and in the X-Request-Id header set by the middleware), so a failure
-// a client reports is greppable in the server's logs.
+// writeErr renders err as an error response: an *httpError's code and
+// Retry-After hint, else a 500.
 func writeErr(w http.ResponseWriter, r *http.Request, err error) {
-	code := http.StatusInternalServerError
+	code, retryAfter := http.StatusInternalServerError, time.Duration(0)
 	var he *httpError
 	if errors.As(err, &he) {
-		code = he.code
-		if he.retryAfter > 0 {
-			w.Header().Set("Retry-After", retryAfterSeconds(he.retryAfter))
-		}
+		code, retryAfter = he.code, he.retryAfter
 	}
+	WriteError(w, r, code, retryAfter, err)
+}
+
+// WriteError writes the JSON error response pgserve and pgrouter share:
+// status code, an optional Retry-After hint, and a body carrying the error
+// text and the request's ID, so a failure a client reports is greppable in
+// the server's logs.
+func WriteError(w http.ResponseWriter, r *http.Request, code int, retryAfter time.Duration, err error) {
+	SetRetryAfter(w.Header(), retryAfter)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	body := map[string]string{"error": err.Error()}
@@ -824,9 +828,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		stats["store"] = s.cfg.Store.Stats()
 	}
 	if nr := s.notReady.Load(); nr != nil {
-		if nr.retryAfter > 0 {
-			w.Header().Set("Retry-After", retryAfterSeconds(nr.retryAfter))
-		}
+		SetRetryAfter(w.Header(), nr.retryAfter)
 		writeJSONStatus(w, r, http.StatusServiceUnavailable, map[string]any{
 			"status": "unavailable", "reason": nr.reason, "stats": stats,
 		})
